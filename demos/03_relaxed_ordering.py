@@ -27,7 +27,7 @@ x = rng.standard_normal((60, p))
 s = SampleCovariance(x.T @ x / 60)
 
 # mu = 0 with an uninformative factor: the solution is the center J/p.
-cfg0 = RelaxationConfig(mu=0.0, variant="plain", eps=1e-9, k_max=4000)
+cfg0 = RelaxationConfig(mu=0.0, eps=1e-9, k_max=4000)
 res0 = gradient_projection(CholeskyFactor(np.eye(p)), s, cfg0, DoublyStochastic.center(p))
 print("mu = 0, L = I: distance to center =",
       float(np.linalg.norm(res0.ds.m - 1.0 / p)))
@@ -37,7 +37,7 @@ l = CholeskyFactor(np.tril(rng.standard_normal((p, p)), -1) + np.diag(rng.unifor
 plain, centered, concave = convexity_thresholds(l, s)
 print(f"mu thresholds: plain-convex {plain:.4f}, centered-convex {centered:.4f}, "
       f"concave {concave:.2f}")
-cfg1 = RelaxationConfig(mu=1.1 * concave, variant="plain", eps=1e-10, k_max=3000)
+cfg1 = RelaxationConfig(mu=1.1 * concave, eps=1e-10, k_max=3000)
 res1 = gradient_projection(l, s, cfg1, DoublyStochastic.center(p))
 print("mu above concave threshold -> vertex: ||P||_F =",
       float(np.linalg.norm(res1.ds.m)), f"(sqrt(p) = {np.sqrt(p):.4f})")

@@ -72,7 +72,6 @@ from birkdag.solver import (
 from birkdag.pipeline import RrcfConfig, TuningGrid, FitResult, fit, tune
 from birkdag.metrics import (
     EdgeSet,
-    MetricReport,
     BenchmarkSpec,
     extract_edges,
     structure_metrics,
@@ -96,7 +95,7 @@ __all__ = [
     "update_diagonal", "minimize_row", "estimate_cholesky",
     "row_objectives", "check_lower_bounds",
     "RrcfConfig", "TuningGrid", "FitResult", "fit", "tune",
-    "EdgeSet", "MetricReport", "BenchmarkSpec", "extract_edges",
+    "EdgeSet", "BenchmarkSpec", "extract_edges",
     "structure_metrics", "scaled_frobenius", "run_benchmark",
 ]
 

@@ -7,9 +7,10 @@ This module provides the four pieces of that pipeline:
 * Euclidean projection onto the polytope, computed by block coordinate
   ascent on the dual with closed-form updates;
 * gradient projection for the relaxed quadratic objective
-  1/2 tr(L P S P^t L^t) - mu/2 * ||P||_F^2 (or the centered variant
-  with T = I - (1/p) 1 1^t, which differs only by the constant mu/2 on
-  the feasible set);
+  1/2 tr(L P S P^t L^t) - mu/2 ||T P||_F^2 with T = I - (1/p) 1 1^t.
+  On the polytope ||T P||_F^2 = ||P||_F^2 - 1, so this is the paper's
+  plain penalty -mu/2 ||P||_F^2 up to the constant mu/2, and both forms
+  give the same iterates;
 * convexity/concavity thresholds for mu from the spectra of S and L^t L;
 * rounding back to permutations, either by rank-matching against random
   Gaussian vectors or by solving a linear assignment problem.
@@ -92,8 +93,10 @@ class ProjectionResult:
 class RelaxationConfig:
     """Settings for the relaxed ordering subproblem.
 
-    mu is the Frobenius-pull weight; variant selects the plain penalty
-    ||P||_F^2 or the centered ||T P||_F^2.  eta is the gradient step
+    mu is the Frobenius-pull weight.  None (the default) means automatic:
+    ``pipeline.fit`` replaces it each outer iteration by the centered
+    convexity threshold of the current factor, and
+    ``gradient_projection`` refuses it.  eta is the gradient step
     scale (None picks 1/(lambda_max(S) lambda_max(L^t L) + mu)); eps and
     k_max stop the gradient projection; n_samples is the number of
     rounding candidates drawn when the relaxed solution is not already a
@@ -101,8 +104,7 @@ class RelaxationConfig:
     projections.
     """
 
-    mu: float = 0.0
-    variant: str = "centered"
+    mu: float | None = None
     eta: float | None = None
     eps: float = 1e-7
     k_max: int = 500
@@ -111,10 +113,8 @@ class RelaxationConfig:
     proj_k_max: int = 50000
 
     def __post_init__(self):
-        if self.mu < 0 or not np.isfinite(self.mu):
-            raise ValueError(f"mu must be a nonnegative real, got {self.mu}")
-        if self.variant not in ("plain", "centered"):
-            raise ValueError(f"variant must be 'plain' or 'centered', got {self.variant!r}")
+        if self.mu is not None and (self.mu < 0 or not np.isfinite(self.mu)):
+            raise ValueError(f"mu must be a nonnegative real or None, got {self.mu}")
         if self.eta is not None and not self.eta > 0:
             raise ValueError("eta must be positive")
         if not self.eps > 0:
@@ -265,16 +265,12 @@ def relaxed_objective(
     s: SampleCovariance,
     cfg: RelaxationConfig,
 ) -> float:
-    """1/2 tr(L P S P^t L^t) - mu/2 ||P||_F^2 (or ||T P||_F^2, centered)."""
+    """1/2 tr(L P S P^t L^t) - mu/2 ||T P||_F^2, T = I - (1/p) 1 1^t."""
     P = pm.m if isinstance(pm, DoublyStochastic) else np.asarray(pm, dtype=float)
     lps = l.l @ P @ s.s
     quad = 0.5 * float(np.einsum("ij,ij->", lps, l.l @ P))
-    if cfg.variant == "plain":
-        pen = float((P * P).sum())
-    else:
-        TP = _center_cols(P)
-        pen = float((TP * TP).sum())
-    return quad - 0.5 * cfg.mu * pen
+    TP = _center_cols(P)
+    return quad - 0.5 * cfg.mu * float((TP * TP).sum())
 
 
 def relaxed_gradient(
@@ -283,11 +279,9 @@ def relaxed_gradient(
     s: SampleCovariance,
     cfg: RelaxationConfig,
 ) -> np.ndarray:
-    """(L^t L) P S - mu P, or (L^t L) P S - mu T P for the centered variant."""
+    """(L^t L) P S - mu T P."""
     P = pm.m if isinstance(pm, DoublyStochastic) else np.asarray(pm, dtype=float)
     g = (l.l.T @ l.l) @ P @ s.s
-    if cfg.variant == "plain":
-        return g - cfg.mu * P
     return g - cfg.mu * _center_cols(P)
 
 
@@ -296,9 +290,10 @@ def convexity_thresholds(
 ) -> tuple[float, float, float]:
     """mu thresholds governing the shape of the relaxed objective.
 
-    Returns ``(plain_convex, centered_convex, concave)``:
-    the plain problem is convex for mu <= lambda_1(S) lambda_1(L^t L),
-    the centered one for mu <= lambda_2(S) lambda_1(L^t L), and any
+    Returns ``(plain_convex, centered_convex, concave)``: with the
+    penalty written as ||P||_F^2 the problem is convex for
+    mu <= lambda_1(S) lambda_1(L^t L), in the centered form used here
+    for mu <= lambda_2(S) lambda_1(L^t L) (the automatic mu), and any
     mu > lambda_max(S) lambda_max(L^t L) makes the objective concave, so
     its minimum sits at a vertex (a permutation matrix).  Eigenvalues
     are taken in ascending order; lambda_2 is the second smallest, not
@@ -340,6 +335,11 @@ def gradient_projection(
     Inner projections warm start their dual variables from the previous
     iteration, which keeps them to a handful of passes each.
     """
+    if cfg.mu is None:
+        raise ValueError(
+            "cfg.mu is None; gradient_projection needs an explicit mu, e.g. "
+            "replace(cfg, mu=max(convexity_thresholds(l, s)[1], 0.0))"
+        )
     if not (l.p == s.p == p_init.p):
         raise ValueError("dimension mismatch between l, s and p_init")
     eta = cfg.eta

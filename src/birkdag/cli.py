@@ -91,19 +91,13 @@ def _fit_config(args):
             file=sys.stderr,
         )
         return None
-    relax_kwargs = {}
-    if args.mu is not None:
-        relax_kwargs["mu"] = args.mu
-    if args.eta is not None:
-        relax_kwargs["eta"] = args.eta
     return RrcfConfig(
         mcp=McpParams(lam=args.lam, gamma=args.gamma),
-        relax=RelaxationConfig(**relax_kwargs),
+        relax=RelaxationConfig(mu=args.mu, eta=args.eta),
         outer_k_max=args.outer_k_max,
         seed=args.seed,
         gamma_bic=args.gamma_bic,
         init=args.init,
-        mu_auto=args.mu is None,
     )
 
 

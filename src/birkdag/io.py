@@ -85,9 +85,8 @@ def fit_result_to_json(res: FitResult, n: int, cfg: RrcfConfig) -> str:
         "config": {
             "lambda": cfg.mcp.lam,
             "gamma": cfg.mcp.gamma,
-            "mu": None if cfg.mu_auto else cfg.relax.mu,
+            "mu": cfg.relax.mu,
             "eta": cfg.relax.eta,
-            "variant": cfg.relax.variant,
             "outer_k_max": cfg.outer_k_max,
             "outer_eps": cfg.outer_eps,
             "seed": cfg.seed,

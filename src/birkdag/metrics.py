@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from birkdag.pipeline import RrcfConfig, TuningGrid, fit, tune
-from birkdag.scoring import McpParams
+from birkdag.pipeline import RrcfConfig, TuningGrid, cell_config, fit, tune
 from birkdag.sem import WeightedAdjacency, generate_dag, sample_data
 
 
@@ -27,15 +26,6 @@ class EdgeSet:
             if not (0 <= k < self.p and 0 <= j < self.p):
                 raise ValueError(f"edge ({k}, {j}) out of range for p={self.p}")
         object.__setattr__(self, "edges", frozenset(self.edges))
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    tpr: float
-    fpr: float
-    shd: int
-    scaled_frob: float
-    runtime_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -62,6 +52,8 @@ class BenchmarkSpec:
         if self.n < 1:
             raise ValueError("n must be at least 1")
         settings = tuple((int(p), int(s)) for p, s in self.settings)
+        if len(set(settings)) != len(settings):
+            raise ValueError(f"settings must be distinct, got {settings}")
         for p, s in settings:
             if p < 2:
                 raise ValueError(f"settings require p >= 2, got p={p}")
@@ -137,19 +129,7 @@ def _run_replicate(spec: BenchmarkSpec, setting_index: int, rep: int) -> dict:
         data = sample_data(inst, spec.n, rng)
         base_cfg = RrcfConfig(seed=seed, gamma_bic=spec.grid.gamma_bic)
         best, _ = tune(data, spec.grid, base_cfg)
-        relax = base_cfg.relax
-        if best["mu"] is not None:
-            relax = replace(relax, mu=float(best["mu"]))
-        if best["eta"] is not None:
-            relax = replace(relax, eta=float(best["eta"]))
-        cfg = replace(
-            base_cfg,
-            mcp=McpParams(lam=float(best["lam"]), gamma=float(best["gamma"])),
-            relax=relax,
-            outer_k_max=spec.outer_k_max,
-            mu_auto=best["mu"] is None,
-        )
-        res = fit(data, cfg)
+        res = fit(data, cell_config(base_cfg, best, outer_k_max=spec.outer_k_max))
         est = extract_edges(res.b_hat)
         true = extract_edges(inst.adjacency)
         tpr, fpr, shd = structure_metrics(est, true)

@@ -49,10 +49,10 @@ class RrcfConfig:
     ``init`` selects the starting ordering: "variance" sorts variables
     by ascending sample variance (the informative choice for models with
     comparable noise scales), "identity" keeps the input order.  When
-    ``relax.mu`` is not set explicitly (``mu_auto=True``), each ordering
-    step uses the largest convexity-preserving mu for the configured
-    variant, recomputed from the current factor.  ``anchor`` sets the
-    gradient-projection warm start to
+    ``relax.mu`` is None (the default), each ordering step uses the
+    largest convexity-preserving mu, max(centered threshold, 0), of the
+    current factor; an explicit ``relax.mu`` is used as given.
+    ``anchor`` sets the gradient-projection warm start to
     anchor * (incumbent vertex) + (1 - anchor) * (polytope center), so
     the rounding candidates stay local to the current ordering; 0 gives
     a fresh center start every iteration.
@@ -66,7 +66,6 @@ class RrcfConfig:
     seed: int = 0
     gamma_bic: float = 0.5
     init: str = "variance"
-    mu_auto: bool = True
     anchor: float = 0.5
 
     def __post_init__(self):
@@ -109,11 +108,6 @@ def _initial_order(s: SampleCovariance, init: str) -> Permutation:
     return Permutation.identity(s.p)
 
 
-def _auto_mu(l: CholeskyFactor, s: SampleCovariance, variant: str) -> float:
-    plain, centered, _ = convexity_thresholds(l, s)
-    return max(centered if variant == "centered" else plain, 0.0)
-
-
 def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult:
     """Alternate ordering estimation and sparse factor estimation.
 
@@ -146,6 +140,7 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
         "gp_converged": [],
         "snapped": [],
         "solver_sweeps_max": [],
+        "solver_unconverged_rows": [],
         "thresholds": [],
         "n_outer": 0,
     }
@@ -155,11 +150,12 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
     converged = False
     for _ in range(cfg.outer_k_max):
         diag["n_outer"] += 1
+        thresholds = convexity_thresholds(l, s)
         relax = cfg.relax
-        if cfg.mu_auto:
-            relax = replace(relax, mu=_auto_mu(l, s, relax.variant))
+        if relax.mu is None:
+            relax = replace(relax, mu=max(thresholds[1], 0.0))
         diag["mu"].append(relax.mu)
-        diag["thresholds"].append(convexity_thresholds(l, s))
+        diag["thresholds"].append(thresholds)
 
         p_init = DoublyStochastic(cfg.anchor * order.matrix() + (1.0 - cfg.anchor) * center)
         est = estimate_permutation(l, s, relax, rng, p_init=p_init, incumbent=order)
@@ -170,6 +166,7 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
         ch = estimate_cholesky(order, s, cfg.mcp, cfg.solver)
         l = ch.l
         diag["solver_sweeps_max"].append(int(ch.sweeps.max()))
+        diag["solver_unconverged_rows"].append(int((~ch.converged).sum()))
 
         breakdown = penalized_score(l, order, s, sp_params)
         score_trace.append(breakdown)
@@ -242,6 +239,20 @@ class TuningGrid:
         ]
 
 
+def cell_config(cfg: RrcfConfig, cell: dict, **changes) -> RrcfConfig:
+    """cfg with a grid cell's lam, gamma and (when not None) mu, eta applied.
+
+    ``changes`` are further RrcfConfig fields to replace.
+    """
+    relax = cfg.relax
+    if cell["mu"] is not None:
+        relax = replace(relax, mu=float(cell["mu"]))
+    if cell["eta"] is not None:
+        relax = replace(relax, eta=float(cell["eta"]))
+    mcp = McpParams(lam=float(cell["lam"]), gamma=float(cell["gamma"]))
+    return replace(cfg, mcp=mcp, relax=relax, **changes)
+
+
 def tune(
     x: DataMatrix | np.ndarray,
     grid: TuningGrid = TuningGrid(),
@@ -261,22 +272,9 @@ def tune(
     table = []
     best = None
     for cell in grid.cells(x.n, x.p):
-        relax = cfg.relax
-        if cell["mu"] is not None:
-            relax = replace(relax, mu=float(cell["mu"]))
-        if cell["eta"] is not None:
-            relax = replace(relax, eta=float(cell["eta"]))
-        cell_cfg = replace(
-            cfg,
-            mcp=McpParams(lam=float(cell["lam"]), gamma=float(cell["gamma"])),
-            relax=relax,
-            outer_k_max=outer_k_max,
-            gamma_bic=grid.gamma_bic,
-            mu_auto=cell["mu"] is None,
-        )
-        res = fit(x, cell_cfg)
+        res = fit(x, cell_config(cfg, cell, outer_k_max=outer_k_max, gamma_bic=grid.gamma_bic))
         row = dict(cell)
-        row["ebic"] = float(res.ebic_value)
+        row["ebic"] = res.ebic_value
         row["support"] = res.l_hat.support_size()
         table.append(row)
         if best is None or row["ebic"] < best["ebic"]:

@@ -113,4 +113,4 @@ def ebic(nll_value: float, support_size: int, n: int, p: int, gamma_bic: float) 
     if not 0.0 <= gamma_bic <= 1.0:
         raise ValueError(f"gamma_bic must lie in [0, 1], got {gamma_bic}")
     s = support_size
-    return 2.0 * nll_value + s * np.log(n) + 4.0 * s * gamma_bic * np.log(p)
+    return float(2.0 * nll_value + s * np.log(n) + 4.0 * s * gamma_bic * np.log(p))

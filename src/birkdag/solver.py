@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from birkdag.scoring import McpParams, mcp
+from birkdag.scoring import McpParams, _permuted_cov, mcp
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
 
 
@@ -169,27 +169,20 @@ class CholeskyEstimate:
         return bool(self.converged.all())
 
 
-def _permuted_cov(perm: Permutation, s: SampleCovariance) -> np.ndarray:
-    if perm.p != s.p:
-        raise ValueError("permutation and covariance dimensions disagree")
-    return perm.apply_to_matrix(s.s)
-
-
 def estimate_cholesky(
     perm: Permutation,
     s: SampleCovariance,
     params: McpParams,
     settings: SolverSettings = SolverSettings(),
     l0: CholeskyFactor | None = None,
-    serial: bool = False,
 ) -> CholeskyEstimate:
     """Estimate the full sparse Cholesky factor for a fixed ordering.
 
     Row 1 has the closed form L_11 = 1/sqrt(S^P_11); every other row is
-    an independent subproblem on the leading block of S^P = P S P^t.  By
-    default all rows advance together through shared column sweeps (the
-    cyclic order within each row is unchanged); ``serial=True`` solves
-    row by row instead, which is bit-for-bit the single-row solver.
+    an independent subproblem on the leading block of S^P = P S P^t.
+    All rows advance together through shared column sweeps; within each
+    row the cyclic order is that of ``minimize_row``.  ``l0`` warm starts
+    the rows.
     """
     sp = _permuted_cov(perm, s)
     p = sp.shape[0]
@@ -205,20 +198,7 @@ def estimate_cholesky(
     if l0 is not None and l0.p != p:
         raise ValueError("l0 dimension disagrees with the covariance")
 
-    if serial:
-        l = np.zeros((p, p))
-        l[0, 0] = 1.0 / np.sqrt(d[0])
-        sweeps = np.zeros(p, dtype=int)
-        converged = np.ones(p, dtype=bool)
-        for i in range(1, p):
-            sub = RowSubproblem(a=sp[: i + 1, : i + 1], params=params)
-            x0 = None if l0 is None else l0.l[i, : i + 1].copy()
-            x, ok, sw = minimize_row(sub, x0=x0, settings=settings)
-            l[i, : i + 1] = x
-            sweeps[i], converged[i] = sw, ok
-        return CholeskyEstimate(CholeskyFactor(l), sweeps, converged)
-
-    # batched: one pass over columns per sweep, all active rows at once
+    # one pass over columns per sweep, all active rows at once
     if l0 is None:
         l = np.zeros((p, p))
         l[np.arange(p), np.arange(p)] = 1.0 / np.sqrt(d)

@@ -116,7 +116,7 @@ def test_criterion_03_center_optimum_mu_zero():
         start = project_to_birkhoff(
             np.eye(p)[rng.permutation(p)] + 0.3 * rng.standard_normal((p, p))
         ).ds
-        cfg = RelaxationConfig(mu=0.0, variant="plain", eps=1e-9, k_max=5000)
+        cfg = RelaxationConfig(mu=0.0, eps=1e-9, k_max=5000)
         res = gradient_projection(CholeskyFactor(c * np.eye(p)), s, cfg, start)
         worst = max(worst, float(np.linalg.norm(res.ds.m - 1.0 / p)))
     assert worst <= 1e-4
@@ -132,7 +132,7 @@ def test_criterion_04_concave_regime_vertex():
         s = random_covariance(p, 3 * p, rng)
         l = random_cholesky(p, rng)
         _, _, concave = convexity_thresholds(l, s)
-        cfg = RelaxationConfig(mu=1.1 * concave, variant="plain", eps=1e-10, k_max=3000)
+        cfg = RelaxationConfig(mu=1.1 * concave, eps=1e-10, k_max=3000)
         res = gradient_projection(l, s, cfg, DoublyStochastic.center(p))
         r = np.rint(res.ds.m)
         if (
@@ -248,7 +248,7 @@ def test_criterion_07_gradient_checks():
                 err = abs(fd - g[i, j]) / max(1.0, abs(g[i, j]))
                 worst = max(worst, err)
         # relaxed objective gradient in P
-        cfg = RelaxationConfig(mu=0.7, variant="plain" if trial % 2 else "centered")
+        cfg = RelaxationConfig(mu=0.7)
         m = random_ds(p, rng)
         gp = relaxed_gradient(m, l, s, cfg)
         for i in range(p):

@@ -111,7 +111,7 @@ class TestRelaxedObjective:
     def test_mu_zero_permutation_identity_factor(self, rng):
         p = 4
         s = random_covariance(p, 20, rng)
-        cfg = RelaxationConfig(mu=0.0, variant="plain")
+        cfg = RelaxationConfig(mu=0.0)
         pm = DoublyStochastic.from_permutation(Permutation(rng.permutation(p)))
         assert relaxed_objective(pm, CholeskyFactor(np.eye(p)), s, cfg) == pytest.approx(
             0.5 * np.trace(s.s)
@@ -123,29 +123,29 @@ class TestRelaxedObjective:
         l = random_cholesky(p, rng)
         c = DoublyStochastic.center(p)
         for mu in (0.0, 3.0, 50.0):
-            cfg = RelaxationConfig(mu=mu, variant="centered")
+            cfg = RelaxationConfig(mu=mu)
             expected = 0.5 * float(np.einsum("ij,ij->", l.l @ c.m @ s.s, l.l @ c.m))
             assert relaxed_objective(c, l, s, cfg) == pytest.approx(expected)
 
     def test_centered_equals_plain_plus_constant(self, rng):
-        # ||T P||_F^2 = ||P||_F^2 - 1 on the polytope, so the centered
-        # objective exceeds the plain one by exactly mu/2
+        # ||T P||_F^2 = ||P||_F^2 - 1 on the polytope, so the objective
+        # exceeds the plain-penalty form 1/2 tr(L P S P^t L^t) - mu/2 ||P||_F^2
+        # by exactly mu/2
         p, mu = 5, 1.7
         s = random_covariance(p, 30, rng)
         l = random_cholesky(p, rng)
-        plain = RelaxationConfig(mu=mu, variant="plain")
-        centered = RelaxationConfig(mu=mu, variant="centered")
         for _ in range(100):
             ds = random_ds(p, rng)
-            a = relaxed_objective(ds, l, s, plain)
-            b = relaxed_objective(ds, l, s, centered)
-            assert abs(b - (a + mu / 2)) <= 1e-10
+            quad = relaxed_objective(ds, l, s, RelaxationConfig(mu=0.0))
+            plain = quad - 0.5 * mu * (ds.m**2).sum()
+            centered = relaxed_objective(ds, l, s, RelaxationConfig(mu=mu))
+            assert abs(centered - (plain + mu / 2)) <= 1e-10
 
 
 class TestRelaxedGradient:
     def test_identity_case(self, rng):
         p = 4
-        cfg = RelaxationConfig(mu=0.0, variant="plain")
+        cfg = RelaxationConfig(mu=0.0)
         ds = random_ds(p, rng)
         g = relaxed_gradient(ds, CholeskyFactor(np.eye(p)), SampleCovariance(np.eye(p)), cfg)
         assert np.abs(g - ds.m).max() <= 1e-14
@@ -154,17 +154,16 @@ class TestRelaxedGradient:
         p = 4
         s = random_covariance(p, 25, rng)
         l = random_cholesky(p, rng)
-        cfg = RelaxationConfig(mu=7.0, variant="centered")
+        cfg = RelaxationConfig(mu=7.0)
         c = DoublyStochastic.center(p)
         expected = (l.l.T @ l.l) @ c.m @ s.s
         assert np.abs(relaxed_gradient(c, l, s, cfg) - expected).max() <= 1e-12
 
-    @pytest.mark.parametrize("variant", ["plain", "centered"])
-    def test_finite_differences(self, rng, variant):
+    def test_finite_differences(self, rng):
         p = 4
         s = random_covariance(p, 25, rng)
         l = random_cholesky(p, rng)
-        cfg = RelaxationConfig(mu=0.9, variant=variant)
+        cfg = RelaxationConfig(mu=0.9)
         m = random_ds(p, rng).m
         g = relaxed_gradient(m, l, s, cfg)
         h = 1e-6
@@ -212,7 +211,7 @@ class TestGradientProjection:
             p = int(rng.integers(2, 9))
             s = random_covariance(p, 4 * p, rng)
             c = float(rng.uniform(0.5, 2.0))
-            cfg = RelaxationConfig(mu=0.0, variant="plain", eps=1e-9, k_max=4000)
+            cfg = RelaxationConfig(mu=0.0, eps=1e-9, k_max=4000)
             start = project_to_birkhoff(
                 Permutation(rng.permutation(p)).matrix() + 0.3 * rng.standard_normal((p, p))
             ).ds
@@ -222,7 +221,7 @@ class TestGradientProjection:
     def test_two_by_two_quadratic(self):
         # minimize over a in [0,1] for S = diag(1,2), L = I: optimum at 1/2
         s = SampleCovariance(np.diag([1.0, 2.0]))
-        cfg = RelaxationConfig(mu=0.0, variant="plain", eps=1e-10, k_max=2000)
+        cfg = RelaxationConfig(mu=0.0, eps=1e-10, k_max=2000)
         res = gradient_projection(
             CholeskyFactor(np.eye(2)), s, cfg, DoublyStochastic(np.array([[0.9, 0.1], [0.1, 0.9]]))
         )
@@ -235,7 +234,7 @@ class TestGradientProjection:
             s = random_covariance(p, 3 * p, rng)
             l = random_cholesky(p, rng)
             _, _, concave = convexity_thresholds(l, s)
-            cfg = RelaxationConfig(mu=1.1 * concave, variant="plain", eps=1e-10, k_max=3000)
+            cfg = RelaxationConfig(mu=1.1 * concave, eps=1e-10, k_max=3000)
             res = gradient_projection(l, s, cfg, DoublyStochastic.center(p))
             r = np.rint(res.ds.m)
             if (
@@ -250,16 +249,24 @@ class TestGradientProjection:
         p = 5
         s = random_covariance(p, 30, rng)
         l = random_cholesky(p, rng)
-        cfg = RelaxationConfig(mu=0.3, variant="centered", eps=1e-9, k_max=300)
+        cfg = RelaxationConfig(mu=0.3, eps=1e-9, k_max=300)
         res = gradient_projection(l, s, cfg, DoublyStochastic.center(p))
         tr = res.objective_trace
         assert all(tr[i + 1] <= tr[i] + 1e-10 for i in range(len(tr) - 1))
+
+    def test_rejects_automatic_mu(self, rng):
+        p = 3
+        with pytest.raises(ValueError, match="explicit mu"):
+            gradient_projection(
+                random_cholesky(p, rng), random_covariance(p, 20, rng),
+                RelaxationConfig(), DoublyStochastic.center(p),
+            )
 
     def test_output_feasible(self, rng):
         p = 6
         s = random_covariance(p, 40, rng)
         l = random_cholesky(p, rng)
-        cfg = RelaxationConfig(mu=0.5, variant="centered", eps=1e-8, k_max=500)
+        cfg = RelaxationConfig(mu=0.5, eps=1e-8, k_max=500)
         res = gradient_projection(l, s, cfg, random_ds(p, rng))
         m = res.ds.m
         assert m.min() >= -1e-10
@@ -325,7 +332,7 @@ class TestEstimatePermutation:
         s = random_covariance(p, 20, rng)
         l = random_cholesky(p, rng)
         _, _, concave = convexity_thresholds(l, s)
-        cfg = RelaxationConfig(mu=5 * concave, variant="plain", eps=1e-10, k_max=2000)
+        cfg = RelaxationConfig(mu=5 * concave, eps=1e-10, k_max=2000)
         est = estimate_permutation(l, s, cfg, rng, p_init=DoublyStochastic.center(p))
         assert est.snapped
         r = np.rint(est.relaxed.m)
@@ -337,7 +344,7 @@ class TestEstimatePermutation:
         p = 4
         s = SampleCovariance(np.eye(p))
         l = CholeskyFactor(np.eye(p))
-        cfg = RelaxationConfig(mu=0.0, variant="plain", eps=1e-9, k_max=500, n_samples=10)
+        cfg = RelaxationConfig(mu=0.0, eps=1e-9, k_max=500, n_samples=10)
         seed = 5
         est = estimate_permutation(l, s, cfg, np.random.default_rng(seed))
         gp = gradient_projection(l, s, cfg, DoublyStochastic.center(p))
@@ -351,7 +358,7 @@ class TestEstimatePermutation:
         p = 3
         s = SampleCovariance(np.diag([3.0, 1.0, 2.0]))
         l = CholeskyFactor(np.array([[1.0, 0.0, 0.0], [-0.8, 1.3, 0.0], [0.4, -0.2, 0.7]]))
-        cfg = RelaxationConfig(mu=0.0, variant="plain", eps=1e-9, k_max=1000, n_samples=50)
+        cfg = RelaxationConfig(mu=0.0, eps=1e-9, k_max=1000, n_samples=50)
         est = estimate_permutation(l, s, cfg, np.random.default_rng(0))
         best = min(trace_objective(l, Permutation(np.array(o)), s) for o in iperm(range(p)))
         assert trace_objective(l, est.perm, s) == pytest.approx(best)
@@ -360,7 +367,7 @@ class TestEstimatePermutation:
         p = 6
         s = random_covariance(p, 40, rng)
         l = random_cholesky(p, rng)
-        cfg = RelaxationConfig(mu=0.0, variant="centered", eps=1e-7, k_max=200, n_samples=5)
+        cfg = RelaxationConfig(mu=0.0, eps=1e-7, k_max=200, n_samples=5)
         incumbent = Permutation(rng.permutation(p))
         est = estimate_permutation(l, s, cfg, rng, incumbent=incumbent)
         assert trace_objective(l, est.perm, s) <= trace_objective(l, incumbent, s) + 1e-12

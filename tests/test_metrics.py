@@ -5,7 +5,6 @@ from birkdag.metrics import (
     CSV_HEADER,
     BenchmarkSpec,
     EdgeSet,
-    MetricReport,
     REFERENCE_TARGETS,
     benchmark_csv,
     extract_edges,
@@ -179,7 +178,14 @@ class TestRunBenchmark:
             BenchmarkSpec(settings=((5, 100),))
         with pytest.raises(ValueError):
             BenchmarkSpec(reps=0)
+        with pytest.raises(ValueError, match="distinct"):
+            BenchmarkSpec(settings=((6, 4), (6, 4)))
 
-    def test_metric_report_type(self):
-        r = MetricReport(tpr=0.5, fpr=0.0, shd=3, scaled_frob=0.1)
-        assert r.runtime_seconds == 0.0
+    def test_csv_numeric_cells_parse_as_floats(self):
+        text = benchmark_csv(run_benchmark(tiny_spec(reps=2)))
+        lines = text.splitlines()
+        cols = lines[0].split(",")
+        for line in lines[1:]:
+            for col, cell in zip(cols, line.split(",")):
+                if cell and col not in ("rep", "status"):
+                    float(cell)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from birkdag.birkhoff import RelaxationConfig
 from birkdag.pipeline import RrcfConfig, TuningGrid, fit, score_params, tune
 from birkdag.scoring import McpParams, ebic, neg_log_likelihood, penalized_score
 from birkdag.sem import DataMatrix, generate_dag, sample_covariance, sample_data
-from birkdag.solver import estimate_cholesky
+from birkdag.solver import SolverSettings, estimate_cholesky
 
 
 def independent_data(p, n, seed):
@@ -118,6 +119,30 @@ class TestFit:
                 hits += 1
         assert hits >= 12, shds
         assert max(shds) <= 6
+
+    def test_explicit_mu_is_honoured(self):
+        rng = np.random.default_rng(3)
+        x = sample_data(generate_dag(12, 12, rng), 60, rng)
+        res = fit(x, RrcfConfig(relax=RelaxationConfig(mu=0.3), outer_k_max=3))
+        n_outer = res.diagnostics["n_outer"]
+        assert n_outer >= 1
+        assert res.diagnostics["mu"] == [0.3] * n_outer
+
+    def test_automatic_mu_is_centered_threshold(self):
+        rng = np.random.default_rng(3)
+        x = sample_data(generate_dag(12, 12, rng), 60, rng)
+        diag = fit(x, RrcfConfig(outer_k_max=3)).diagnostics
+        assert len(diag["thresholds"]) == diag["n_outer"]
+        assert diag["mu"] == [max(t[1], 0.0) for t in diag["thresholds"]]
+
+    def test_unconverged_solver_rows_reported(self):
+        rng = np.random.default_rng(8)
+        x = sample_data(generate_dag(6, 6, rng), 200, rng)
+        capped = fit(x, RrcfConfig(solver=SolverSettings(k_max=1), outer_k_max=3)).diagnostics
+        assert len(capped["solver_unconverged_rows"]) == capped["n_outer"]
+        assert all(0 < k <= 5 for k in capped["solver_unconverged_rows"])
+        default = fit(x, RrcfConfig(outer_k_max=3)).diagnostics
+        assert default["solver_unconverged_rows"] == [0] * default["n_outer"]
 
     def test_rejects_single_variable(self):
         with pytest.raises(ValueError):

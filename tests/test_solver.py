@@ -6,6 +6,7 @@ import pytest
 from birkdag.scoring import McpParams
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
 from birkdag.solver import (
+    CholeskyEstimate,
     ConvexityGuardError,
     RowSubproblem,
     SolverSettings,
@@ -19,6 +20,26 @@ from birkdag.solver import (
 )
 
 from conftest import random_covariance
+
+
+def serial_cholesky(perm, s, params, settings=SolverSettings(), l0=None):
+    """Reference factor solved row by row with the single-row solver.
+
+    Row 1 has the closed form 1/sqrt(S^P_11); row i runs ``minimize_row``
+    on the leading (i+1) x (i+1) block of S^P, warm started from row i of
+    ``l0`` when given.
+    """
+    sp = perm.apply_to_matrix(s.s)
+    p = sp.shape[0]
+    l = np.zeros((p, p))
+    l[0, 0] = 1.0 / np.sqrt(sp[0, 0])
+    sweeps = np.zeros(p, dtype=int)
+    converged = np.ones(p, dtype=bool)
+    for i in range(1, p):
+        sub = RowSubproblem(a=sp[: i + 1, : i + 1], params=params)
+        x0 = None if l0 is None else l0.l[i, : i + 1].copy()
+        l[i, : i + 1], converged[i], sweeps[i] = minimize_row(sub, x0=x0, settings=settings)
+    return CholeskyEstimate(CholeskyFactor(l), sweeps, converged)
 
 
 def make_sub(a, lam, gamma):
@@ -204,8 +225,14 @@ class TestEstimateCholesky:
             s = random_covariance(p, 4 * p, rng)
             perm = Permutation(rng.permutation(p))
             params = McpParams(0.15, 2.0)
-            a = estimate_cholesky(perm, s, params, serial=False)
-            b = estimate_cholesky(perm, s, params, serial=True)
+            a = estimate_cholesky(perm, s, params)
+            b = serial_cholesky(perm, s, params)
+            assert np.abs(a.l.l - b.l.l).max() <= 1e-9
+            # same settings and the same warm start on both paths
+            settings = SolverSettings(eps=1e-10, k_max=2000)
+            l0 = estimate_cholesky(perm, s, McpParams(0.3, 2.0)).l
+            a = estimate_cholesky(perm, s, params, settings, l0=l0)
+            b = serial_cholesky(perm, s, params, settings, l0=l0)
             assert np.abs(a.l.l - b.l.l).max() <= 1e-9
 
     def test_deterministic(self, rng):
@@ -242,7 +269,7 @@ class TestEstimateCholesky:
         perm = Permutation(rng.permutation(p))
         params = McpParams(0.2, 2.0)
         sp = perm.apply_to_matrix(s.s)
-        reference = estimate_cholesky(perm, s, params, serial=True).l.l
+        reference = serial_cholesky(perm, s, params).l.l
         l = np.zeros((p, p))
         l[0, 0] = 1.0 / np.sqrt(sp[0, 0])
         for i in rng.permutation(np.arange(1, p)):  # shuffled schedule
