@@ -96,27 +96,21 @@ class RelaxationConfig:
     mu is the Frobenius-pull weight.  None (the default) means automatic:
     ``pipeline.fit`` replaces it each outer iteration by the centered
     convexity threshold of the current factor, and
-    ``gradient_projection`` refuses it.  eta is the gradient step
-    scale (None picks 1/(lambda_max(S) lambda_max(L^t L) + mu)); eps and
-    k_max stop the gradient projection; n_samples is the number of
-    rounding candidates drawn when the relaxed solution is not already a
-    vertex.  proj_eps / proj_k_max control the inner polytope
-    projections.
+    ``gradient_projection`` refuses it.  eps and k_max stop the gradient
+    projection; n_samples is the number of rounding candidates drawn
+    when the relaxed solution is not already a vertex.  The step size
+    and the inner projection tolerances are not settable: see
+    ``gradient_projection``.
     """
 
     mu: float | None = None
-    eta: float | None = None
     eps: float = 1e-7
     k_max: int = 500
     n_samples: int = 150
-    proj_eps: float = 1e-12
-    proj_k_max: int = 50000
 
     def __post_init__(self):
         if self.mu is not None and (self.mu < 0 or not np.isfinite(self.mu)):
             raise ValueError(f"mu must be a nonnegative real or None, got {self.mu}")
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError("eta must be positive")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.k_max < 1 or self.n_samples < 1:
@@ -328,12 +322,17 @@ def gradient_projection(
 ) -> GradientProjectionResult:
     """Minimize the relaxed ordering objective over the Birkhoff polytope.
 
-    Iterates P_hat <- proj(P - eta grad) and P <- P + alpha (P_hat - P),
-    with alpha chosen by Armijo backtracking (start 1, halve, sufficient
-    decrease 1e-4) along the feasible direction.  Stops when the iterate
-    moves less than cfg.eps in Frobenius norm or cfg.k_max is reached.
-    Inner projections warm start their dual variables from the previous
-    iteration, which keeps them to a handful of passes each.
+    Iterates P_hat <- proj(P - eta grad) and P <- P + alpha (P_hat - P)
+    with eta = 1/(concave threshold + mu), the inverse of a bound on the
+    gradient's Lipschitz constant.  alpha comes from Armijo backtracking
+    (start 1, halve, sufficient decrease 1e-4) along the feasible
+    direction; it seldom shortens the step, but it is what stops the
+    descent once the step reaches the noise floor of the inner
+    projections and the slope is no longer negative.  Stops when the
+    iterate moves less than cfg.eps in Frobenius norm or cfg.k_max is
+    reached.  Inner projections run at the defaults of
+    ``project_to_birkhoff`` and warm start their dual variables from the
+    previous iteration, which keeps them to a handful of passes each.
     """
     if cfg.mu is None:
         raise ValueError(
@@ -342,11 +341,7 @@ def gradient_projection(
         )
     if not (l.p == s.p == p_init.p):
         raise ValueError("dimension mismatch between l, s and p_init")
-    eta = cfg.eta
-    if eta is None:
-        lam_s = np.linalg.eigvalsh(s.s)[-1]
-        lam_l = np.linalg.eigvalsh(l.l.T @ l.l)[-1]
-        eta = 1.0 / (lam_s * lam_l + cfg.mu + 1e-15)
+    eta = 1.0 / (convexity_thresholds(l, s)[2] + cfg.mu + 1e-15)
 
     P = p_init.m.copy()
     fP = relaxed_objective(P, l, s, cfg)
@@ -359,7 +354,7 @@ def gradient_projection(
     for k in range(cfg.k_max):
         n_iter = k + 1
         g = relaxed_gradient(P, l, s, cfg)
-        proj = project_to_birkhoff(P - eta * g, eps=cfg.proj_eps, k_max=cfg.proj_k_max, duals0=duals)
+        proj = project_to_birkhoff(P - eta * g, duals0=duals)
         duals = proj.duals
         d = proj.ds.m - P
         slope = float((g * d).sum())
@@ -470,38 +465,30 @@ def estimate_permutation(
     """Solve the relaxed ordering problem and round to a permutation.
 
     Runs gradient projection from p_init (default: the polytope center).
-    If the relaxed solution is already a vertex to within 1e-6 it is
-    snapped and returned.  Otherwise cfg.n_samples rank-matching
-    candidates are drawn, the linear-assignment rounding is added as one
-    more candidate, and the candidate with the smallest
-    1/2 tr(L P S P^t L^t) wins; ties keep the earliest candidate.
+    If the relaxed solution is already a vertex to within 1e-6, that
+    vertex is the only candidate.  Otherwise the candidates are
+    cfg.n_samples rank-matching draws followed by the linear-assignment
+    rounding.  The candidate with the smallest 1/2 tr(L P S P^t L^t)
+    wins; ties keep the earliest candidate.
 
     When an ``incumbent`` ordering is supplied (the alternating loop
-    passes its current one) it always joins the comparison, so the
-    returned ordering never scores worse than the incumbent and the
-    ordering step is monotone in the trace objective.
+    passes its current one) it goes first in the comparison, so the
+    returned ordering never scores worse than the incumbent, the
+    ordering step is monotone in the trace objective, and a tie keeps
+    the incumbent.
     """
     if p_init is None:
         p_init = DoublyStochastic.center(s.p)
     gp = gradient_projection(l, s, cfg, p_init)
     snapped = _snap_to_permutation(gp.ds.m)
     if snapped is not None:
-        perm = snapped
-        if incumbent is not None and trace_objective(l, incumbent, s) < trace_objective(l, snapped, s):
-            perm = incumbent
-        return PermutationEstimate(
-            perm=perm, relaxed=gp.ds, gp_converged=gp.converged, snapped=True
-        )
-    candidates = sample_permutations(gp.ds, cfg.n_samples, rng)
-    candidates.append(round_hungarian(gp.ds))
+        candidates = [snapped]
+    else:
+        candidates = sample_permutations(gp.ds, cfg.n_samples, rng)
+        candidates.append(round_hungarian(gp.ds))
     if incumbent is not None:
         candidates.insert(0, incumbent)
-    best_perm = candidates[0]
-    best_score = trace_objective(l, best_perm, s)
-    for cand in candidates[1:]:
-        score = trace_objective(l, cand, s)
-        if score < best_score:
-            best_perm, best_score = cand, score
+    perm = min(candidates, key=lambda cand: trace_objective(l, cand, s))
     return PermutationEstimate(
-        perm=best_perm, relaxed=gp.ds, gp_converged=gp.converged, snapped=False
+        perm=perm, relaxed=gp.ds, gp_converged=gp.converged, snapped=snapped is not None
     )

@@ -93,7 +93,7 @@ def _fit_config(args):
         return None
     return RrcfConfig(
         mcp=McpParams(lam=args.lam, gamma=args.gamma),
-        relax=RelaxationConfig(mu=args.mu, eta=args.eta),
+        relax=RelaxationConfig(mu=args.mu),
         outer_k_max=args.outer_k_max,
         seed=args.seed,
         gamma_bic=args.gamma_bic,
@@ -150,17 +150,17 @@ def cmd_tune(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     out = Path(args.out)
-    header = "lambda,gamma,mu,eta,support,ebic"
+    header = "lambda,gamma,mu,support,ebic"
     lines = [header]
     for row in table:
         lines.append(",".join(
             "" if row[k] is None else repr(float(row[k])) if isinstance(row[k], float) else str(row[k])
-            for k in ("lam", "gamma", "mu", "eta", "support", "ebic")
+            for k in ("lam", "gamma", "mu", "support", "ebic")
         ))
     _write_text(str(out / "tuning_table.csv"), "\n".join(lines) + "\n")
     _write_text(str(out / "best_params.json"), json.dumps(
         {"lambda": best["lam"], "gamma": best["gamma"], "mu": best["mu"],
-         "eta": best["eta"], "ebic": best["ebic"], "gamma_bic": args.gamma_bic},
+         "ebic": best["ebic"], "gamma_bic": args.gamma_bic},
         indent=2) + "\n")
     print(f"best: lambda={best['lam']} gamma={best['gamma']} ebic={best['ebic']:.6g}")
     return EXIT_OK
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and MCP-penalized sparse Cholesky estimation.",
     )
     ap.add_argument("--threads", type=int, default=1,
-                    help="parallelism cap for replicate-level work (default 1)")
+                    help="worker threads for replicate-level work, at least 1 (default 1)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a synthetic instance and data")
@@ -258,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--gamma", type=float, required=True, help="MCP gamma (> 1)")
     f.add_argument("--mu", type=float, default=None,
                    help="relaxation pull toward vertices (default: convexity threshold)")
-    f.add_argument("--eta", type=float, default=None,
-                   help="gradient step scale (default: inverse Lipschitz constant)")
     f.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     f.add_argument("--outer-k-max", type=int, default=20, help="outer iteration cap (default 20)")
     f.add_argument("--gamma-bic", type=float, default=0.5, help="eBIC gamma (default 0.5)")
@@ -268,10 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out", required=True, help="output JSON path")
     f.set_defaults(func=cmd_fit)
 
-    t = sub.add_parser("tune", help="select (lambda, gamma[, mu, eta]) by eBIC")
+    t = sub.add_parser("tune", help="select (lambda, gamma[, mu]) by eBIC")
     t.add_argument("--data", required=True, help="n x p data CSV (no header)")
     t.add_argument("--grid", required=True,
-                   help='grid JSON, e.g. {"lambdas":[0.2,0.4],"gammas":[2.0]}')
+                   help='grid JSON with keys lambdas, gammas, optional mus (used only '
+                        'when n < p) and gamma_bic, e.g. {"lambdas":[0.2,0.4],"gammas":[2.0]}')
     t.add_argument("--gamma-bic", type=float, default=0.5, help="eBIC gamma in [0,1] (default 0.5)")
     t.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     t.add_argument("--init", choices=("variance", "identity"), default="variance",
@@ -307,6 +306,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise _UsageError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

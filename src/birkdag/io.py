@@ -86,9 +86,7 @@ def fit_result_to_json(res: FitResult, n: int, cfg: RrcfConfig) -> str:
             "lambda": cfg.mcp.lam,
             "gamma": cfg.mcp.gamma,
             "mu": cfg.relax.mu,
-            "eta": cfg.relax.eta,
             "outer_k_max": cfg.outer_k_max,
-            "outer_eps": cfg.outer_eps,
             "seed": cfg.seed,
             "gamma_bic": cfg.gamma_bic,
             "init": cfg.init,
@@ -124,8 +122,11 @@ def _jsonable(obj):
 
 def grid_from_json(text: str) -> TuningGrid:
     doc = json.loads(text)
+    unknown = set(doc) - {"lambdas", "gammas", "mus", "gamma_bic"}
+    if unknown:
+        raise ValueError(f"unknown grid keys: {sorted(unknown)}")
     kwargs = {}
-    for key in ("lambdas", "gammas", "mus", "etas"):
+    for key in ("lambdas", "gammas", "mus"):
         if key in doc:
             kwargs[key] = tuple(float(v) for v in doc[key])
     if "gamma_bic" in doc:

@@ -42,7 +42,6 @@ class BenchmarkSpec:
     reps: int = 20
     grid: TuningGrid = TuningGrid()
     seed: int = 0
-    gamma_fit: float = 2.0
     outer_k_max: int = 12
     measure_runtime: bool = False
 
@@ -153,14 +152,11 @@ def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> list[dict]:
 
     Replicates are independent jobs with derived per-replicate seeds;
     rows come back sorted by (setting, rep) regardless of scheduling, so
-    the output is identical for any thread count.
+    the output is identical for any thread count (at least 1).
     """
     jobs = [(si, rep) for si in range(len(spec.settings)) for rep in range(spec.reps)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda job: _run_replicate(spec, *job), jobs))
-    else:
-        rows = [_run_replicate(spec, *job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(lambda job: _run_replicate(spec, *job), jobs))
     rows.sort(key=lambda r: (r["setting_p"], r["setting_s"], r["rep"]))
 
     out = []

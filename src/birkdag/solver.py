@@ -38,10 +38,14 @@ class ConvexityGuardError(ValueError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Convergence tolerance and sweep cap for the row solver."""
+    """Convergence tolerance and sweep cap for the row solver.
+
+    The cap is a safeguard, not a stopping rule: some rows at p = 200
+    need more than 700 sweeps to meet eps.
+    """
 
     eps: float = 1e-8
-    k_max: int = 500
+    k_max: int = 20000
 
     def __post_init__(self):
         if not self.eps > 0:

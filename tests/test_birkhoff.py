@@ -351,6 +351,25 @@ class TestEstimatePermutation:
         expected = sample_permutations(gp.ds, 1, np.random.default_rng(seed))[0]
         assert np.array_equal(est.perm.pi, expected.pi)
 
+    def test_snapped_tie_keeps_incumbent(self):
+        # L = I and S = I tie every permutation; mu past the concave
+        # threshold keeps GP on its start vertex, so the relaxed solution
+        # snaps to [1, 0, 3, 2], and the incumbent, first in the
+        # comparison, wins the tie as it does in the sampled branch
+        p = 4
+        s = SampleCovariance(np.eye(p))
+        l = CholeskyFactor(np.eye(p))
+        cfg = RelaxationConfig(mu=10.0)
+        start = Permutation(np.array([1, 0, 3, 2]))
+        est = estimate_permutation(
+            l, s, cfg, np.random.default_rng(0),
+            p_init=DoublyStochastic.from_permutation(start),
+            incumbent=Permutation.identity(p),
+        )
+        assert est.snapped
+        assert np.array_equal(np.argmax(est.relaxed.m, axis=1), start.pi)
+        assert np.array_equal(est.perm.pi, np.arange(p))
+
     def test_exhaustive_three_node_oracle(self, rng):
         # the returned ordering attains the minimum trace over all 3! orders
         from itertools import permutations as iperm

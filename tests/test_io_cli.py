@@ -148,8 +148,15 @@ class TestCliTune:
         best = json.loads((out / "best_params.json").read_text())
         assert best["lambda"] == 0.3
         table = (out / "tuning_table.csv").read_text().splitlines()
-        assert table[0] == "lambda,gamma,mu,eta,support,ebic"
+        assert table[0] == "lambda,gamma,mu,support,ebic"
         assert len(table) == 2
+
+    def test_unknown_grid_key_exits_2(self, workdir, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lambdas": [0.3], "gammas": [2.0], "etas": [0.1]}))
+        rc = main(["tune", "--data", str(workdir / "gen" / "data.csv"),
+                   "--grid", str(grid), "--out", str(tmp_path / "t")])
+        assert rc == 2
 
     def test_gamma_bic_out_of_range_exits_2(self, workdir, tmp_path):
         grid = tmp_path / "grid.json"
@@ -223,6 +230,14 @@ class TestCliBenchmark:
             main(["benchmark", "--spec", str(spec), "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_threads_below_one_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main(["--threads", "0", "benchmark", "--spec", str(self.spec_json(tmp_path)),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_setting_exits_2(self, tmp_path):
         spec = self.spec_json(tmp_path, settings=[[1, 0]])

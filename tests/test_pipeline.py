@@ -30,7 +30,21 @@ class TestFit:
     def test_single_outer_iteration_trace_length(self):
         x = independent_data(4, 200, 0)
         res = fit(x, RrcfConfig(outer_k_max=1))
-        assert len(res.score_trace) == 1
+        assert len(res.score_trace) == 1 and res.diagnostics["n_outer"] == 1
+
+    def test_converged_fit_skips_the_repeated_l_step(self):
+        # the last ordering step returned its incumbent, whose L-step the
+        # fit already holds: one fewer L-step than ordering steps
+        rng = np.random.default_rng(3)
+        x = sample_data(generate_dag(6, 6, rng), 300, rng)
+        res = fit(x, RrcfConfig(mcp=McpParams(0.2, 2.0), outer_k_max=8))
+        diag = res.diagnostics
+        assert res.converged
+        assert len(res.score_trace) == diag["n_outer"] - 1
+        for key in ("solver_sweeps_max", "solver_unconverged_rows"):
+            assert len(diag[key]) == len(res.score_trace)
+        for key in ("mu", "thresholds", "gp_converged", "snapped"):
+            assert len(diag[key]) == diag["n_outer"]
 
     def test_best_iterate_contract(self):
         rng = np.random.default_rng(3)
@@ -138,11 +152,12 @@ class TestFit:
     def test_unconverged_solver_rows_reported(self):
         rng = np.random.default_rng(8)
         x = sample_data(generate_dag(6, 6, rng), 200, rng)
-        capped = fit(x, RrcfConfig(solver=SolverSettings(k_max=1), outer_k_max=3)).diagnostics
-        assert len(capped["solver_unconverged_rows"]) == capped["n_outer"]
-        assert all(0 < k <= 5 for k in capped["solver_unconverged_rows"])
-        default = fit(x, RrcfConfig(outer_k_max=3)).diagnostics
-        assert default["solver_unconverged_rows"] == [0] * default["n_outer"]
+        capped = fit(x, RrcfConfig(solver=SolverSettings(k_max=1), outer_k_max=3))
+        rows = capped.diagnostics["solver_unconverged_rows"]
+        assert len(rows) == len(capped.score_trace) >= 1
+        assert all(0 < k <= 5 for k in rows)
+        default = fit(x, RrcfConfig(outer_k_max=3))
+        assert default.diagnostics["solver_unconverged_rows"] == [0] * len(default.score_trace)
 
     def test_rejects_single_variable(self):
         with pytest.raises(ValueError):
@@ -182,6 +197,6 @@ class TestTune:
         assert best is table[0] or best == table[0]
 
     def test_mu_eta_cells_only_when_underdetermined(self):
-        grid = TuningGrid(lambdas=(0.1,), gammas=(2.0,), mus=(0.5, 1.0), etas=(0.1,))
-        assert len(grid.cells(n=50, p=10)) == 1
-        assert len(grid.cells(n=5, p=10)) == 2
+        grid = TuningGrid(lambdas=(0.1,), gammas=(2.0,), mus=(0.5, 1.0))
+        assert [c["mu"] for c in grid.cells(n=50, p=10)] == [None]
+        assert [c["mu"] for c in grid.cells(n=5, p=10)] == [0.5, 1.0]

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from birkdag.scoring import McpParams
-from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
+from birkdag.sem import (
+    CholeskyFactor,
+    Permutation,
+    SampleCovariance,
+    generate_dag,
+    sample_covariance,
+    sample_data,
+)
 from birkdag.solver import (
     CholeskyEstimate,
     ConvexityGuardError,
@@ -234,6 +241,18 @@ class TestEstimateCholesky:
             a = estimate_cholesky(perm, s, params, settings, l0=l0)
             b = serial_cholesky(perm, s, params, settings, l0=l0)
             assert np.abs(a.l.l - b.l.l).max() <= 1e-9
+
+    def test_default_sweep_cap_covers_slow_rows(self):
+        # the 12th (p=200, s=200, n=300) instance drawn from seed 2000 has
+        # a row that needs 734 sweeps at lambda 0.2, gamma 2 and its true
+        # ordering; the default cap must not leave it unconverged
+        rng = np.random.default_rng(2000)
+        for _ in range(12):
+            inst = generate_dag(200, 200, rng)
+            x = sample_data(inst, 300, rng)
+        est = estimate_cholesky(inst.ordering, sample_covariance(x), McpParams(0.2, 2.0))
+        assert est.all_converged
+        assert est.sweeps.max() == 734
 
     def test_deterministic(self, rng):
         s = random_covariance(7, 40, rng)
