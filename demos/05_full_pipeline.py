@@ -20,7 +20,7 @@ p, s_edges, n = 30, 35, 400
 inst = generate_dag(p, s_edges, rng)
 x = sample_data(inst, n, rng)
 
-# Pick lambda by eBIC over a small grid (one alternation per cell).
+# Pick lambda by eBIC over a small grid (one L-step per cell).
 grid = TuningGrid(lambdas=(0.1, 0.2, 0.3, 0.4), gammas=(2.0,))
 best, table = tune(x, grid)
 print("eBIC table:")
@@ -31,7 +31,7 @@ print("selected:", best["lam"])
 # Full fit at the selected point.
 cfg = RrcfConfig(mcp=McpParams(best["lam"], best["gamma"]), outer_k_max=15, seed=0)
 res = fit(x, cfg)
-print(f"\nouter iterations: {res.diagnostics['n_outer']}, converged: {res.converged}")
+print(f"\nordering steps: {res.diagnostics['n_outer']}, converged: {res.converged}")
 print("score trace:", [round(b.total, 4) for b in res.score_trace])
 
 truth = extract_edges(inst.adjacency)

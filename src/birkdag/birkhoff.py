@@ -94,7 +94,7 @@ class RelaxationConfig:
     """Settings for the relaxed ordering subproblem.
 
     mu is the Frobenius-pull weight.  None (the default) means automatic:
-    ``pipeline.fit`` replaces it each outer iteration by the centered
+    ``pipeline.fit`` replaces it at each ordering step by the centered
     convexity threshold of the current factor, and
     ``gradient_projection`` refuses it.  eps and k_max stop the gradient
     projection; n_samples is the number of rounding candidates drawn

@@ -135,32 +135,29 @@ def cmd_tune(args) -> int:
     from birkdag.sem import DataMatrix
     from birkdag.solver import ConvexityGuardError
 
-    if not 0.0 <= args.gamma_bic <= 1.0:
-        raise _UsageError(f"--gamma-bic must lie in [0, 1], got {args.gamma_bic}")
     try:
         grid = bio.grid_from_json(_read_text(args.grid))
-        grid = replace(grid, gamma_bic=args.gamma_bic)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:
         raise _UsageError(f"invalid grid JSON: {exc}") from exc
     x = _load_matrix(args.data)
-    cfg = RrcfConfig(seed=args.seed, gamma_bic=args.gamma_bic, init=args.init)
+    cfg = RrcfConfig(seed=args.seed, init=args.init)
     try:
         best, table = tune(DataMatrix(x), grid, cfg)
     except ConvexityGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     out = Path(args.out)
-    header = "lambda,gamma,mu,support,ebic"
+    header = "lambda,gamma,support,ebic"
     lines = [header]
     for row in table:
         lines.append(",".join(
-            "" if row[k] is None else repr(float(row[k])) if isinstance(row[k], float) else str(row[k])
-            for k in ("lam", "gamma", "mu", "support", "ebic")
+            repr(float(row[k])) if isinstance(row[k], float) else str(row[k])
+            for k in ("lam", "gamma", "support", "ebic")
         ))
     _write_text(str(out / "tuning_table.csv"), "\n".join(lines) + "\n")
     _write_text(str(out / "best_params.json"), json.dumps(
-        {"lambda": best["lam"], "gamma": best["gamma"], "mu": best["mu"],
-         "ebic": best["ebic"], "gamma_bic": args.gamma_bic},
+        {"lambda": best["lam"], "gamma": best["gamma"],
+         "ebic": best["ebic"], "gamma_bic": grid.gamma_bic},
         indent=2) + "\n")
     print(f"best: lambda={best['lam']} gamma={best['gamma']} ebic={best['ebic']:.6g}")
     return EXIT_OK
@@ -206,21 +203,14 @@ def cmd_sample_perms(args) -> int:
 
 def cmd_benchmark(args) -> int:
     from birkdag import io as bio
-    from birkdag.metrics import BenchmarkSpec, benchmark_csv, run_benchmark
+    from birkdag.metrics import benchmark_csv, run_benchmark
 
     try:
-        doc = json.loads(_read_text(args.spec))
-        spec = BenchmarkSpec(
-            settings=tuple(tuple(x) for x in doc["settings"]),
-            n=int(doc.get("n", 150)),
-            reps=int(doc.get("reps", 20)),
-            grid=bio.grid_from_json(json.dumps(doc.get("grid", {}))),
-            seed=int(doc.get("seed", 0)),
-            outer_k_max=int(doc.get("outer_k_max", 12)),
-            measure_runtime=bool(doc.get("measure_runtime", False)) or args.measure_runtime,
-        )
+        spec = bio.spec_from_json(_read_text(args.spec))
     except (KeyError, ValueError, TypeError) as exc:
         raise _UsageError(f"invalid benchmark spec: {exc}") from exc
+    if args.measure_runtime:
+        spec = replace(spec, measure_runtime=True)
     rows = run_benchmark(spec, threads=args.threads)
     _write_text(args.out, benchmark_csv(rows))
     n_err = sum(1 for r in rows if r["status"] == "error" and r["rep"] != "mean")
@@ -259,19 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--mu", type=float, default=None,
                    help="relaxation pull toward vertices (default: convexity threshold)")
     f.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    f.add_argument("--outer-k-max", type=int, default=20, help="outer iteration cap (default 20)")
+    f.add_argument("--outer-k-max", type=int, default=20, help="L-step cap (default 20)")
     f.add_argument("--gamma-bic", type=float, default=0.5, help="eBIC gamma (default 0.5)")
     f.add_argument("--init", choices=("variance", "identity"), default="variance",
                    help="initial ordering (default: ascending sample variance)")
     f.add_argument("--out", required=True, help="output JSON path")
     f.set_defaults(func=cmd_fit)
 
-    t = sub.add_parser("tune", help="select (lambda, gamma[, mu]) by eBIC")
+    t = sub.add_parser("tune", help="select (lambda, gamma) by eBIC, one L-step per cell")
     t.add_argument("--data", required=True, help="n x p data CSV (no header)")
     t.add_argument("--grid", required=True,
-                   help='grid JSON with keys lambdas, gammas, optional mus (used only '
-                        'when n < p) and gamma_bic, e.g. {"lambdas":[0.2,0.4],"gammas":[2.0]}')
-    t.add_argument("--gamma-bic", type=float, default=0.5, help="eBIC gamma in [0,1] (default 0.5)")
+                   help='grid JSON with keys lambdas, gammas and optional gamma_bic (eBIC '
+                        'gamma in [0,1], default 0.5), e.g. {"lambdas":[0.2,0.4],"gammas":[2.0]}')
     t.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     t.add_argument("--init", choices=("variance", "identity"), default="variance",
                    help="initial ordering (default: ascending sample variance)")
@@ -294,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("benchmark", help="run the simulation benchmark from a spec JSON")
     b.add_argument("--spec", required=True,
-                   help='spec JSON: {"settings":[[p,s],...],"n":.,"reps":.,"seed":.,"grid":{...}}')
+                   help='spec JSON: {"settings":[[p,s],...]} plus optional "n", "reps", '
+                        '"seed", "outer_k_max", "grid" {...} and "measure_runtime" (see '
+                        'BenchmarkSpec for defaults); any other key is an error')
     b.add_argument("--measure-runtime", action="store_true",
                    help="stamp wall-clock runtimes into rows (breaks byte determinism)")
     b.add_argument("--out", required=True, help="output CSV path")

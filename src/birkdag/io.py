@@ -1,8 +1,10 @@
-"""CSV and JSON serialization for matrices, instances, and fit results.
+"""CSV and JSON serialization for matrices, instances, fit results,
+tuning grids and benchmark specs.
 
 Matrices travel as headerless row-major CSV with full double precision
 (shortest round-trip decimal form).  Permutations serialize as a single
-row of 1-based indices.  Instances and fit results are JSON documents.
+row of 1-based indices.  Instances, fit results, grids and specs are JSON
+documents.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import json
 
 import numpy as np
 
+from birkdag.metrics import BenchmarkSpec
 from birkdag.pipeline import FitResult, RrcfConfig, TuningGrid
 from birkdag.sem import NoiseVariances, Permutation, SemInstance, WeightedAdjacency
 
@@ -120,15 +123,38 @@ def _jsonable(obj):
     return obj
 
 
-def grid_from_json(text: str) -> TuningGrid:
-    doc = json.loads(text)
-    unknown = set(doc) - {"lambdas", "gammas", "mus", "gamma_bic"}
+def _from_doc(cls, fields: dict, doc: dict, what: str):
+    """cls built from the keys present in doc, each converted by fields;
+    absent keys take cls's defaults and unknown keys are an error."""
+    unknown = set(doc) - set(fields)
     if unknown:
-        raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-    kwargs = {}
-    for key in ("lambdas", "gammas", "mus"):
-        if key in doc:
-            kwargs[key] = tuple(float(v) for v in doc[key])
-    if "gamma_bic" in doc:
-        kwargs["gamma_bic"] = float(doc["gamma_bic"])
-    return TuningGrid(**kwargs)
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**{k: fields[k](v) for k, v in doc.items()})
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+_GRID_FIELDS = {"lambdas": _floats, "gammas": _floats, "gamma_bic": float}
+_SPEC_FIELDS = {
+    "settings": tuple,
+    "n": int,
+    "reps": int,
+    "seed": int,
+    "outer_k_max": int,
+    "grid": lambda doc: _from_doc(TuningGrid, _GRID_FIELDS, doc, "grid"),
+    "measure_runtime": bool,
+}
+
+
+def grid_from_json(text: str) -> TuningGrid:
+    return _from_doc(TuningGrid, _GRID_FIELDS, json.loads(text), "grid")
+
+
+def spec_from_json(text: str) -> BenchmarkSpec:
+    """Benchmark spec; "settings" is required, every other key optional."""
+    doc = json.loads(text)
+    if "settings" not in doc:
+        raise KeyError("settings")
+    return _from_doc(BenchmarkSpec, _SPEC_FIELDS, doc, "spec")

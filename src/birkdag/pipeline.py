@@ -1,10 +1,10 @@
 """The alternating estimation loop and eBIC-based tuning.
 
-One outer iteration estimates an ordering for the current Cholesky
-factor (relaxation + rounding), then re-estimates the factor for that
-ordering (row-decoupled coordinate descent).  The loop keeps the best
-iterate by penalized score and stops when an ordering step after the
-first returns the ordering it started from.
+One outer iteration estimates the Cholesky factor for the current
+ordering (row-decoupled coordinate descent), then estimates an ordering
+for that factor (relaxation + rounding).  The loop keeps the best
+iterate by penalized score and stops when an ordering step returns the
+ordering it started from.
 
 A note on scales: the row solver minimizes, per row,
 x^t A x - 2 log x_k + sum rho(|x_j|; lam, gamma), whose total over rows
@@ -59,8 +59,8 @@ class RrcfConfig:
     ``relax.mu`` is None (the default), each ordering step uses the
     largest convexity-preserving mu, max(centered threshold, 0), of the
     current factor; an explicit ``relax.mu`` is used as given.
-    ``outer_k_max`` caps the number of ordering steps; the fit stops
-    earlier once an ordering step returns its incumbent.
+    ``outer_k_max`` caps the number of L-steps; the fit stops earlier
+    once an ordering step returns its incumbent.
     """
 
     mcp: McpParams = McpParams(lam=0.2, gamma=2.0)
@@ -108,23 +108,23 @@ def _initial_order(s: SampleCovariance, init: str) -> Permutation:
 
 
 def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult:
-    """Alternate ordering estimation and sparse factor estimation.
+    """Alternate sparse factor estimation and ordering estimation.
 
-    Starts from the configured initial ordering with the diagonal factor
-    L_aa = 1/sqrt(S^P_aa).  Each iteration estimates a permutation for
-    the current factor (the incumbent ordering always stays in the
-    candidate pool, so the ordering step never degrades the trace
-    objective), then re-estimates the factor.  The L-step is
-    deterministic in the ordering, so when an ordering step after the
-    first returns its incumbent the fit has reached a fixed point and
-    stops before re-running it; ``converged`` reports that.  Returns the
-    iterate with the lowest penalized score seen.
+    Starts from the configured initial ordering.  Each iteration
+    estimates the factor for the current ordering (the L-step), then,
+    unless that was the last of ``outer_k_max`` L-steps, estimates a
+    permutation for the new factor (the incumbent ordering always stays
+    in the candidate pool, so the ordering step never degrades the trace
+    objective).  The L-step is deterministic in the ordering, so when an
+    ordering step returns its incumbent the fit has reached a fixed
+    point and stops; ``converged`` reports that.  Returns the iterate
+    with the lowest penalized score seen.
 
     ``diagnostics`` holds one entry per ordering step under "mu",
     "thresholds", "gp_converged" and "snapped", and one per L-step under
     "solver_sweeps_max" and "solver_unconverged_rows", matching
-    ``score_trace``; "n_outer" counts ordering steps, so a converged fit
-    has n_outer - 1 L-steps.
+    ``score_trace``; "n_outer" counts ordering steps.  A converged fit
+    has n_outer L-steps; a capped one has outer_k_max = n_outer + 1.
     """
     if not isinstance(x, DataMatrix):
         x = DataMatrix(np.asarray(x, dtype=float))
@@ -135,12 +135,9 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
     sp_params = score_params(cfg.mcp)
 
     order = _initial_order(s, cfg.init)
-    sp = order.apply_to_matrix(s.s)
-    l = CholeskyFactor(np.diag(1.0 / np.sqrt(np.diag(sp))))
-
     score_trace: list[ScoreBreakdown] = []
     best_total = np.inf
-    best: tuple[CholeskyFactor, Permutation] = (l, order)
+    best: tuple[CholeskyFactor, Permutation] | None = None
     diag: dict = {
         "mu": [],
         "gp_converged": [],
@@ -153,6 +150,19 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
     center = DoublyStochastic.center(s.p).m
     converged = False
     for k in range(cfg.outer_k_max):
+        ch = estimate_cholesky(order, s, cfg.mcp, cfg.solver)
+        l = ch.l
+        diag["solver_sweeps_max"].append(int(ch.sweeps.max()))
+        diag["solver_unconverged_rows"].append(int((~ch.converged).sum()))
+
+        breakdown = penalized_score(l, order, s, sp_params)
+        score_trace.append(breakdown)
+        if breakdown.total < best_total:
+            best_total = breakdown.total
+            best = (l, order)
+        if k == cfg.outer_k_max - 1:
+            break
+
         diag["n_outer"] += 1
         thresholds = convexity_thresholds(l, s)
         relax = cfg.relax
@@ -165,21 +175,10 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
         est = estimate_permutation(l, s, relax, rng, p_init=p_init, incumbent=order)
         diag["gp_converged"].append(est.gp_converged)
         diag["snapped"].append(est.snapped)
-        if k > 0 and np.array_equal(est.perm.pi, order.pi):
+        if np.array_equal(est.perm.pi, order.pi):
             converged = True
             break
         order = est.perm
-
-        ch = estimate_cholesky(order, s, cfg.mcp, cfg.solver)
-        l = ch.l
-        diag["solver_sweeps_max"].append(int(ch.sweeps.max()))
-        diag["solver_unconverged_rows"].append(int((~ch.converged).sum()))
-
-        breakdown = penalized_score(l, order, s, sp_params)
-        score_trace.append(breakdown)
-        if breakdown.total < best_total:
-            best_total = breakdown.total
-            best = (l, order)
 
     l_hat, perm_hat = best
     b_perm, omega_perm = cholesky_to_adjacency(l_hat)
@@ -205,15 +204,12 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
 class TuningGrid:
     """Grid of tuning parameters searched by eBIC.
 
-    mus extends the grid for the underdetermined regime n < p, where no
-    convexity-preserving mu exists and mu becomes a free knob; with
-    n >= p, or when mus is empty, every cell keeps the configured mu
-    (automatic by default).
+    Each cell is one (lambda, gamma) pair; ``gamma_bic`` is the eBIC
+    weight every cell is scored with.
     """
 
     lambdas: tuple = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
     gammas: tuple = (2.0,)
-    mus: tuple = ()
     gamma_bic: float = 0.5
 
     def __post_init__(self):
@@ -222,47 +218,39 @@ class TuningGrid:
         if not 0.0 <= self.gamma_bic <= 1.0:
             raise ValueError("gamma_bic must lie in [0, 1]")
 
-    def cells(self, n: int, p: int):
-        """Grid cells in lexicographic order; mu varies only when n < p."""
-        mus = self.mus if n < p and self.mus else (None,)
-        return [
-            {"lam": l, "gamma": g, "mu": m}
-            for l, g, m in product(self.lambdas, self.gammas, mus)
-        ]
+    def cells(self):
+        """Grid cells in lexicographic order."""
+        return [{"lam": l, "gamma": g} for l, g in product(self.lambdas, self.gammas)]
 
 
 def cell_config(cfg: RrcfConfig, cell: dict, **changes) -> RrcfConfig:
-    """cfg with a grid cell's lam, gamma and (when not None) mu applied.
+    """cfg with a grid cell's lam and gamma applied.
 
     ``changes`` are further RrcfConfig fields to replace.
     """
-    relax = cfg.relax
-    if cell["mu"] is not None:
-        relax = replace(relax, mu=float(cell["mu"]))
     mcp = McpParams(lam=float(cell["lam"]), gamma=float(cell["gamma"]))
-    return replace(cfg, mcp=mcp, relax=relax, **changes)
+    return replace(cfg, mcp=mcp, **changes)
 
 
 def tune(
     x: DataMatrix | np.ndarray,
     grid: TuningGrid = TuningGrid(),
     cfg: RrcfConfig = RrcfConfig(),
-    outer_k_max: int = 1,
 ) -> tuple[dict, list[dict]]:
     """Select tuning parameters by eBIC over the grid.
 
-    Each cell runs a short fit (one outer iteration by default) and is
-    scored by the eBIC of the fitted factor on the full-data
-    log-likelihood scale, 2 n nll + s log n + 4 s gamma_bic log p.
-    Returns (best cell, table); the best cell is the eBIC argmin with
-    ties resolved by grid order.
+    Each cell runs one L-step at the initial ordering (a fit with
+    outer_k_max 1, so no ordering step) and is scored by the eBIC of the
+    fitted factor on the full-data log-likelihood scale,
+    2 n nll + s log n + 4 s gamma_bic log p.  Returns (best cell, table);
+    the best cell is the eBIC argmin with ties resolved by grid order.
     """
     if not isinstance(x, DataMatrix):
         x = DataMatrix(np.asarray(x, dtype=float))
     table = []
     best = None
-    for cell in grid.cells(x.n, x.p):
-        res = fit(x, cell_config(cfg, cell, outer_k_max=outer_k_max, gamma_bic=grid.gamma_bic))
+    for cell in grid.cells():
+        res = fit(x, cell_config(cfg, cell, outer_k_max=1, gamma_bic=grid.gamma_bic))
         row = dict(cell)
         row["ebic"] = res.ebic_value
         row["support"] = res.l_hat.support_size()

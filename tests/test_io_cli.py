@@ -148,7 +148,7 @@ class TestCliTune:
         best = json.loads((out / "best_params.json").read_text())
         assert best["lambda"] == 0.3
         table = (out / "tuning_table.csv").read_text().splitlines()
-        assert table[0] == "lambda,gamma,mu,support,ebic"
+        assert table[0] == "lambda,gamma,support,ebic"
         assert len(table) == 2
 
     def test_unknown_grid_key_exits_2(self, workdir, tmp_path):
@@ -158,12 +158,34 @@ class TestCliTune:
                    "--grid", str(grid), "--out", str(tmp_path / "t")])
         assert rc == 2
 
+    def test_scalar_grid_list_exits_2(self, workdir, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lambdas": 0.3, "gammas": [2.0]}))
+        rc = main(["tune", "--data", str(workdir / "gen" / "data.csv"),
+                   "--grid", str(grid), "--out", str(tmp_path / "t")])
+        assert rc == 2
+
     def test_gamma_bic_out_of_range_exits_2(self, workdir, tmp_path):
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"lambdas": [0.3], "gammas": [2.0]}))
+        grid.write_text(json.dumps({"lambdas": [0.3], "gammas": [2.0], "gamma_bic": 1.5}))
         rc = main(["tune", "--data", str(workdir / "gen" / "data.csv"),
-                   "--grid", str(grid), "--gamma-bic", "1.5", "--out", str(tmp_path / "t")])
+                   "--grid", str(grid), "--out", str(tmp_path / "t")])
         assert rc == 2
+
+    def test_grid_gamma_bic_is_used(self, workdir, tmp_path):
+        # the grid JSON's gamma_bic scores the cells and is reported
+        tables = {}
+        for name, extra in (("default", {}), ("one", {"gamma_bic": 1.0})):
+            grid = tmp_path / f"{name}.json"
+            grid.write_text(json.dumps({"lambdas": [0.05, 0.3], "gammas": [2.0], **extra}))
+            out = tmp_path / name
+            assert main(["tune", "--data", str(workdir / "gen" / "data.csv"),
+                         "--grid", str(grid), "--out", str(out)]) == 0
+            rows = (out / "tuning_table.csv").read_text().splitlines()[1:]
+            tables[name] = [row.split(",")[-1] for row in rows]
+        assert tables["one"] != tables["default"]
+        best = json.loads((tmp_path / "one" / "best_params.json").read_text())
+        assert best["gamma_bic"] == 1.0
 
 
 class TestCliProject:
@@ -243,6 +265,12 @@ class TestCliBenchmark:
         spec = self.spec_json(tmp_path, settings=[[1, 0]])
         rc = main(["benchmark", "--spec", str(spec), "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+    def test_unknown_spec_key_exits_2(self, tmp_path):
+        spec = self.spec_json(tmp_path, outer_kmax=3)
+        out = tmp_path / "o.csv"
+        assert main(["benchmark", "--spec", str(spec), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestCliHelp:

@@ -1,11 +1,24 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from birkdag.birkhoff import RelaxationConfig
+from birkdag import pipeline
+from birkdag.birkhoff import RelaxationConfig, trace_objective
 from birkdag.pipeline import RrcfConfig, TuningGrid, fit, score_params, tune
 from birkdag.scoring import McpParams, ebic, neg_log_likelihood, penalized_score
-from birkdag.sem import DataMatrix, generate_dag, sample_covariance, sample_data
+from birkdag.sem import (
+    CholeskyFactor,
+    DataMatrix,
+    Permutation,
+    SampleCovariance,
+    generate_dag,
+    sample_covariance,
+    sample_data,
+)
 from birkdag.solver import SolverSettings, estimate_cholesky
+from conftest import random_covariance
 
 
 def independent_data(p, n, seed):
@@ -28,23 +41,65 @@ class TestFit:
         assert hits >= 5
 
     def test_single_outer_iteration_trace_length(self):
+        # one allowed L-step leaves no room for an ordering step
         x = independent_data(4, 200, 0)
         res = fit(x, RrcfConfig(outer_k_max=1))
-        assert len(res.score_trace) == 1 and res.diagnostics["n_outer"] == 1
+        assert len(res.score_trace) == 1 and res.diagnostics["n_outer"] == 0
+        assert not res.converged
 
-    def test_converged_fit_skips_the_repeated_l_step(self):
-        # the last ordering step returned its incumbent, whose L-step the
-        # fit already holds: one fewer L-step than ordering steps
+    def test_converged_fit_skips_the_repeated_l_step(self, monkeypatch):
+        # a converged fit stops at the ordering step that returned its
+        # incumbent, whose L-step it already holds: one L-step per
+        # ordering step
         rng = np.random.default_rng(3)
         x = sample_data(generate_dag(6, 6, rng), 300, rng)
         res = fit(x, RrcfConfig(mcp=McpParams(0.2, 2.0), outer_k_max=8))
         diag = res.diagnostics
         assert res.converged
-        assert len(res.score_trace) == diag["n_outer"] - 1
+        assert len(res.score_trace) == diag["n_outer"] >= 1
         for key in ("solver_sweeps_max", "solver_unconverged_rows"):
             assert len(diag[key]) == len(res.score_trace)
         for key in ("mu", "thresholds", "gp_converged", "snapped"):
             assert len(diag[key]) == diag["n_outer"]
+
+        # an ordering step that always moves runs the fit into its cap:
+        # outer_k_max L-steps with an ordering step between each pair
+        real = pipeline.estimate_permutation
+
+        def moving(l, s, cfg, rng, p_init=None, incumbent=None):
+            est = real(l, s, cfg, rng, p_init=p_init, incumbent=incumbent)
+            return dataclasses.replace(est, perm=Permutation(np.roll(incumbent.pi, 1)))
+
+        monkeypatch.setattr(pipeline, "estimate_permutation", moving)
+        capped = fit(x, RrcfConfig(mcp=McpParams(0.2, 2.0), outer_k_max=4))
+        diag = capped.diagnostics
+        assert not capped.converged
+        assert len(capped.score_trace) == 4 == diag["n_outer"] + 1
+        for key in ("solver_sweeps_max", "solver_unconverged_rows"):
+            assert len(diag[key]) == 4
+        for key in ("mu", "thresholds", "gp_converged", "snapped"):
+            assert len(diag[key]) == 3
+
+    def test_diagonal_seed_factor_cannot_move_the_ordering(self):
+        # Under L = diag(1/sqrt(s_{pi0(i)})), fitted to the incumbent pi0,
+        # 1/2 tr(L P S P^t L^t) = 1/2 sum_i s_{pi(i)} / s_{pi0(i)} >= p/2
+        # by AM-GM, with equality at pi0.  So an ordering step ranked
+        # against that factor always keeps its incumbent, and the fit
+        # starts with an L-step instead.
+        rng = np.random.default_rng(17)
+        for p in range(2, 6):
+            for _ in range(4):
+                s = random_covariance(p, 3 * p, rng)
+                d = np.exp(rng.uniform(-2.0, 2.0, p))
+                s = SampleCovariance(d[:, None] * s.s * d[None, :])
+                for _ in range(3):
+                    inc = Permutation(rng.permutation(p))
+                    seed = CholeskyFactor(np.diag(1.0 / np.sqrt(np.diag(inc.apply_to_matrix(s.s)))))
+                    base = trace_objective(seed, inc, s)
+                    assert base == pytest.approx(p / 2, rel=1e-12)
+                    for pi in itertools.permutations(range(p)):
+                        value = trace_objective(seed, Permutation(np.array(pi)), s)
+                        assert value >= base * (1.0 - 1e-12)
 
     def test_best_iterate_contract(self):
         rng = np.random.default_rng(3)
@@ -196,7 +251,11 @@ class TestTune:
         assert table[0]["ebic"] == table[1]["ebic"]
         assert best is table[0] or best == table[0]
 
-    def test_mu_eta_cells_only_when_underdetermined(self):
-        grid = TuningGrid(lambdas=(0.1,), gammas=(2.0,), mus=(0.5, 1.0))
-        assert [c["mu"] for c in grid.cells(n=50, p=10)] == [None]
-        assert [c["mu"] for c in grid.cells(n=5, p=10)] == [0.5, 1.0]
+    def test_cells_run_no_ordering_step(self, monkeypatch):
+        # each cell is one L-step at the initial ordering
+        def refuse(*args, **kwargs):
+            raise AssertionError("tune ran an ordering step")
+
+        monkeypatch.setattr(pipeline, "estimate_permutation", refuse)
+        best, table = tune(independent_data(5, 200, 5), TuningGrid(lambdas=(0.1, 0.3), gammas=(2.0,)))
+        assert len(table) == 2 and best in table
