@@ -25,6 +25,17 @@ from scipy.optimize import linear_sum_assignment
 
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
 
+# The C routine behind np.einsum, which np.einsum calls unchanged when
+# optimize is off; calling it directly skips the Python-level dispatch,
+# a large share of a projection pass on small matrices.
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    try:
+        from numpy.core.multiarray import c_einsum as _einsum
+    except ImportError:
+        _einsum = np.einsum
+
 # Entrywise negativity / marginal-sum slack a doubly stochastic matrix is
 # allowed; projection iterates must clear these before they are returned.
 NEG_TOL = 1e-10
@@ -163,47 +174,70 @@ def project_to_birkhoff(
     floor = 4.0 * np.finfo(float).eps * (1.0 + float((p0 * p0).sum()))
     tol = max(eps, floor)
 
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    # At p <= 20 the per-call overhead of numpy, not arithmetic, sets the
+    # cost of an iteration, so the loop writes into preallocated buffers:
+    # u lives in a (p, 1) column so that u 1^t + 1 v^t broadcasts from it,
+    # and the outer sum built for a gap evaluation is reused by the next
+    # U-update, which needs the same (u, v).  Every value is computed by
+    # the same operations in the same order as the plain formulas above.
+    ucol = np.zeros((p, 1))
+    u = ucol[:, 0]
     if duals0 is None:
-        u = np.zeros(p)
         v = np.zeros(p)
     else:
-        u = duals0.u.copy()
+        u[:] = duals0.u
         v = duals0.v.copy()
     r0 = p0.sum(axis=1)
     c0 = p0.sum(axis=0)
     r0m1 = r0 - 1.0
     c0m1 = c0 - 1.0
 
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    U = np.zeros((p, p))
+    add, sub, div, red = np.add, np.subtract, np.true_divide, np.add.reduce
+    pf = float(p)
+    outer = np.empty((p, p))
+    U = np.empty((p, p))
+    M = np.empty((p, p))
+    marg = np.empty(p)
+    have_outer = False
     gap = np.inf
     converged = False
     n_iter = 0
+    sv_old = float(red(v))
     for k in range(k_max):
         n_iter = k + 1
-        sv_old = v.sum()
-        U = np.maximum(0.0, np.add.outer(u, v) - p0)
-        u = (r0 - (sv_old + 1.0) + U.sum(axis=1)) / p
-        v = (c0 - (u.sum() + 1.0) + U.sum(axis=0)) / p
+        if not have_outer:
+            add(ucol, v, outer)
+        sub(outer, p0, U)
+        np.maximum(0.0, U, out=U)
+        sub(r0, sv_old + 1.0, u)
+        add(u, red(U, 1, None, marg), u)
+        div(u, pf, u)
+        sub(c0, float(red(u)) + 1.0, v)
+        add(v, red(U, 0, None, marg), v)
+        div(v, pf, v)
+        sv_new = float(red(v))
         # the gap evaluation costs a third of an iteration; after a warm-up
         # it runs every other pass, which leaves the termination contract
         # (gap < tol on return) intact and only ever adds dual iterations
-        if k >= 16 and (k & 1) == 0 and k != k_max - 1:
-            continue
-        M = np.add.outer(u, v) - U
-        gap = abs(
-            float(np.einsum("ij,ij->", M, M)) + float(np.einsum("ij,ij->", U, p0))
-            - u @ r0m1 - v @ c0m1
-        )
-        if gap < tol:
+        have_outer = not (k >= 16 and (k & 1) == 0 and k != k_max - 1)
+        if have_outer:
+            add(ucol, v, outer)
+            sub(outer, U, M)
+            gap = abs(
+                float(_einsum("ij,ij->", M, M)) + float(_einsum("ij,ij->", U, p0))
+                - u.dot(r0m1) - v.dot(c0m1)
+            )
             # column sums are exact by the v-update; the row-sum residual
             # is the scalar drift of sum(v) within this iteration; entrywise
             # negativity is checked on the recovered primal
-            if abs(sv_old - v.sum()) <= MARGIN_TOL and (p0 - M).min() >= -NEG_TOL:
+            if gap < tol and abs(sv_old - sv_new) <= MARGIN_TOL and (p0 - M).min() >= -NEG_TOL:
                 converged = True
                 break
-    P = p0 - (np.add.outer(u, v) - U)
+        sv_old = sv_new
+    # the last pass always evaluates the gap, so M holds u 1^t + 1 v^t - U
+    P = p0 - M
     return ProjectionResult(
         ds=DoublyStochastic(P) if converged else _force_feasible(P),
         duals=DualVariables(u=u, v=v, bigu=U),
