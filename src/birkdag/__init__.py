@@ -13,7 +13,8 @@ The package is organized around the two halves of the alternating scheme:
 
 ``birkdag.solver``
     Cyclic coordinate descent with closed-form MCP updates for the
-    row-decoupled sparse Cholesky subproblems.
+    row-decoupled sparse Cholesky subproblems, batched over a path of
+    MCP cells at one ordering.
 
 ``birkdag.sem``, ``birkdag.scoring``, ``birkdag.pipeline``,
 ``birkdag.metrics`` supply the linear SEM model and synthetic
@@ -60,12 +61,14 @@ from birkdag.birkhoff import (
     estimate_permutation,
 )
 from birkdag.solver import (
+    CholeskyEstimate,
     RowSubproblem,
     SolverSettings,
     update_offdiagonal,
     update_diagonal,
     minimize_row,
     estimate_cholesky,
+    estimate_cholesky_path,
     row_objectives,
     check_lower_bounds,
 )
@@ -91,8 +94,9 @@ __all__ = [
     "relaxed_gradient", "convexity_thresholds", "gradient_projection",
     "rank_vector", "sample_permutations", "round_hungarian",
     "estimate_permutation",
-    "RowSubproblem", "SolverSettings", "update_offdiagonal",
-    "update_diagonal", "minimize_row", "estimate_cholesky",
+    "CholeskyEstimate", "RowSubproblem", "SolverSettings",
+    "update_offdiagonal", "update_diagonal", "minimize_row",
+    "estimate_cholesky", "estimate_cholesky_path",
     "row_objectives", "check_lower_bounds",
     "RrcfConfig", "TuningGrid", "FitResult", "fit", "tune",
     "EdgeSet", "BenchmarkSpec", "extract_edges",

@@ -295,8 +295,8 @@ def relaxed_objective(
 ) -> float:
     """1/2 tr(L P S P^t L^t) - mu/2 ||T P||_F^2, T = I - (1/p) 1 1^t."""
     P = pm.m if isinstance(pm, DoublyStochastic) else np.asarray(pm, dtype=float)
-    lps = l.l @ P @ s.s
-    quad = 0.5 * float(np.einsum("ij,ij->", lps, l.l @ P))
+    lp = l.l @ P
+    quad = 0.5 * float(np.einsum("ij,ij->", lp @ s.s, lp))
     TP = _center_cols(P)
     return quad - 0.5 * cfg.mu * float((TP * TP).sum())
 
@@ -309,7 +309,7 @@ def relaxed_gradient(
 ) -> np.ndarray:
     """(L^t L) P S - mu T P."""
     P = pm.m if isinstance(pm, DoublyStochastic) else np.asarray(pm, dtype=float)
-    g = (l.l.T @ l.l) @ P @ s.s
+    g = l.gram @ P @ s.s
     return g - cfg.mu * _center_cols(P)
 
 
@@ -330,7 +330,7 @@ def convexity_thresholds(
     """
     sm = s.s if isinstance(s, SampleCovariance) else np.asarray(s, dtype=float)
     ev_s = np.linalg.eigvalsh(sm)
-    ev_l = np.linalg.eigvalsh(l.l.T @ l.l)
+    ev_l = np.linalg.eigvalsh(l.gram)
     second = ev_s[1] if sm.shape[0] > 1 else ev_s[0]
     return (
         float(ev_s[0] * ev_l[0]),

@@ -39,7 +39,7 @@ from birkdag.sem import (
     cholesky_to_adjacency,
     sample_covariance,
 )
-from birkdag.solver import SolverSettings, estimate_cholesky
+from birkdag.solver import SolverSettings, estimate_cholesky, estimate_cholesky_path
 
 # Each ordering step starts gradient projection from
 # ANCHOR * (incumbent vertex) + (1 - ANCHOR) * (polytope center): an
@@ -239,21 +239,34 @@ def tune(
 ) -> tuple[dict, list[dict]]:
     """Select tuning parameters by eBIC over the grid.
 
-    Each cell runs one L-step at the initial ordering (a fit with
-    outer_k_max 1, so no ordering step) and is scored by the eBIC of the
-    fitted factor on the full-data log-likelihood scale,
-    2 n nll + s log n + 4 s gamma_bic log p.  Returns (best cell, table);
-    the best cell is the eBIC argmin with ties resolved by grid order.
+    Each cell is one L-step at the initial ordering, the factor a fit
+    with outer_k_max 1 would return; all cells are solved in one batched
+    L-step (``estimate_cholesky_path``).  A cell is scored by the eBIC
+    of its factor on the full-data log-likelihood scale,
+    2 n nll + s log n + 4 s gamma_bic log p.  Each table row holds the
+    cell, "ebic", "support", and the cell's L-step "sweeps_max" and
+    "unconverged_rows".  Returns (best cell, table); the best cell is
+    the eBIC argmin with ties resolved by grid order.
     """
     if not isinstance(x, DataMatrix):
         x = DataMatrix(np.asarray(x, dtype=float))
+    if x.p < 2:
+        raise ValueError("tune requires at least two variables")
+    cells = grid.cells()
+    params = [cell_config(cfg, cell).mcp for cell in cells]
+    s = sample_covariance(x)
+    order = _initial_order(s, cfg.init)
     table = []
     best = None
-    for cell in grid.cells():
-        res = fit(x, cell_config(cfg, cell, outer_k_max=1, gamma_bic=grid.gamma_bic))
+    for cell, ch in zip(cells, estimate_cholesky_path(order, s, params, cfg.solver)):
+        support = ch.l.support_size()
         row = dict(cell)
-        row["ebic"] = res.ebic_value
-        row["support"] = res.l_hat.support_size()
+        row["ebic"] = ebic(
+            x.n * neg_log_likelihood(ch.l, order, s), support, x.n, x.p, grid.gamma_bic
+        )
+        row["support"] = support
+        row["sweeps_max"] = int(ch.sweeps.max())
+        row["unconverged_rows"] = int((~ch.converged).sum())
         table.append(row)
         if best is None or row["ebic"] < best["ebic"]:
             best = row

@@ -12,6 +12,7 @@ of DAG structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -125,6 +126,11 @@ class CholeskyFactor:
     @property
     def p(self) -> int:
         return self.l.shape[0]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """L^t L, computed once per factor."""
+        return self.l.T @ self.l
 
     def support_size(self) -> int:
         """Number of nonzeros in the strict lower triangle."""

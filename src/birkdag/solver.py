@@ -14,11 +14,17 @@ value in the flat region of the penalty.
 
 Rows are independent, so the full-factor driver interleaves all rows
 through shared column sweeps; the arithmetic per row is the cyclic
-order of the single-row solver.
+order of the single-row solver.  ``estimate_cholesky_path`` stacks the
+factors of several (lambda, gamma) cells at one ordering, such as a
+tuning grid, and sweeps them together, so the per-column overhead is
+paid once for the whole path; ``estimate_cholesky`` is its one-cell
+case.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +179,102 @@ class CholeskyEstimate:
         return bool(self.converged.all())
 
 
+def estimate_cholesky_path(
+    perm: Permutation,
+    s: SampleCovariance,
+    params_seq: Sequence[McpParams],
+    settings: SolverSettings = SolverSettings(),
+    l0: CholeskyFactor | None = None,
+) -> list[CholeskyEstimate]:
+    """Estimate the sparse Cholesky factor for each MCP cell at one ordering.
+
+    Row 1 has the closed form L_11 = 1/sqrt(S^P_11); every other row is
+    an independent subproblem on the leading block of S^P = P S P^t.
+    The cells of ``params_seq`` are stacked, and all rows of all cells
+    advance together through shared column sweeps; within each row the
+    cyclic order is that of ``minimize_row``, so every cell's factor,
+    sweep counts and convergence flags are those of a solve on its own.
+    ``l0`` warm starts the rows of every cell.  The convexity guard is
+    checked for every cell, in order, before the first sweep.
+    """
+    sp = _permuted_cov(perm, s)
+    p = sp.shape[0]
+    d = np.diag(sp).copy()
+    if (d <= 0).any():
+        raise ValueError("permuted covariance has a non-positive diagonal entry")
+    guard = max(float(1.0 / (2.0 * d.min())), 1.0)
+    for params in params_seq:
+        if params.gamma <= guard:
+            raise ConvexityGuardError(
+                f"gamma={params.gamma} must exceed max(1/(2 min S^P_ii), 1) = {guard}"
+            )
+
+    if l0 is not None and l0.p != p:
+        raise ValueError("l0 dimension disagrees with the covariance")
+
+    # one pass over columns per sweep, all active rows of all cells at once
+    c = len(params_seq)
+    if l0 is None:
+        l = np.zeros((c, p, p))
+        l[:, np.arange(p), np.arange(p)] = 1.0 / np.sqrt(d)
+    else:
+        l = np.repeat(np.tril(l0.l)[None], c, axis=0)
+    lam = np.array([params.lam for params in params_seq], dtype=float)[:, None]
+    gamma = np.array([params.gamma for params in params_seq], dtype=float)[:, None]
+    thresh = gamma * lam
+    denom = 2.0 * d - 1.0 / gamma
+    active = np.ones((c, p), dtype=bool)
+    active[:, 0] = False
+    l[:, 0, 0] = 1.0 / np.sqrt(d[0])
+    sweeps = np.zeros((c, p), dtype=int)
+    dl = d.tolist()
+    out: list[CholeskyEstimate | None] = [None] * c
+    cells = np.arange(c)  # the cell each slab of the stack belongs to
+    slabs = list(l)
+    for sweep in range(1, settings.k_max + 1):
+        # a cell whose rows have all converged leaves the stack
+        done = ~active.any(axis=1)
+        if done.any():
+            for k in np.flatnonzero(done):
+                out[cells[k]] = CholeskyEstimate(CholeskyFactor(l[k]), sweeps[k], ~active[k])
+            keep = ~done
+            l, active, sweeps, cells = l[keep], active[keep], sweeps[keep], cells[keep]
+            lam, thresh, denom = lam[keep], thresh[keep], denom[keep]
+            slabs = list(l)
+        if not cells.size:
+            break
+        # past the last active row no column update touches an active row
+        last = int(np.flatnonzero(active.any(axis=0))[-1])
+        by_col = active.T.tolist()
+        l_old = l.copy()
+        for j in range(last + 1):
+            dj = dl[j]
+            # a separate dot per cell: a stacked product rounds differently
+            col = sp[: j + 1, j]
+            for slab, on in zip(slabs, by_col[j]):
+                if on:
+                    ssum = float(col.dot(slab[j, : j + 1])) - dj * slab.item(j, j)
+                    slab[j, j] = (-ssum + math.sqrt(ssum * ssum + 4.0 * dj)) / (2.0 * dj)
+            if j >= last:
+                continue
+            # all rows below j, active or not: a shorter product rounds differently
+            rows = slice(j + 1, p)
+            lj = l[:, rows, j]
+            z = -2.0 * (l[:, rows, :] @ sp[:, j] - dj * lj)
+            az = np.abs(z)
+            new = np.sign(z) * np.maximum(az - lam, 0.0) / denom[:, j : j + 1]
+            np.copyto(new, z / (2.0 * dj), where=az / (2.0 * dj) >= thresh)
+            np.copyto(lj, new, where=active[:, rows])
+        moved = np.sqrt(((l - l_old) ** 2).sum(axis=2))
+        finished = active & (moved < settings.eps)
+        sweeps[finished] = sweep
+        active &= ~finished
+    sweeps[active] = settings.k_max
+    for k, cell in enumerate(cells):
+        out[cell] = CholeskyEstimate(CholeskyFactor(l[k]), sweeps[k], ~active[k])
+    return out
+
+
 def estimate_cholesky(
     perm: Permutation,
     s: SampleCovariance,
@@ -182,64 +284,9 @@ def estimate_cholesky(
 ) -> CholeskyEstimate:
     """Estimate the full sparse Cholesky factor for a fixed ordering.
 
-    Row 1 has the closed form L_11 = 1/sqrt(S^P_11); every other row is
-    an independent subproblem on the leading block of S^P = P S P^t.
-    All rows advance together through shared column sweeps; within each
-    row the cyclic order is that of ``minimize_row``.  ``l0`` warm starts
-    the rows.
+    The one-cell case of ``estimate_cholesky_path``.
     """
-    sp = _permuted_cov(perm, s)
-    p = sp.shape[0]
-    d = np.diag(sp).copy()
-    if (d <= 0).any():
-        raise ValueError("permuted covariance has a non-positive diagonal entry")
-    guard = max(float(1.0 / (2.0 * d.min())), 1.0)
-    if params.gamma <= guard:
-        raise ConvexityGuardError(
-            f"gamma={params.gamma} must exceed max(1/(2 min S^P_ii), 1) = {guard}"
-        )
-
-    if l0 is not None and l0.p != p:
-        raise ValueError("l0 dimension disagrees with the covariance")
-
-    # one pass over columns per sweep, all active rows at once
-    if l0 is None:
-        l = np.zeros((p, p))
-        l[np.arange(p), np.arange(p)] = 1.0 / np.sqrt(d)
-    else:
-        l = np.tril(l0.l).copy()
-    lam, gamma = params.lam, params.gamma
-    denom = 2.0 * d - 1.0 / gamma
-    active = np.ones(p, dtype=bool)
-    active[0] = False
-    l[0, 0] = 1.0 / np.sqrt(d[0])
-    sweeps = np.zeros(p, dtype=int)
-    for sweep in range(1, settings.k_max + 1):
-        if not active.any():
-            break
-        l_old = l.copy()
-        for j in range(p):
-            if active[j]:
-                ssum = float(sp[: j + 1, j] @ l[j, : j + 1]) - d[j] * l[j, j]
-                l[j, j] = (-ssum + np.sqrt(ssum * ssum + 4.0 * d[j])) / (2.0 * d[j])
-            if j + 1 >= p:
-                continue
-            rows = slice(j + 1, p)
-            w = l[rows, :] @ sp[:, j]
-            z = -2.0 * (w - d[j] * l[rows, j])
-            flat = np.abs(z) / (2.0 * d[j]) >= gamma * lam
-            new = np.where(
-                flat,
-                z / (2.0 * d[j]),
-                np.sign(z) * np.maximum(np.abs(z) - lam, 0.0) / denom[j],
-            )
-            l[rows, j] = np.where(active[rows], new, l[rows, j])
-        moved = np.sqrt(((l - l_old) ** 2).sum(axis=1))
-        finished = active & (moved < settings.eps)
-        sweeps[finished] = sweep
-        active &= ~finished
-    sweeps[active] = settings.k_max
-    return CholeskyEstimate(CholeskyFactor(l), sweeps, ~active)
+    return estimate_cholesky_path(perm, s, [params], settings, l0)[0]
 
 
 def row_objectives(l: CholeskyFactor, sp: np.ndarray, params: McpParams) -> np.ndarray:

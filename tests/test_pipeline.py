@@ -17,7 +17,7 @@ from birkdag.sem import (
     sample_covariance,
     sample_data,
 )
-from birkdag.solver import SolverSettings, estimate_cholesky
+from birkdag.solver import ConvexityGuardError, SolverSettings, estimate_cholesky
 from conftest import random_covariance
 
 
@@ -259,3 +259,43 @@ class TestTune:
         monkeypatch.setattr(pipeline, "estimate_permutation", refuse)
         best, table = tune(independent_data(5, 200, 5), TuningGrid(lambdas=(0.1, 0.3), gammas=(2.0,)))
         assert len(table) == 2 and best in table
+
+    def test_table_matches_per_cell_fits(self):
+        grid = TuningGrid(lambdas=(0.0, 0.2, 0.5), gammas=(2.0, 3.0), gamma_bic=0.5)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = sample_data(generate_dag(15, 15, rng), 80, rng)
+            cfg = RrcfConfig(seed=seed)
+            _, table = tune(x, grid, cfg)
+            for row in table:
+                res = fit(x, pipeline.cell_config(cfg, row, outer_k_max=1, gamma_bic=grid.gamma_bic))
+                assert row["ebic"] == res.ebic_value
+                assert row["support"] == res.l_hat.support_size()
+                assert row["sweeps_max"] == res.diagnostics["solver_sweeps_max"][0]
+                assert row["unconverged_rows"] == res.diagnostics["solver_unconverged_rows"][0]
+
+    def test_capped_cells_are_reported(self):
+        rng = np.random.default_rng(8)
+        x = sample_data(generate_dag(6, 6, rng), 200, rng)
+        grid = TuningGrid(lambdas=(0.1, 0.4), gammas=(2.0,))
+        _, capped = tune(x, grid, RrcfConfig(solver=SolverSettings(k_max=1)))
+        assert all(row["sweeps_max"] == 1 and 0 < row["unconverged_rows"] <= 5 for row in capped)
+        _, default = tune(x, grid)
+        assert all(row["sweeps_max"] > 1 and row["unconverged_rows"] == 0 for row in default)
+
+    def test_guard_error_names_the_first_bad_cell(self):
+        x = independent_data(4, 200, 6)
+        x = DataMatrix(x.x * np.array([0.1, 1.0, 1.0, 1.0]))
+        with pytest.raises(ConvexityGuardError) as one_cell:
+            fit(x, RrcfConfig(mcp=McpParams(0.2, 2.0), outer_k_max=1))
+        with pytest.raises(ConvexityGuardError) as grid:
+            tune(x, TuningGrid(lambdas=(0.2,), gammas=(100.0, 2.0, 1.5)))
+        assert str(grid.value) == str(one_cell.value)
+
+
+def test_public_names_resolve():
+    import birkdag
+
+    assert len(set(birkdag.__all__)) == len(birkdag.__all__)
+    for name in birkdag.__all__:
+        assert getattr(birkdag, name) is not None

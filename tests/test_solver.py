@@ -20,6 +20,7 @@ from birkdag.solver import (
     check_lower_bounds,
     default_row_start,
     estimate_cholesky,
+    estimate_cholesky_path,
     minimize_row,
     row_objectives,
     update_diagonal,
@@ -303,6 +304,62 @@ class TestEstimateCholesky:
         cold = estimate_cholesky(perm, s, McpParams(0.2, 2.0))
         warm = estimate_cholesky(perm, s, McpParams(0.2, 2.0), l0=cold.l)
         assert np.abs(cold.l.l - warm.l.l).max() <= 1e-7
+
+
+PATH_CELLS = [McpParams(lam, gamma) for lam in (0.0, 0.2, 0.7) for gamma in (2.0, 3.0)]
+
+
+def path_problem(p, seed):
+    """Permuted covariance problem at p: a random SEM at p >= 30, else Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    if p >= 30:
+        x = sample_data(generate_dag(p, p, rng), p + 50, rng)
+        s = sample_covariance(x)
+    else:
+        s = random_covariance(p, 4 * p, rng)
+    return Permutation(rng.permutation(p)), s
+
+
+def assert_same_estimate(a, b):
+    assert np.array_equal(a.l.l, b.l.l)
+    assert np.array_equal(a.sweeps, b.sweeps)
+    assert np.array_equal(a.converged, b.converged)
+
+
+class TestEstimateCholeskyPath:
+    @pytest.mark.parametrize("p", [2, 3, 8, 30, 100])
+    def test_cells_equal_one_cell_solves(self, p):
+        perm, s = path_problem(p, p)
+        warm = estimate_cholesky(perm, s, McpParams(0.4, 2.0)).l
+        for settings, l0 in itertools.product((SolverSettings(k_max=1), SolverSettings()), (None, warm)):
+            path = estimate_cholesky_path(perm, s, PATH_CELLS, settings, l0)
+            assert len(path) == len(PATH_CELLS)
+            for params, est in zip(PATH_CELLS, path):
+                assert_same_estimate(est, estimate_cholesky(perm, s, params, settings, l0))
+
+    def test_cells_match_serial(self):
+        settings = SolverSettings(eps=1e-10, k_max=2000)
+        for seed in range(3):
+            perm, s = path_problem(7, seed)
+            l0 = estimate_cholesky(perm, s, McpParams(0.3, 2.0)).l
+            for warm in (None, l0):
+                path = estimate_cholesky_path(perm, s, PATH_CELLS, settings, warm)
+                for params, est in zip(PATH_CELLS, path):
+                    ref = serial_cholesky(perm, s, params, settings, warm)
+                    assert np.abs(est.l.l - ref.l.l).max() <= 1e-9
+
+    def test_empty_path(self, rng):
+        assert estimate_cholesky_path(Permutation.identity(3), random_covariance(3, 20, rng), []) == []
+
+    def test_guard_checked_for_every_cell_in_order(self):
+        s = SampleCovariance(np.diag([0.2, 0.3, 1.0]))
+        perm = Permutation.identity(3)
+        ok, bad, worse = McpParams(0.1, 3.0), McpParams(0.1, 2.0), McpParams(0.1, 1.5)
+        with pytest.raises(ConvexityGuardError) as one_cell:
+            estimate_cholesky(perm, s, bad)
+        with pytest.raises(ConvexityGuardError) as path:
+            estimate_cholesky_path(perm, s, [ok, bad, worse])
+        assert str(path.value) == str(one_cell.value)
 
 
 class TestLowerBounds:
