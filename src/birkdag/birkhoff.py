@@ -313,6 +313,15 @@ def relaxed_gradient(
     return g - cfg.mu * _center_cols(P)
 
 
+def _objective_from_gradient(g: np.ndarray, P: np.ndarray) -> float:
+    """The relaxed objective at P from its gradient g there.
+
+    The objective is a homogeneous quadratic in P, so f(P) = 1/2 <grad f(P), P>
+    exactly; ``relaxed_objective`` is the direct form.
+    """
+    return 0.5 * float(_einsum("ij,ij->", g, P))
+
+
 def convexity_thresholds(
     l: CholeskyFactor, s: SampleCovariance | np.ndarray
 ) -> tuple[float, float, float]:
@@ -378,7 +387,8 @@ def gradient_projection(
     eta = 1.0 / (convexity_thresholds(l, s)[2] + cfg.mu + 1e-15)
 
     P = p_init.m.copy()
-    fP = relaxed_objective(P, l, s, cfg)
+    g = relaxed_gradient(P, l, s, cfg)
+    fP = _objective_from_gradient(g, P)
     if not np.isfinite(fP):
         raise FloatingPointError("relaxed objective is not finite at the initial point")
     duals = None
@@ -387,21 +397,21 @@ def gradient_projection(
     trace = [fP]
     for k in range(cfg.k_max):
         n_iter = k + 1
-        g = relaxed_gradient(P, l, s, cfg)
         proj = project_to_birkhoff(P - eta * g, duals0=duals)
         duals = proj.duals
         d = proj.ds.m - P
         slope = float((g * d).sum())
+        # the last trial, at alpha <= 1e-13, is taken unconditionally
         alpha = 1.0
-        f_new = fP
-        while alpha > 1e-13:
-            f_new = relaxed_objective(P + alpha * d, l, s, cfg)
-            if f_new <= fP + 1e-4 * alpha * slope:
+        while True:
+            P_new = P + alpha * d
+            g_new = relaxed_gradient(P_new, l, s, cfg)
+            f_new = _objective_from_gradient(g_new, P_new)
+            if alpha <= 1e-13 or f_new <= fP + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
-        P_new = P + alpha * d
         moved = float(np.linalg.norm(P_new - P))
-        P, fP = P_new, f_new
+        P, fP, g = P_new, f_new, g_new
         trace.append(fP)
         if not np.isfinite(fP):
             raise FloatingPointError("relaxed objective became non-finite")

@@ -19,18 +19,38 @@ factors of several (lambda, gamma) cells at one ordering, such as a
 tuning grid, and sweeps them together, so the per-column overhead is
 paid once for the whole path; ``estimate_cholesky`` is its one-cell
 case.
+
+Rows converge unevenly: at p = 200 the median row stops after about 10
+sweeps and the slowest after 38-160, so a solve ends in sweeps with a
+handful of active rows.  Once at most ``SCALAR_TAIL_PAIRS`` (cell, row)
+pairs are active, a sweep runs the closed-form steps in Python floats on
+those rows alone.  It keeps the column order and each cell's full-slice
+product, and every float operation is the one the stacked sweep applies
+elementwise, so factors, sweep counts and convergence flags are
+bit-identical whichever path a sweep takes.  The scalar steps
+``offdiagonal_step`` and ``diagonal_step`` are shared with the single-row
+solver.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from birkdag.scoring import McpParams, _permuted_cov, mcp
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
+
+
+# A sweep with at most this many active (cell, row) pairs runs through
+# ``_scalar_sweep``.  The stacked sweep pays about 15 numpy calls per
+# column however few rows are still active.  Measured break-even: 16-32
+# pairs (p = 100 and 200); at 64 a p = 100 fit gives back most of the gain.
+SCALAR_TAIL_PAIRS = 24
 
 
 class ConvexityGuardError(ValueError):
@@ -97,38 +117,49 @@ class RowSubproblem:
         return val
 
 
-def _soft(z: float, lam: float) -> float:
-    return float(np.sign(z) * max(abs(z) - lam, 0.0))
+def offdiagonal_step(z: float, a_jj: float, lam: float, gamma: float) -> float:
+    """MCP minimizer of a_jj t^2 - z t + rho(|t|) over t.
+
+    In the flat-penalty region (|z|/(2 a_jj) >= gamma lambda) it is the
+    unpenalized value z / (2 a_jj); otherwise S_lambda(z) / (2 a_jj - 1/gamma).
+    Each float operation is the one the column sweep applies elementwise,
+    so the scalar and the array forms agree bit for bit.
+    """
+    if abs(z) / (2.0 * a_jj) >= gamma * lam:
+        return z / (2.0 * a_jj)
+    # S_lambda(z) = sign(z) max(|z| - lambda, 0), with numpy's sign(+-0) = +0
+    m = max(abs(z) - lam, 0.0)
+    return (m if z > 0 else -m if z < 0 else 0.0 * m) / (2.0 * a_jj - 1.0 / gamma)
+
+
+def diagonal_step(ssum: float, a_kk: float) -> float:
+    """Positive root of a_kk t^2 + ssum t - 1 = 0."""
+    return (-ssum + math.sqrt(ssum * ssum + 4.0 * a_kk)) / (2.0 * a_kk)
 
 
 def update_offdiagonal(sub: RowSubproblem, x: np.ndarray, j: int) -> float:
     """Closed-form MCP minimizer of h in coordinate j < k.
 
-    With z = -2 sum_{l != j} A_lj x_l: in the flat-penalty region
-    (|z|/(2 A_jj) >= gamma lambda) the minimizer is the unpenalized value
-    z / (2 A_jj); otherwise it is S_lambda(z) / (2 A_jj - 1/gamma).
+    With z = -2 sum_{l != j} A_lj x_l, this is ``offdiagonal_step``.
     """
     if not 0 <= j < sub.k - 1:
         raise ValueError(f"j must index an off-diagonal coordinate, got {j}")
     lam, gamma = sub.params.lam, sub.params.gamma
-    a_jj = sub.a[j, j]
+    a_jj = float(sub.a[j, j])
     denom = 2.0 * a_jj - 1.0 / gamma
     if denom <= 0:
         raise ConvexityGuardError(
             f"2 A_jj - 1/gamma = {denom} <= 0 at j={j}; raise gamma above 1/(2 A_jj)"
         )
-    z = -2.0 * (float(sub.a[:, j] @ x) - a_jj * x[j])
-    if abs(z) / (2.0 * a_jj) >= gamma * lam:
-        return z / (2.0 * a_jj)
-    return _soft(z, lam) / denom
+    z = -2.0 * (float(sub.a[:, j] @ x) - a_jj * float(x[j]))
+    return offdiagonal_step(z, a_jj, lam, gamma)
 
 
 def update_diagonal(sub: RowSubproblem, x: np.ndarray) -> float:
     """Positive root of A_kk t^2 + (sum_{l != k} A_lk x_l) t - 1 = 0."""
     k = sub.k - 1
-    a_kk = sub.a[k, k]
-    ssum = float(sub.a[:, k] @ x) - a_kk * x[k]
-    return (-ssum + np.sqrt(ssum * ssum + 4.0 * a_kk)) / (2.0 * a_kk)
+    a_kk = float(sub.a[k, k])
+    return diagonal_step(float(sub.a[:, k] @ x) - a_kk * float(x[k]), a_kk)
 
 
 def default_row_start(sub: RowSubproblem) -> np.ndarray:
@@ -212,7 +243,6 @@ def estimate_cholesky_path(
     if l0 is not None and l0.p != p:
         raise ValueError("l0 dimension disagrees with the covariance")
 
-    # one pass over columns per sweep, all active rows of all cells at once
     c = len(params_seq)
     if l0 is None:
         l = np.zeros((c, p, p))
@@ -221,8 +251,6 @@ def estimate_cholesky_path(
         l = np.repeat(np.tril(l0.l)[None], c, axis=0)
     lam = np.array([params.lam for params in params_seq], dtype=float)[:, None]
     gamma = np.array([params.gamma for params in params_seq], dtype=float)[:, None]
-    thresh = gamma * lam
-    denom = 2.0 * d - 1.0 / gamma
     active = np.ones((c, p), dtype=bool)
     active[:, 0] = False
     l[:, 0, 0] = 1.0 / np.sqrt(d[0])
@@ -230,7 +258,6 @@ def estimate_cholesky_path(
     dl = d.tolist()
     out: list[CholeskyEstimate | None] = [None] * c
     cells = np.arange(c)  # the cell each slab of the stack belongs to
-    slabs = list(l)
     for sweep in range(1, settings.k_max + 1):
         # a cell whose rows have all converged leaves the stack
         done = ~active.any(axis=1)
@@ -239,33 +266,13 @@ def estimate_cholesky_path(
                 out[cells[k]] = CholeskyEstimate(CholeskyFactor(l[k]), sweeps[k], ~active[k])
             keep = ~done
             l, active, sweeps, cells = l[keep], active[keep], sweeps[keep], cells[keep]
-            lam, thresh, denom = lam[keep], thresh[keep], denom[keep]
-            slabs = list(l)
+            lam, gamma = lam[keep], gamma[keep]
         if not cells.size:
             break
-        # past the last active row no column update touches an active row
-        last = int(np.flatnonzero(active.any(axis=0))[-1])
-        by_col = active.T.tolist()
-        l_old = l.copy()
-        for j in range(last + 1):
-            dj = dl[j]
-            # a separate dot per cell: a stacked product rounds differently
-            col = sp[: j + 1, j]
-            for slab, on in zip(slabs, by_col[j]):
-                if on:
-                    ssum = float(col.dot(slab[j, : j + 1])) - dj * slab.item(j, j)
-                    slab[j, j] = (-ssum + math.sqrt(ssum * ssum + 4.0 * dj)) / (2.0 * dj)
-            if j >= last:
-                continue
-            # all rows below j, active or not: a shorter product rounds differently
-            rows = slice(j + 1, p)
-            lj = l[:, rows, j]
-            z = -2.0 * (l[:, rows, :] @ sp[:, j] - dj * lj)
-            az = np.abs(z)
-            new = np.sign(z) * np.maximum(az - lam, 0.0) / denom[:, j : j + 1]
-            np.copyto(new, z / (2.0 * dj), where=az / (2.0 * dj) >= thresh)
-            np.copyto(lj, new, where=active[:, rows])
-        moved = np.sqrt(((l - l_old) ** 2).sum(axis=2))
+        if np.count_nonzero(active) <= SCALAR_TAIL_PAIRS:
+            moved = _scalar_sweep(sp, dl, l, active, lam, gamma)
+        else:
+            moved = _column_sweep(sp, dl, l, active, lam, gamma)
         finished = active & (moved < settings.eps)
         sweeps[finished] = sweep
         active &= ~finished
@@ -273,6 +280,74 @@ def estimate_cholesky_path(
     for k, cell in enumerate(cells):
         out[cell] = CholeskyEstimate(CholeskyFactor(l[k]), sweeps[k], ~active[k])
     return out
+
+
+def _column_sweep(sp, dl, l, active, lam, gamma) -> np.ndarray:
+    """One cyclic sweep of all active rows of all cells at once, column by column.
+
+    Updates the (cells, p, p) stack ``l`` in place and returns how far each
+    row moved, in Euclidean norm.
+    """
+    p = sp.shape[0]
+    thresh = gamma * lam
+    denom = 2.0 * sp.diagonal() - 1.0 / gamma
+    # past the last active row no column update touches an active row
+    last = int(np.flatnonzero(active.any(axis=0))[-1])
+    by_col = active.T.tolist()
+    slabs = list(l)
+    l_old = l.copy()
+    for j in range(last + 1):
+        dj = dl[j]
+        # a separate dot per cell: a stacked product rounds differently
+        col = sp[: j + 1, j]
+        for slab, on in zip(slabs, by_col[j]):
+            if on:
+                ssum = float(col.dot(slab[j, : j + 1])) - dj * slab.item(j, j)
+                slab[j, j] = diagonal_step(ssum, dj)
+        if j >= last:
+            continue
+        # all rows below j, active or not: a shorter product rounds differently
+        rows = slice(j + 1, p)
+        lj = l[:, rows, j]
+        z = -2.0 * (l[:, rows, :] @ sp[:, j] - dj * lj)
+        az = np.abs(z)
+        new = np.sign(z) * np.maximum(az - lam, 0.0) / denom[:, j : j + 1]
+        np.copyto(new, z / (2.0 * dj), where=az / (2.0 * dj) >= thresh)
+        np.copyto(lj, new, where=active[:, rows])
+    return np.sqrt(((l - l_old) ** 2).sum(axis=2))
+
+
+def _scalar_sweep(sp, dl, l, active, lam, gamma) -> np.ndarray:
+    """``_column_sweep`` for a few active rows: the straggler tail of a solve.
+
+    Each cell takes the same full-slice product per column as the stacked
+    sweep (a 2-D product rounds like one slab of the 3-D one), and the
+    closed-form steps run in floats on the active rows only, in the same
+    order, so the bits are those of ``_column_sweep``.  Returns the moves
+    of the active rows, zero elsewhere.
+    """
+    ks, rows = np.nonzero(active)
+    old = l[ks, rows]
+    lams, gammas = lam[:, 0].tolist(), gamma[:, 0].tolist()
+    for k, pairs in itertools.groupby(zip(ks.tolist(), rows.tolist()), key=itemgetter(0)):
+        own = [i for _, i in pairs]
+        slab, lam_k, gamma_k = l[k], lams[k], gammas[k]
+        lo = 0  # own[lo] is the first active row at or below column j
+        for j in range(own[-1] + 1):
+            dj = dl[j]
+            if own[lo] == j:
+                ssum = float(sp[: j + 1, j].dot(slab[j, : j + 1])) - dj * slab.item(j, j)
+                slab[j, j] = diagonal_step(ssum, dj)
+                lo += 1
+                if lo == len(own):
+                    break
+            prod = slab[j + 1 :] @ sp[:, j]
+            for i in own[lo:]:
+                z = -2.0 * (prod.item(i - j - 1) - dj * slab.item(i, j))
+                slab[i, j] = offdiagonal_step(z, dj, lam_k, gamma_k)
+    moved = np.zeros(active.shape)
+    moved[ks, rows] = np.sqrt(((l[ks, rows] - old) ** 2).sum(axis=1))
+    return moved
 
 
 def estimate_cholesky(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -203,7 +205,76 @@ class TestConvexityThresholds:
             assert abs(concave - ev[-1]) <= 1e-8 * max(1, abs(ev[-1]))
 
 
+def direct_objective_gp(l, s, cfg, p_init):
+    """Reference gradient projection with relaxed_objective at every Armijo trial.
+
+    Returns the iterate after each iteration.
+    """
+    eta = 1.0 / (convexity_thresholds(l, s)[2] + cfg.mu + 1e-15)
+    P = p_init.m.copy()
+    fP = relaxed_objective(P, l, s, cfg)
+    duals = None
+    iterates = []
+    for _ in range(cfg.k_max):
+        g = relaxed_gradient(P, l, s, cfg)
+        proj = project_to_birkhoff(P - eta * g, duals0=duals)
+        duals = proj.duals
+        d = proj.ds.m - P
+        slope = float((g * d).sum())
+        alpha = 1.0
+        f_new = fP
+        while alpha > 1e-13:
+            f_new = relaxed_objective(P + alpha * d, l, s, cfg)
+            if f_new <= fP + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        P_new = P + alpha * d
+        moved = float(np.linalg.norm(P_new - P))
+        P, fP = P_new, f_new
+        iterates.append(P)
+        if moved <= cfg.eps:
+            break
+    return iterates
+
+
 class TestGradientProjection:
+    @pytest.mark.parametrize("p", [3, 5, 8, 12, 20, 30])
+    def test_same_iterates_as_direct_objective_loop(self, p):
+        # The loop reads the objective off the gradient, 1/2 <grad f(P), P>,
+        # which rounds differently from relaxed_objective.  That can only
+        # flip an Armijo test at the noise floor, where the slope is no
+        # longer negative: the terminating step, a move below cfg.eps.
+        # Every iterate before it is bit-identical.
+        rng = np.random.default_rng(p)
+        s = random_covariance(p, 3 * p, rng)
+        l = random_cholesky(p, rng)
+        _, centered, concave = convexity_thresholds(l, s)
+        start = DoublyStochastic.center(p)
+        for mu in (max(centered, 0.0), 1.1 * concave):
+            cfg = RelaxationConfig(mu=mu)
+            ref = direct_objective_gp(l, s, cfg, start)
+            res = gradient_projection(l, s, cfg, start)
+            assert res.n_iter == len(ref)
+            if res.converged:
+                assert np.linalg.norm(res.ds.m - ref[-1]) <= 2 * cfg.eps
+            else:
+                assert np.array_equal(res.ds.m, ref[-1])
+            if len(ref) > 1:
+                before = gradient_projection(l, s, replace(cfg, k_max=len(ref) - 1), start)
+                assert np.array_equal(before.ds.m, ref[-2])
+
+    def test_capped_run_matches_direct_objective_loop(self, rng):
+        p = 30
+        s = random_covariance(p, 3 * p, rng)
+        l = random_cholesky(p, rng)
+        cfg = RelaxationConfig(mu=max(convexity_thresholds(l, s)[1], 0.0), k_max=40)
+        res = gradient_projection(l, s, cfg, DoublyStochastic.center(p))
+        ref = direct_objective_gp(l, s, cfg, DoublyStochastic.center(p))
+        assert not res.converged and res.n_iter == len(ref) == 40
+        assert np.array_equal(res.ds.m, ref[-1])
+        assert res.objective == pytest.approx(relaxed_objective(res.ds, l, s, cfg), rel=1e-12)
+
+
     def test_center_is_solution_for_scaled_identity_factor(self, rng):
         # with mu = 0 and L proportional to I the relaxed problem collapses
         # to the polytope center

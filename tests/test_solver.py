@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from birkdag import solver
 from birkdag.scoring import McpParams
 from birkdag.sem import (
     CholeskyFactor,
@@ -309,11 +310,12 @@ class TestEstimateCholesky:
 PATH_CELLS = [McpParams(lam, gamma) for lam in (0.0, 0.2, 0.7) for gamma in (2.0, 3.0)]
 
 
-def path_problem(p, seed):
-    """Permuted covariance problem at p: a random SEM at p >= 30, else Gaussian noise."""
+def path_problem(p, seed, n=None):
+    """Permuted covariance problem at p: a random SEM at p >= 30 (n samples,
+    default p + 50), else Gaussian noise."""
     rng = np.random.default_rng(seed)
     if p >= 30:
-        x = sample_data(generate_dag(p, p, rng), p + 50, rng)
+        x = sample_data(generate_dag(p, p, rng), p + 50 if n is None else n, rng)
         s = sample_covariance(x)
     else:
         s = random_covariance(p, 4 * p, rng)
@@ -360,6 +362,42 @@ class TestEstimateCholeskyPath:
         with pytest.raises(ConvexityGuardError) as path:
             estimate_cholesky_path(perm, s, [ok, bad, worse])
         assert str(path.value) == str(one_cell.value)
+
+
+class TestScalarTail:
+    @pytest.mark.parametrize("p", [2, 3, 8, 30, 100, 200])
+    def test_scalar_and_column_sweeps_bit_identical(self, p, monkeypatch):
+        # a cutoff of 0 keeps every sweep on the stacked path, a huge one
+        # sends every sweep through the scalar path
+        perm, s = path_problem(p, p, n=2 * p)
+        warm = estimate_cholesky(perm, s, McpParams(0.4, 2.0)).l
+        capped = SolverSettings(k_max=1)
+        for settings, l0 in itertools.product((capped, SolverSettings()), (None, warm)):
+            paths = []
+            for cutoff in (0, 10**9):
+                monkeypatch.setattr(solver, "SCALAR_TAIL_PAIRS", cutoff)
+                paths.append(estimate_cholesky_path(perm, s, PATH_CELLS, settings, l0))
+            for column, scalar in zip(*paths, strict=True):
+                assert_same_estimate(column, scalar)
+
+    def test_straggler_sweeps_take_the_scalar_path(self, monkeypatch):
+        taken = {"_column_sweep": [], "_scalar_sweep": []}
+        for name, log in taken.items():
+            sweep = getattr(solver, name)
+
+            def counted(sp, dl, l, active, lam, gamma, sweep=sweep, log=log):
+                log.append(int(active.sum()))
+                return sweep(sp, dl, l, active, lam, gamma)
+
+            monkeypatch.setattr(solver, name, counted)
+        perm, s = path_problem(30, 30)
+        est = estimate_cholesky(perm, s, McpParams(0.2, 2.0))
+        assert est.all_converged
+        assert taken["_column_sweep"] and taken["_scalar_sweep"]
+        assert min(taken["_column_sweep"]) > solver.SCALAR_TAIL_PAIRS
+        assert max(taken["_scalar_sweep"]) <= solver.SCALAR_TAIL_PAIRS
+        n_sweeps = len(taken["_column_sweep"]) + len(taken["_scalar_sweep"])
+        assert n_sweeps == est.sweeps.max()
 
 
 class TestLowerBounds:
