@@ -1,8 +1,9 @@
 """Euclidean projection onto the Birkhoff polytope via its dual.
 
 The projection solves min 1/2 ||P - P0||_F^2 over doubly stochastic
-matrices by block coordinate ascent on the dual; every block update has
-a closed form and the duality gap certifies optimality.
+matrices by semismooth Newton ascent on the dual: the primal is
+max(P0 - u 1^t - 1 v^t, 0), each step solves a p x p linear system for
+the dual step, and the duality gap certifies optimality.
 """
 
 import numpy as np

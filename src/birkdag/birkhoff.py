@@ -4,8 +4,9 @@ The ordering subproblem is relaxed from the set of permutation matrices
 to its convex hull, the Birkhoff polytope of doubly stochastic matrices.
 This module provides the four pieces of that pipeline:
 
-* Euclidean projection onto the polytope, computed by block coordinate
-  ascent on the dual with closed-form updates;
+* Euclidean projection onto the polytope, computed by semismooth Newton
+  ascent on its dual, which converges in a few steps from a cold start
+  and in one or two from the previous dual solution;
 * gradient projection for the relaxed quadratic objective
   1/2 tr(L P S P^t L^t) - mu/2 ||T P||_F^2 with T = I - (1/p) 1 1^t.
   On the polytope ||T P||_F^2 = ||P||_F^2 - 1, so this is the paper's
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 from scipy.optimize import linear_sum_assignment
 
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
@@ -40,6 +42,19 @@ except ImportError:
 # allowed; projection iterates must clear these before they are returned.
 NEG_TOL = 1e-10
 MARGIN_TOL = 1e-8
+
+# Semismooth Newton projection.  NEWTON_SHIFT goes on the diagonal of the
+# Newton system.  It keeps empty mask rows and columns solvable, and it
+# bounds the step along the null direction of every further connected
+# component of the mask, where the right-hand side holds only the
+# rounding error of that component's marginal sums: a shift of 1e-12
+# turned that error into steps of 1e-4 that stalled the iteration.
+# ARMIJO is the sufficient-ascent factor; MAX_HALVINGS caps the step
+# halvings of one line search.
+NEWTON_SHIFT = 1e-8
+ARMIJO = 1e-4
+MAX_HALVINGS = 60
+_EPS_MACH = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -136,123 +151,178 @@ def project_to_birkhoff(
 ) -> ProjectionResult:
     """Euclidean projection of p0 onto the Birkhoff polytope.
 
-    Runs block coordinate ascent on the dual of
-    min 1/2 ||P - P0||_F^2 s.t. P >= 0, P 1 = 1, P^t 1 = 1, with
-    closed-form block updates
+    Solves min 1/2 ||P - P0||_F^2 s.t. P >= 0, P 1 = 1, P^t 1 = 1 by
+    semismooth Newton ascent on its dual in (u, v) (Li, Sun & Toh 2020).
+    With W = P0 - u 1^t - 1 v^t the primal is P = max(W, 0), exactly
+    nonnegative, and the dual -1/2 ||P||_F^2 - sum(u) - sum(v) is
+    concave and piecewise quadratic with gradient (r, c), the marginal
+    residuals r = P 1 - 1 and c = P^t 1 - 1.  Each step solves
 
-        U <- max(0, u 1^t + 1 v^t - P0)
-        u <- (P0 1 - (v^t 1 + 1) 1 + U 1) / p
-        v <- (P0^t 1 - (u^t 1 + 1) 1 + U^t 1) / p
+        [[diag(O 1), O], [O^t, diag(O^t 1)]] (du, dv) = (r, c)
 
-    and primal recovery P = P0 - u 1^t - 1 v^t + U.  Iteration stops
-    when the duality gap |f(P) - f*(u, v, U)| falls below eps *and* the
-    primal iterate is feasible to within the doubly stochastic
-    tolerances.  The gap alone is not a certificate: before the primal
-    is feasible, f(P) - f* can cancel through the constraint-violation
-    terms of the Lagrangian.
+    with O = (W > 0), through its p x p Schur complement in dv.  The
+    direction (1, -1) moves no entry of P and leaves the system singular,
+    so it is removed exactly by pinning dv[-1] = 0.  A diagonal shift of
+    NEWTON_SHIFT keeps empty mask rows and columns solvable and damps the
+    null directions of a disconnected mask.  The step is halved until it
+    either raises the dual value by the Armijo amount, and by more than
+    its rounding error, or shrinks the largest marginal residual: near
+    the solution the Armijo gain falls below that rounding error, and the
+    residual test is what accepts the quadratically convergent steps.
+    Without duals0 the start is the projection onto the affine hull
+    {P 1 = 1, P^t 1 = 1}, whose rows and columns all have a positive
+    entry; a warm start is first shifted along (1, -1) to sum(u) = sum(v).
 
-    The effective tolerance is floored at the float64 noise level of the
-    gap computation, 4 eps_mach (1 + ||P0||_F^2), so large-scale inputs
-    terminate once the gap is at machine precision.
+    Iteration stops when the duality gap |f(P) - f*(u, v, U)|, with
+    U = max(0, u 1^t + 1 v^t - P0), falls below eps and the marginals are
+    within eps, or within the doubly stochastic tolerance once no step
+    can shrink them further (their float64 noise floor at large scales).
+    At P = max(W, 0) the gap equals |u^t r + v^t c|.  The effective gap
+    tolerance is floored at 4 eps_mach (1 + ||P0||_F^2), so large-scale
+    inputs terminate once the gap is at machine precision.
 
     Parameters
     ----------
-    p0 : square matrix to project.
-    eps : duality-gap tolerance.
-    k_max : iteration cap; on expiry the best iterate is returned with
-        ``converged=False``.
-    duals0 : optional warm start for (u, v); repeated projections of
-        nearby points converge in a handful of iterations.
+    p0 : non-empty square matrix to project.
+    eps : duality-gap tolerance; the marginals are held to it too,
+        where float64 allows.
+    k_max : iteration cap; every iteration tests the current point and
+        all but the last take one Newton step, so at most k_max - 1 steps
+        are taken.  On expiry, or earlier when no step can improve the
+        point any more, the iterate is made feasible by
+        ``_force_feasible`` and returned with ``converged=False``.
+    duals0 : optional warm start for (u, v), each of shape (p,);
+        repeated projections of nearby points converge in one or two
+        Newton steps.
     """
     p0 = np.asarray(p0, dtype=float)
-    if p0.ndim != 2 or p0.shape[0] != p0.shape[1]:
-        raise ValueError(f"p0 must be square, got shape {p0.shape}")
+    if p0.ndim != 2 or p0.shape[0] != p0.shape[1] or p0.shape[0] == 0:
+        raise ValueError(f"p0 must be a non-empty square matrix, got shape {p0.shape}")
     if not np.isfinite(p0).all():
         raise ValueError("p0 contains non-finite entries")
-    p = p0.shape[0]
-
-    floor = 4.0 * np.finfo(float).eps * (1.0 + float((p0 * p0).sum()))
-    tol = max(eps, floor)
-
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    # At p <= 20 the per-call overhead of numpy, not arithmetic, sets the
-    # cost of an iteration, so the loop writes into preallocated buffers:
-    # u lives in a (p, 1) column so that u 1^t + 1 v^t broadcasts from it,
-    # and the outer sum built for a gap evaluation is reused by the next
-    # U-update, which needs the same (u, v).  Every value is computed by
-    # the same operations in the same order as the plain formulas above.
-    ucol = np.zeros((p, 1))
-    u = ucol[:, 0]
-    if duals0 is None:
-        v = np.zeros(p)
-    else:
-        u[:] = duals0.u
-        v = duals0.v.copy()
-    r0 = p0.sum(axis=1)
-    c0 = p0.sum(axis=0)
-    r0m1 = r0 - 1.0
-    c0m1 = c0 - 1.0
+    p = p0.shape[0]
+    if duals0 is not None:
+        for name in ("u", "v"):
+            shape = np.shape(getattr(duals0, name))
+            if shape != (p,):
+                raise ValueError(f"duals0.{name} must have shape ({p},), got {shape}")
 
-    add, sub, div, red = np.add, np.subtract, np.true_divide, np.add.reduce
-    pf = float(p)
-    outer = np.empty((p, p))
-    U = np.empty((p, p))
-    M = np.empty((p, p))
-    marg = np.empty(p)
-    have_outer = False
-    gap = np.inf
-    converged = False
+    floor = 4.0 * _EPS_MACH * (1.0 + float((p0 * p0).sum()))
+    tol = max(eps, floor)
+
+    # At p <= 20 the per-call overhead of numpy, not arithmetic, sets the
+    # cost of an iteration, so (u, v) and (r, c) each live in one stacked
+    # buffer, and the current point and the line-search trial write into
+    # two preallocated states that swap on acceptance.
+    cur, trial = _NewtonState(p), _NewtonState(p)
+    if duals0 is None:
+        rc0 = np.concatenate((p0.sum(axis=1), p0.sum(axis=0)))
+        np.subtract((rc0 - 1.0) / p, (float(p0.sum()) - p) / (2.0 * p * p), out=cur.uv)
+    else:
+        a = (float(np.sum(duals0.v)) - float(np.sum(duals0.u))) / (2.0 * p)
+        np.add(duals0.u, a, out=cur.u)
+        np.subtract(duals0.v, a, out=cur.v)
+    cur.evaluate(p0)
+
+    om = np.empty((p, p))
+    od = np.empty((p, p))
+    schur = np.empty((p, p))
+    d = np.zeros(2 * p)
+    du, dv = d[:p], d[p:]
+    converged = stuck = False
     n_iter = 0
-    sv_old = float(red(v))
     for k in range(k_max):
         n_iter = k + 1
-        if not have_outer:
-            add(ucol, v, outer)
-        sub(outer, p0, U)
-        np.maximum(0.0, U, out=U)
-        sub(r0, sv_old + 1.0, u)
-        add(u, red(U, 1, None, marg), u)
-        div(u, pf, u)
-        sub(c0, float(red(u)) + 1.0, v)
-        add(v, red(U, 0, None, marg), v)
-        div(v, pf, v)
-        sv_new = float(red(v))
-        # the gap evaluation costs a third of an iteration; after a warm-up
-        # it runs every other pass, which leaves the termination contract
-        # (gap < tol on return) intact and only ever adds dual iterations
-        have_outer = not (k >= 16 and (k & 1) == 0 and k != k_max - 1)
-        if have_outer:
-            add(ucol, v, outer)
-            sub(outer, U, M)
-            gap = abs(
-                float(_einsum("ij,ij->", M, M)) + float(_einsum("ij,ij->", U, p0))
-                - u.dot(r0m1) - v.dot(c0m1)
-            )
-            # column sums are exact by the v-update; the row-sum residual
-            # is the scalar drift of sum(v) within this iteration; entrywise
-            # negativity is checked on the recovered primal
-            if gap < tol and abs(sv_old - sv_new) <= MARGIN_TOL and (p0 - M).min() >= -NEG_TOL:
+        if cur.res <= MARGIN_TOL and (cur.res <= eps or stuck):
+            gap = cur.gap()
+            if gap < tol:
                 converged = True
                 break
-        sv_old = sv_new
-    # the last pass always evaluates the gap, so M holds u 1^t + 1 v^t - U
-    P = p0 - M
+        if stuck or k == k_max - 1:
+            break
+        np.sign(cur.P, out=om)
+        d1 = om.sum(axis=1) + NEWTON_SHIFT
+        d2 = om.sum(axis=0) + NEWTON_SHIFT
+        np.divide(om, d1[:, None], out=od)
+        np.matmul(om.T, od, out=schur)
+        np.negative(schur, out=schur)
+        schur.flat[:: p + 1] += d2
+        rhs = cur.c - od.T @ cur.r
+        if p > 1:
+            # the pinned Schur complement is symmetric positive definite
+            _, dv[:-1], info = dposv(schur[:-1, :-1], rhs[:-1])
+            if info:
+                raise np.linalg.LinAlgError(f"Newton system not positive definite (dposv {info})")
+        np.divide(cur.r - om @ dv, d1, out=du)
+        slope = float(cur.rc @ d)
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            np.multiply(d, t, out=trial.uv)
+            np.add(cur.uv, trial.uv, out=trial.uv)
+            trial.evaluate(p0)
+            gain = max(ARMIJO * t * slope, 4.0 * _EPS_MACH * abs(cur.theta))
+            if trial.theta - cur.theta >= gain or trial.res < cur.res:
+                break
+            t *= 0.5
+        else:
+            # no step improves the point: test it once more, then give up
+            stuck = True
+            continue
+        cur, trial = trial, cur
+    if not converged:
+        gap = cur.gap()
+    P = cur.P
     return ProjectionResult(
         ds=DoublyStochastic(P) if converged else _force_feasible(P),
-        duals=DualVariables(u=u, v=v, bigu=U),
+        duals=DualVariables(u=cur.u, v=cur.v, bigu=np.maximum(cur.outer - p0, 0.0)),
         gap=gap,
         converged=converged,
         n_iter=n_iter,
     )
 
 
+class _NewtonState:
+    """Primal quantities of the projection at one dual point (u, v)."""
+
+    def __init__(self, p: int):
+        self.uv = np.empty(2 * p)
+        self.u, self.v = self.uv[:p], self.uv[p:]
+        self.ucol = self.u[:, None]
+        self.outer = np.empty((p, p))
+        self.P = np.empty((p, p))
+        self.rc = np.empty(2 * p)
+        self.r, self.c = self.rc[:p], self.rc[p:]
+        self.res = self.theta = 0.0
+
+    def evaluate(self, p0: np.ndarray) -> None:
+        """P = max(W, 0), the marginal residuals and the dual value."""
+        np.add(self.ucol, self.v, out=self.outer)
+        np.subtract(p0, self.outer, out=self.P)
+        np.maximum(self.P, 0.0, out=self.P)
+        np.add.reduce(self.P, 1, None, self.r)
+        np.add.reduce(self.P, 0, None, self.c)
+        self.rc -= 1.0
+        self.res = float(np.abs(self.rc).max())
+        self.theta = -0.5 * float(_einsum("ij,ij->", self.P, self.P)) - float(self.uv.sum())
+
+    def gap(self) -> float:
+        """|f(P) - f*(u, v, U)| with U = max(0, u 1^t + 1 v^t - P0).
+
+        P0 = P - U + u 1^t + 1 v^t and <P, U> = 0 turn the gap into
+        |u^t r + v^t c|, which is evaluated without the cancellation of
+        the full primal and dual values.
+        """
+        return abs(float(self.uv @ self.rc))
+
+
 def _force_feasible(P: np.ndarray) -> DoublyStochastic:
     """Best-effort wrap of a non-converged primal iterate.
 
     Clips negatives and alternately rescales rows and columns until the
-    doubly stochastic tolerances hold; only reached on k_max expiry, and
-    the caller sees ``converged=False``.
+    doubly stochastic tolerances hold; only reached when the projection
+    stops unconverged, and the caller sees ``converged=False``.
     """
     Q = np.clip(P, 0.0, None)
     for _ in range(200):
@@ -375,7 +445,7 @@ def gradient_projection(
     iterate moves less than cfg.eps in Frobenius norm or cfg.k_max is
     reached.  Inner projections run at the defaults of
     ``project_to_birkhoff`` and warm start their dual variables from the
-    previous iteration, which keeps them to a handful of passes each.
+    previous iteration, which keeps them to one or two Newton steps each.
     """
     if cfg.mu is None:
         raise ValueError(

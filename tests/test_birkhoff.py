@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from birkdag import birkhoff
 from birkdag.birkhoff import (
     DoublyStochastic,
     DualVariables,
@@ -85,6 +86,116 @@ class TestProjection:
         for _ in range(100):
             q = random_ds(5, rng)
             assert ((q.m - p0) ** 2).sum() >= d_star - 1e-9
+
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match=r"p0 must be a non-empty square matrix.*\(0, 0\)"):
+            project_to_birkhoff(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("name", ["u", "v"])
+    @pytest.mark.parametrize("shape", [(3,), (4, 1)])
+    def test_rejects_misshapen_warm_duals(self, name, shape):
+        duals = {"u": np.zeros(4), "v": np.zeros(4), "bigu": np.zeros((4, 4))}
+        duals[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=rf"duals0\.{name} must have shape \(4,\)"):
+            project_to_birkhoff(np.eye(4), duals0=DualVariables(**duals))
+
+    def test_selftest_assumptions(self):
+        # the benchmark's self-test feeds its projection checker a result
+        # capped before convergence and the uncapped one
+        p0 = np.random.default_rng(0).standard_normal((8, 8))
+        assert not project_to_birkhoff(p0, eps=2e-9, k_max=2).converged
+        assert project_to_birkhoff(p0, eps=2e-9).converged
+
+
+class TestNewtonKernel:
+    """The semismooth Newton iteration behind ``project_to_birkhoff``."""
+
+    @staticmethod
+    def assert_kkt(p0, res, tol=1e-12):
+        u, v = res.duals.u, res.duals.v
+        outer = u[:, None] + v[None, :]
+        assert np.array_equal(res.ds.m, np.maximum(p0 - outer, 0.0))
+        assert np.array_equal(res.duals.bigu, np.maximum(0.0, outer - p0))
+        assert np.abs(res.ds.m.sum(axis=1) - 1.0).max() <= tol
+        assert np.abs(res.ds.m.sum(axis=0) - 1.0).max() <= tol
+
+    @pytest.mark.parametrize("p", [3, 5, 8])
+    def test_every_gp_projection_converges(self, p, monkeypatch):
+        results = []
+
+        def recording(*args, **kwargs):
+            res = project_to_birkhoff(*args, **kwargs)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(birkhoff, "project_to_birkhoff", recording)
+        for seed in range(5):
+            rng = np.random.default_rng(1000 * p + seed)
+            s = random_covariance(p, 3 * p, rng)
+            l = random_cholesky(p, rng)
+            _, centered, concave = convexity_thresholds(l, s)
+            for mu in (max(centered, 0.0), 1.1 * concave):
+                results.clear()
+                gradient_projection(l, s, RelaxationConfig(mu=mu), DoublyStochastic.center(p))
+                assert results
+                assert all(r.converged for r in results), [r.gap for r in results if not r.converged]
+
+    def test_kkt_certificate(self, rng):
+        for _ in range(30):
+            p = int(rng.integers(2, 21))
+            p0 = rng.standard_normal((p, p))
+            res = project_to_birkhoff(p0, eps=1e-12)
+            assert res.converged and res.gap < 1e-12
+            self.assert_kkt(p0, res)
+
+    def test_full_mask_warm_start_converges_quadratically(self, rng):
+        p = 6
+        p0 = np.full((p, p), 1.0 / p) + 0.01 * rng.standard_normal((p, p))
+        cold = project_to_birkhoff(p0, eps=1e-14)
+        assert cold.converged and (cold.ds.m > 0).all()
+        warm = DualVariables(
+            cold.duals.u + 1e-10 * rng.standard_normal(p),
+            cold.duals.v + 1e-10 * rng.standard_normal(p),
+            cold.duals.bigu,
+        )
+        res = project_to_birkhoff(p0, eps=1e-12, duals0=warm)
+        assert res.converged and res.n_iter <= 3
+        assert np.abs(res.ds.m - cold.ds.m).max() <= 1e-12
+
+    def test_row_far_below_the_rest(self, rng):
+        # at zero duals that row of P would be empty.  Adding a
+        # constant to a row shifts the objective by that constant on the
+        # polytope, so the projection equals the one with the row at 0.
+        p0 = rng.standard_normal((6, 6))
+        p0[2] = -1e3
+        res = project_to_birkhoff(p0, eps=1e-12)
+        assert res.converged
+        self.assert_kkt(p0, res)
+        level = p0.copy()
+        level[2] = 0.0
+        assert np.abs(res.ds.m - project_to_birkhoff(level).ds.m).max() <= 1e-9
+
+    def test_warm_start_with_empty_mask_row_and_column(self, rng):
+        # duals that switch off a whole row and column of P: the shifted
+        # Newton system must still be solvable and the iteration recover
+        p = 7
+        p0 = rng.standard_normal((p, p))
+        u, v = np.zeros(p), np.zeros(p)
+        u[1], v[4] = 1e3, 1e3
+        res = project_to_birkhoff(p0, eps=1e-12, duals0=DualVariables(u, v, np.zeros((p, p))))
+        assert res.converged
+        self.assert_kkt(p0, res)
+        assert np.abs(res.ds.m - project_to_birkhoff(p0).ds.m).max() <= 1e-12
+
+    @pytest.mark.parametrize("x", [-3.0, 0.0, 0.5, 1.0, 7.0])
+    def test_one_by_one(self, x):
+        # the cold start is already exact; the warm one needs Newton steps
+        # with nothing left to solve for once dv[-1] is pinned
+        p0 = np.array([[x]])
+        off = DualVariables(np.array([5.0]), np.array([-2.0]), np.zeros((1, 1)))
+        for res in (project_to_birkhoff(p0), project_to_birkhoff(p0, duals0=off)):
+            assert res.converged
+            self.assert_kkt(p0, res)
 
 
 class TestDualObjective:

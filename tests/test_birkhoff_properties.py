@@ -6,14 +6,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from birkdag.birkhoff import project_to_birkhoff
+from birkdag.birkhoff import DualVariables, project_to_birkhoff
 
 TOL = 1e-9
 
 inputs = st.tuples(
     st.integers(2, 15),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([0.1, 1.0, 10.0]),
+    st.sampled_from([1e-4, 0.1, 1.0, 10.0, 1e4]),
 )
 
 
@@ -59,3 +59,17 @@ def test_permutation_equivariant(case):
     pi = np.eye(p)[rng.permutation(p)]
     sigma = np.eye(p)[rng.permutation(p)]
     assert np.abs(project(pi @ x @ sigma) - pi @ project(x) @ sigma).max() <= TOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(inputs, st.floats(0.0, 10.0))
+def test_warm_start_from_random_duals_gives_cold_projection(case, spread):
+    p, seed, scale = case
+    rng, x = draw(p, seed, scale)
+    spread *= max(scale, 1.0)
+    duals = DualVariables(
+        spread * rng.standard_normal(p), spread * rng.standard_normal(p), np.zeros((p, p))
+    )
+    warm = project_to_birkhoff(x, duals0=duals)
+    assert warm.converged
+    assert np.abs(warm.ds.m - project(x)).max() <= TOL
