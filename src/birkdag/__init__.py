@@ -6,8 +6,8 @@ The package is organized around the two halves of the alternating scheme:
 
 ``birkdag.birkhoff``
     Everything on the permutation side: Euclidean projection onto the
-    set of doubly stochastic matrices (via dual block ascent), gradient
-    projection for the relaxed ordering objective, convexity
+    set of doubly stochastic matrices (semismooth Newton on the dual),
+    gradient projection for the relaxed ordering objective, convexity
     diagnostics, and rounding doubly stochastic matrices back to
     permutations (rank-matching sampler and linear assignment).
 
@@ -62,11 +62,7 @@ from birkdag.birkhoff import (
 )
 from birkdag.solver import (
     CholeskyEstimate,
-    RowSubproblem,
     SolverSettings,
-    update_offdiagonal,
-    update_diagonal,
-    minimize_row,
     estimate_cholesky,
     estimate_cholesky_path,
     row_objectives,
@@ -94,8 +90,7 @@ __all__ = [
     "relaxed_gradient", "convexity_thresholds", "gradient_projection",
     "rank_vector", "sample_permutations", "round_hungarian",
     "estimate_permutation",
-    "CholeskyEstimate", "RowSubproblem", "SolverSettings",
-    "update_offdiagonal", "update_diagonal", "minimize_row",
+    "CholeskyEstimate", "SolverSettings",
     "estimate_cholesky", "estimate_cholesky_path",
     "row_objectives", "check_lower_bounds",
     "RrcfConfig", "TuningGrid", "FitResult", "fit", "tune",

@@ -213,11 +213,15 @@ def cmd_benchmark(args) -> int:
         spec = replace(spec, measure_runtime=True)
     rows = run_benchmark(spec, threads=args.threads)
     _write_text(args.out, benchmark_csv(rows))
-    n_err = sum(1 for r in rows if r["status"] == "error" and r["rep"] != "mean")
+    n_err = 0
     for r in rows:
         if r["rep"] == "mean":
             print(f"({r['setting_p']},{r['setting_s']}) mean: tpr={r['tpr']} fpr={r['fpr']} "
                   f"shd={r['shd']} frob={r['scaled_frob']}")
+        elif r["status"] == "error":
+            n_err += 1
+            print(f"replicate failed: setting ({r['setting_p']},{r['setting_s']}) rep {r['rep']} "
+                  f"seed {r['seed']}: {r['error']}", file=sys.stderr)
     if n_err:
         print(f"{n_err} replicate(s) failed", file=sys.stderr)
         return EXIT_PARTIAL

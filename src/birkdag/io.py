@@ -129,22 +129,50 @@ def _from_doc(cls, fields: dict, doc: dict, what: str):
     unknown = set(doc) - set(fields)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    return cls(**{k: fields[k](v) for k, v in doc.items()})
+    values = {}
+    for k, v in doc.items():
+        try:
+            values[k] = fields[k](v)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{what} key {k!r}: {exc}") from exc
+    return cls(**values)
+
+
+def _float(value) -> float:
+    """A JSON number; never a bool or a string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
 
 
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(_float(v) for v in values)
 
 
-_GRID_FIELDS = {"lambdas": _floats, "gammas": _floats, "gamma_bic": float}
+def _int(value) -> int:
+    """A JSON integer, or a float with no fractional part; never a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+_GRID_FIELDS = {"lambdas": _floats, "gammas": _floats, "gamma_bic": _float}
 _SPEC_FIELDS = {
-    "settings": tuple,
-    "n": int,
-    "reps": int,
-    "seed": int,
-    "outer_k_max": int,
+    "settings": lambda pairs: tuple(tuple(_int(v) for v in pair) for pair in pairs),
+    "n": _int,
+    "reps": _int,
+    "seed": _int,
+    "outer_k_max": _int,
     "grid": lambda doc: _from_doc(TuningGrid, _GRID_FIELDS, doc, "grid"),
-    "measure_runtime": bool,
+    "measure_runtime": _bool,
 }
 
 

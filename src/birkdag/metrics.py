@@ -50,6 +50,10 @@ class BenchmarkSpec:
             raise ValueError("reps must be at least 1")
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.outer_k_max < 1:
+            raise ValueError("outer_k_max must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         settings = tuple((int(p), int(s)) for p, s in self.settings)
         if len(set(settings)) != len(settings):
             raise ValueError(f"settings must be distinct, got {settings}")
@@ -99,12 +103,6 @@ def scaled_frobenius(b_hat: WeightedAdjacency, b: WeightedAdjacency) -> float:
 
 
 CSV_HEADER = "setting_p,setting_s,rep,seed,tpr,fpr,shd,scaled_frob,ebic,runtime_seconds,status"
-
-# External reference averages for the (100, 100) setting, kept as
-# documentation targets for the default benchmark: TPR 0.603, FPR 0.001,
-# Frobenius error 6.868.  Exact replication depends on generation and
-# metric conventions that the reference leaves unstated.
-REFERENCE_TARGETS = {(100, 100): {"tpr": 0.603, "fpr": 0.001, "scaled_frob": 6.868}}
 
 
 def _replicate_seed(base: int, setting_index: int, rep: int) -> int:

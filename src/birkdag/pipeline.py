@@ -204,8 +204,9 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
 class TuningGrid:
     """Grid of tuning parameters searched by eBIC.
 
-    Each cell is one (lambda, gamma) pair; ``gamma_bic`` is the eBIC
-    weight every cell is scored with.
+    Each cell is one (lambda, gamma) pair and must be valid
+    ``McpParams``; ``gamma_bic`` is the eBIC weight every cell is scored
+    with.
     """
 
     lambdas: tuple = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
@@ -217,6 +218,8 @@ class TuningGrid:
             raise ValueError("lambdas and gammas must be non-empty")
         if not 0.0 <= self.gamma_bic <= 1.0:
             raise ValueError("gamma_bic must lie in [0, 1]")
+        for lam, gamma in product(self.lambdas, self.gammas):
+            McpParams(lam, gamma)
 
     def cells(self):
         """Grid cells in lexicographic order."""

@@ -13,12 +13,14 @@ MCP curvature correction, switching to the unpenalized least-squares
 value in the flat region of the penalty.
 
 Rows are independent, so the full-factor driver interleaves all rows
-through shared column sweeps; the arithmetic per row is the cyclic
-order of the single-row solver.  ``estimate_cholesky_path`` stacks the
-factors of several (lambda, gamma) cells at one ordering, such as a
-tuning grid, and sweeps them together, so the per-column overhead is
-paid once for the whole path; ``estimate_cholesky`` is its one-cell
-case.
+through shared column sweeps; within each row the coordinates still
+update in cyclic order, off-diagonals ascending and then the diagonal.
+Each coordinate is strictly convex and h is bounded below, so the
+sweeps descend to a coordinate-wise minimum (Tseng 2001, Thm 5.1).
+``estimate_cholesky_path`` stacks the factors of several (lambda, gamma)
+cells at one ordering, such as a tuning grid, and sweeps them together,
+so the per-column overhead is paid once for the whole path;
+``estimate_cholesky`` is its one-cell case.
 
 Rows converge unevenly: at p = 200 the median row stops after about 10
 sweeps and the slowest after 38-160, so a solve ends in sweeps with a
@@ -28,8 +30,8 @@ those rows alone.  It keeps the column order and each cell's full-slice
 product, and every float operation is the one the stacked sweep applies
 elementwise, so factors, sweep counts and convergence flags are
 bit-identical whichever path a sweep takes.  The scalar steps
-``offdiagonal_step`` and ``diagonal_step`` are shared with the single-row
-solver.
+``offdiagonal_step`` and ``diagonal_step`` are the one closed form of
+each coordinate update.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ class ConvexityGuardError(ValueError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Convergence tolerance and sweep cap for the row solver.
+    """Convergence tolerance and sweep cap for the L-step.
 
+    A row stops once a sweep moves it less than eps in Euclidean norm.
     The cap is a safeguard, not a stopping rule: some rows at p = 200
     need more than 700 sweeps to meet eps.
     """
@@ -78,43 +81,6 @@ class SolverSettings:
             raise ValueError("eps must be positive")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
-
-
-@dataclass(frozen=True)
-class RowSubproblem:
-    """One row subproblem: leading k x k covariance block plus MCP params."""
-
-    a: np.ndarray
-    params: McpParams
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"a must be square, got shape {a.shape}")
-        if np.abs(a - a.T).max(initial=0.0) > 1e-12:
-            raise ValueError("a must be symmetric within 1e-12")
-        if not (np.diag(a) > 0).all():
-            raise ValueError("a must have a strictly positive diagonal")
-        object.__setattr__(self, "a", a)
-
-    @property
-    def k(self) -> int:
-        return self.a.shape[0]
-
-    def check_guard(self):
-        bound = max(float(1.0 / (2.0 * np.diag(self.a).min())), 1.0)
-        if self.params.gamma <= bound:
-            raise ConvexityGuardError(
-                f"gamma={self.params.gamma} must exceed max(1/(2 min A_ii), 1) = {bound}"
-            )
-
-    def objective(self, x: np.ndarray) -> float:
-        """h(x) = x^t A x - 2 log x_k + sum_{j<k} rho(|x_j|)."""
-        x = np.asarray(x, dtype=float)
-        val = float(x @ self.a @ x) - 2.0 * np.log(x[-1])
-        if self.k > 1:
-            val += float(np.sum(mcp(x[:-1], self.params)))
-        return val
 
 
 def offdiagonal_step(z: float, a_jj: float, lam: float, gamma: float) -> float:
@@ -135,68 +101,6 @@ def offdiagonal_step(z: float, a_jj: float, lam: float, gamma: float) -> float:
 def diagonal_step(ssum: float, a_kk: float) -> float:
     """Positive root of a_kk t^2 + ssum t - 1 = 0."""
     return (-ssum + math.sqrt(ssum * ssum + 4.0 * a_kk)) / (2.0 * a_kk)
-
-
-def update_offdiagonal(sub: RowSubproblem, x: np.ndarray, j: int) -> float:
-    """Closed-form MCP minimizer of h in coordinate j < k.
-
-    With z = -2 sum_{l != j} A_lj x_l, this is ``offdiagonal_step``.
-    """
-    if not 0 <= j < sub.k - 1:
-        raise ValueError(f"j must index an off-diagonal coordinate, got {j}")
-    lam, gamma = sub.params.lam, sub.params.gamma
-    a_jj = float(sub.a[j, j])
-    denom = 2.0 * a_jj - 1.0 / gamma
-    if denom <= 0:
-        raise ConvexityGuardError(
-            f"2 A_jj - 1/gamma = {denom} <= 0 at j={j}; raise gamma above 1/(2 A_jj)"
-        )
-    z = -2.0 * (float(sub.a[:, j] @ x) - a_jj * float(x[j]))
-    return offdiagonal_step(z, a_jj, lam, gamma)
-
-
-def update_diagonal(sub: RowSubproblem, x: np.ndarray) -> float:
-    """Positive root of A_kk t^2 + (sum_{l != k} A_lk x_l) t - 1 = 0."""
-    k = sub.k - 1
-    a_kk = float(sub.a[k, k])
-    return diagonal_step(float(sub.a[:, k] @ x) - a_kk * float(x[k]), a_kk)
-
-
-def default_row_start(sub: RowSubproblem) -> np.ndarray:
-    """Zero off-diagonals, unpenalized closed-form diagonal 1/sqrt(A_kk)."""
-    x0 = np.zeros(sub.k)
-    x0[-1] = 1.0 / np.sqrt(sub.a[-1, -1])
-    return x0
-
-
-def minimize_row(
-    sub: RowSubproblem,
-    x0: np.ndarray | None = None,
-    settings: SolverSettings = SolverSettings(),
-) -> tuple[np.ndarray, bool, int]:
-    """Cyclic coordinate descent on one row subproblem.
-
-    Sweeps the off-diagonals in ascending order then the diagonal, until
-    the full coordinate vector moves less than settings.eps in Euclidean
-    norm.  Returns (x, converged, sweeps).
-    """
-    sub.check_guard()
-    if x0 is None:
-        x = default_row_start(sub)
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != (sub.k,):
-            raise ValueError(f"x0 must have shape ({sub.k},)")
-        if x[-1] <= 0:
-            raise ValueError("x0 must have a positive final (diagonal) entry")
-    for sweep in range(1, settings.k_max + 1):
-        x_old = x.copy()
-        for j in range(sub.k - 1):
-            x[j] = update_offdiagonal(sub, x, j)
-        x[-1] = update_diagonal(sub, x)
-        if float(np.linalg.norm(x - x_old)) < settings.eps:
-            return x, True, sweep
-    return x, False, settings.k_max
 
 
 @dataclass(frozen=True)
@@ -222,17 +126,17 @@ def estimate_cholesky_path(
     Row 1 has the closed form L_11 = 1/sqrt(S^P_11); every other row is
     an independent subproblem on the leading block of S^P = P S P^t.
     The cells of ``params_seq`` are stacked, and all rows of all cells
-    advance together through shared column sweeps; within each row the
-    cyclic order is that of ``minimize_row``, so every cell's factor,
-    sweep counts and convergence flags are those of a solve on its own.
-    ``l0`` warm starts the rows of every cell.  The convexity guard is
-    checked for every cell, in order, before the first sweep.
+    advance together through shared column sweeps, each row in cyclic
+    coordinate order, so every cell's factor, sweep counts and
+    convergence flags are those of a solve on its own.  A row stops once
+    a sweep moves it less than ``settings.eps``; rows still moving after
+    ``settings.k_max`` sweeps are flagged unconverged.  ``l0`` warm
+    starts the rows of every cell.  The convexity guard is checked for
+    every cell, in order, before the first sweep.
     """
     sp = _permuted_cov(perm, s)
     p = sp.shape[0]
-    d = np.diag(sp).copy()
-    if (d <= 0).any():
-        raise ValueError("permuted covariance has a non-positive diagonal entry")
+    d = np.diag(sp).copy()  # positive: SampleCovariance enforces it
     guard = max(float(1.0 / (2.0 * d.min())), 1.0)
     for params in params_seq:
         if params.gamma <= guard:

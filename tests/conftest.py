@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from birkdag.sem import CholeskyFactor, SampleCovariance
+from birkdag.solver import diagonal_step, offdiagonal_step, row_objectives
 
 
 @pytest.fixture
@@ -36,3 +37,35 @@ def ul_cholesky(m):
     e = np.eye(m.shape[0])[::-1]
     g = np.linalg.cholesky(e @ m @ e)
     return (e @ g @ e).T
+
+
+def coordinate_update(a, x, j, params):
+    """Closed-form minimizer of the row objective on block a in coordinate
+    j of x, the other coordinates held fixed; the last one is the diagonal."""
+    a_jj = float(a[j, j])
+    rest = float(a[:, j] @ x) - a_jj * float(x[j])
+    if j == len(x) - 1:
+        return diagonal_step(rest, a_jj)
+    return offdiagonal_step(-2.0 * rest, a_jj, params.lam, params.gamma)
+
+
+def descend_row(a, params, x, settings):
+    """Serial reference: cyclic coordinate descent on one row subproblem.
+
+    Updates x in place, off-diagonals ascending then the diagonal, until a
+    sweep moves it less than settings.eps.  Returns (x, converged, sweeps).
+    """
+    for sweep in range(1, settings.k_max + 1):
+        x_old = x.copy()
+        for j in range(len(x)):
+            x[j] = coordinate_update(a, x, j, params)
+        if np.linalg.norm(x - x_old) < settings.eps:
+            return x, True, sweep
+    return x, False, settings.k_max
+
+
+def row_objective(a, x, params):
+    """h(x) on block a, read off ``row_objectives`` with x as the last row."""
+    l = np.eye(len(x))
+    l[-1] = x
+    return row_objectives(CholeskyFactor(l), a, params)[-1]

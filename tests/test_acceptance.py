@@ -36,17 +36,16 @@ from birkdag.sem import (
     sample_covariance,
     sample_data,
 )
-from birkdag.solver import (
-    RowSubproblem,
-    SolverSettings,
-    default_row_start,
-    minimize_row,
-    row_objectives,
-    update_diagonal,
-    update_offdiagonal,
-)
+from birkdag.solver import SolverSettings, estimate_cholesky, row_objectives
 
-from conftest import random_cholesky, random_covariance, ul_cholesky
+from conftest import (
+    coordinate_update,
+    descend_row,
+    random_cholesky,
+    random_covariance,
+    row_objective,
+    ul_cholesky,
+)
 
 
 def report(num, detail):
@@ -167,34 +166,41 @@ def test_criterion_05_mle_permutation_invariance():
 
 
 def test_criterion_06_coordinate_descent_properties():
-    """Monotone sweeps, fixed points, global bound, grid oracle at k <= 4."""
+    """Monotone sweeps, fixed points, global bound, grid oracle at k <= 4.
+
+    Each subproblem is the last row of ``estimate_cholesky`` at the
+    identity ordering on its block; only the polishing of the grid start
+    points runs the serial reference ``descend_row``.
+    """
     rng = np.random.default_rng(6)
     n_oracle = 0
     oracle_hits = 0
     settings = SolverSettings(eps=1e-11, k_max=3000)
+    one_sweep = SolverSettings(k_max=1)
     for trial in range(200):
         k = int(rng.integers(2, 11))
         g = rng.standard_normal((k + 4, k))
         a = g.T @ g / (k + 4)
         gamma = max(2.0, 1.2 / (2.0 * np.diag(a).min()))
-        sub = RowSubproblem(a=a, params=McpParams(0.15, gamma))
-        # monotone descent sweep by sweep
-        x = default_row_start(sub)
-        prev = sub.objective(x)
+        params = McpParams(0.15, gamma)
+        perm, s = Permutation.identity(k), SampleCovariance(a)
+        # monotone descent sweep by sweep, one sweep per solve, chained
+        # through the warm start from the solver's own start
+        l = CholeskyFactor(np.diag(1.0 / np.sqrt(np.diag(a))))
+        prev = row_objectives(l, a, params)
         for _ in range(60):
-            for j in range(k - 1):
-                x[j] = update_offdiagonal(sub, x, j)
-            x[-1] = update_diagonal(sub, x)
-            cur = sub.objective(x)
-            assert cur <= prev + 1e-10
+            l = estimate_cholesky(perm, s, params, one_sweep, l0=l).l
+            cur = row_objectives(l, a, params)
+            assert (cur <= prev + 1e-10).all()
             prev = cur
         # converged fixed point
-        x, ok, _ = minimize_row(sub, settings=settings)
-        assert ok
-        for j in range(k - 1):
-            assert abs(update_offdiagonal(sub, x, j) - x[j]) <= 1e-8
-        assert abs(update_diagonal(sub, x) - x[-1]) <= 1e-8
-        assert sub.objective(x) >= -2 * k  # decoupled objective stays above -2p
+        est = estimate_cholesky(perm, s, params, settings)
+        assert est.converged[-1]
+        x = est.l.l[-1]
+        for j in range(k):
+            assert abs(coordinate_update(a, x, j, params) - x[j]) <= 1e-8
+        h = row_objectives(est.l, a, params)[-1]
+        assert h >= -2 * k  # decoupled objective stays above -2p
         if k <= 4:
             n_oracle += 1
             span = max(1.5, 1.5 * np.abs(x).max())
@@ -202,14 +208,11 @@ def test_criterion_06_coordinate_descent_properties():
             dvals = np.linspace(0.1, span, 4)
             best = np.inf
             for combo in itertools.product(*([vals] * (k - 1) + [dvals])):
-                xo, _, _ = minimize_row(sub, x0=np.array(combo),
-                                        settings=SolverSettings(k_max=400))
-                best = min(best, sub.objective(xo))
-            if sub.objective(x) <= best + 1e-6:
+                xo, _, _ = descend_row(a, params, np.array(combo), SolverSettings(k_max=400))
+                best = min(best, row_objective(a, xo, params))
+            if h <= best + 1e-6:
                 oracle_hits += 1
     # full-factor global lower bound on random instances
-    from birkdag.solver import estimate_cholesky
-
     for _ in range(25):
         p = int(rng.integers(2, 9))
         s = random_covariance(p, 4 * p, rng)
@@ -265,8 +268,6 @@ def test_criterion_07_gradient_checks():
 
 def test_criterion_08_small_instance_permutation_oracle():
     """p = 4: final score within 1% of the 24-permutation oracle, >= 16/20."""
-    from birkdag.solver import estimate_cholesky
-
     t0 = time.perf_counter()
     lam, gam = 0.2, 2.0
     hits = 0

@@ -5,6 +5,7 @@ import pytest
 
 from birkdag import io as bio
 from birkdag.cli import main
+from birkdag.metrics import BenchmarkSpec
 from birkdag.sem import Permutation, generate_dag
 
 
@@ -271,6 +272,67 @@ class TestCliBenchmark:
         out = tmp_path / "o.csv"
         assert main(["benchmark", "--spec", str(spec), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("change, named", [
+        ({"outer_k_max": 0}, "outer_k_max"),
+        ({"seed": -1}, "seed"),
+        ({"grid": {"lambdas": [-0.3]}}, "lambda"),
+        ({"grid": {"lambdas": [float("nan")]}}, "lambda"),
+        ({"grid": {"lambdas": [float("inf")]}}, "lambda"),
+        ({"grid": {"gammas": [1.0]}}, "gamma"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, change, named):
+        # rejected when the spec is read, before any replicate runs
+        spec = self.spec_json(tmp_path, **change)
+        out = tmp_path / "o.csv"
+        assert main(["benchmark", "--spec", str(spec), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"measure_runtime": "false"},
+        {"measure_runtime": 0},
+        {"n": 100.5},
+        {"reps": 1.7},
+        {"reps": True},
+        {"seed": "4"},
+        {"outer_k_max": 2.5},
+        {"settings": [[8.5, 8]]},
+        {"grid": {"lambdas": [True]}},
+        {"grid": {"gamma_bic": "0.5"}},
+    ])
+    def test_wrong_scalar_type_exits_2(self, tmp_path, capsys, change):
+        spec = self.spec_json(tmp_path, **change)
+        out = tmp_path / "o.csv"
+        assert main(["benchmark", "--spec", str(spec), "--out", str(out)]) == 2
+        assert f"spec key {next(iter(change))!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_counts_read_as_integers(self):
+        doc = {"settings": [[8.0, 8]], "n": 100.0, "reps": 1, "seed": 4.0, "outer_k_max": 3.0}
+        spec = bio.spec_from_json(json.dumps(doc))
+        assert spec == BenchmarkSpec(settings=((8, 8),), n=100, reps=1, seed=4, outer_k_max=3)
+        assert all(type(v) is int for v in (spec.n, spec.seed, spec.outer_k_max, *spec.settings[0]))
+
+    def test_each_failed_replicate_named(self, tmp_path, capsys, monkeypatch):
+        from birkdag import metrics
+
+        real_fit = metrics.fit
+
+        def fit_failing_rep_1(data, cfg):
+            if cfg.seed == 4_000_001:
+                raise RuntimeError("boom")
+            return real_fit(data, cfg)
+
+        monkeypatch.setattr(metrics, "fit", fit_failing_rep_1)
+        out = tmp_path / "o.csv"
+        rc = main(["benchmark", "--spec", str(self.spec_json(tmp_path, reps=2)), "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["replicate failed: setting (8,8) rep 1 seed 4000001: RuntimeError: boom",
+                       "1 replicate(s) failed"]
+        rows = out.read_text().splitlines()
+        assert rows[2].startswith("8,8,1,4000001,,,,,,") and rows[2].endswith(",error")
 
 
 class TestCliHelp:

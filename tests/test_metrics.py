@@ -5,7 +5,6 @@ from birkdag.metrics import (
     CSV_HEADER,
     BenchmarkSpec,
     EdgeSet,
-    REFERENCE_TARGETS,
     benchmark_csv,
     extract_edges,
     run_benchmark,
@@ -164,12 +163,6 @@ class TestRunBenchmark:
         reps = [r for r in rows if r["rep"] != "mean"]
         mean = rows[-1]
         assert mean["tpr"] == pytest.approx(np.mean([r["tpr"] for r in reps]))
-
-    def test_reference_targets_documented(self):
-        ref = REFERENCE_TARGETS[(100, 100)]
-        assert ref["tpr"] == 0.603
-        assert ref["fpr"] == 0.001
-        assert ref["scaled_frob"] == 6.868
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -87,12 +87,14 @@ def test_instance_json_round_trip(p, density, seed):
     assert back.expected_edges == s
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
+# every finite lambda >= 0 and every finite gamma > 1: the MCP domain
+lambdas = st.floats(min_value=0.0, allow_infinity=False)
+gammas = st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)
 grid_docs = st.fixed_dictionaries(
     {},
     optional={
-        "lambdas": st.lists(finite, min_size=1, max_size=6),
-        "gammas": st.lists(finite, min_size=1, max_size=4),
+        "lambdas": st.lists(lambdas, min_size=1, max_size=6),
+        "gammas": st.lists(gammas, min_size=1, max_size=4),
         "gamma_bic": st.floats(0.0, 1.0),
     },
 )

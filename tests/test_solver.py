@@ -16,98 +16,92 @@ from birkdag.sem import (
 from birkdag.solver import (
     CholeskyEstimate,
     ConvexityGuardError,
-    RowSubproblem,
     SolverSettings,
     check_lower_bounds,
-    default_row_start,
+    diagonal_step,
     estimate_cholesky,
     estimate_cholesky_path,
-    minimize_row,
+    offdiagonal_step,
     row_objectives,
-    update_diagonal,
-    update_offdiagonal,
 )
 
-from conftest import random_covariance
+from conftest import coordinate_update, descend_row, random_covariance, row_objective
 
 
 def serial_cholesky(perm, s, params, settings=SolverSettings(), l0=None):
-    """Reference factor solved row by row with the single-row solver.
+    """Reference factor solved row by row with ``descend_row``.
 
-    Row 1 has the closed form 1/sqrt(S^P_11); row i runs ``minimize_row``
-    on the leading (i+1) x (i+1) block of S^P, warm started from row i of
-    ``l0`` when given.
+    Row 1 has the closed form 1/sqrt(S^P_11); row i descends on the
+    leading (i+1) x (i+1) block of S^P, from row i of ``l0`` when given,
+    else from zero off-diagonals and the diagonal 1/sqrt(S^P_ii).
     """
     sp = perm.apply_to_matrix(s.s)
     p = sp.shape[0]
-    l = np.zeros((p, p))
+    l = np.diag(1.0 / np.sqrt(np.diag(sp))) if l0 is None else np.tril(l0.l)
     l[0, 0] = 1.0 / np.sqrt(sp[0, 0])
     sweeps = np.zeros(p, dtype=int)
     converged = np.ones(p, dtype=bool)
     for i in range(1, p):
-        sub = RowSubproblem(a=sp[: i + 1, : i + 1], params=params)
-        x0 = None if l0 is None else l0.l[i, : i + 1].copy()
-        l[i, : i + 1], converged[i], sweeps[i] = minimize_row(sub, x0=x0, settings=settings)
+        _, converged[i], sweeps[i] = descend_row(sp[: i + 1, : i + 1], params, l[i, : i + 1], settings)
     return CholeskyEstimate(CholeskyFactor(l), sweeps, converged)
 
 
-def make_sub(a, lam, gamma):
-    return RowSubproblem(a=np.array(a, dtype=float), params=McpParams(lam, gamma))
-
-
-def random_subproblem(k, rng, lam=0.1, gamma=2.0):
+def random_block(k, rng, lam=0.1, gamma=2.0):
+    """A random k x k row-subproblem block and MCP cell within the convexity guard."""
     g = rng.standard_normal((k + 3, k))
     a = g.T @ g / (k + 3)
     # keep the configuration inside the strict-convexity guard
     gamma = max(gamma, 1.2 / (2.0 * np.diag(a).min()), 1.01)
-    return make_sub(a, lam, gamma)
+    return a, McpParams(lam, gamma)
 
 
-def grid_polish_oracle(sub, span):
+def solve_block(a, params, settings=SolverSettings(), l0=None):
+    """``estimate_cholesky`` at the identity ordering on block a; its last
+    row is the solution of the row subproblem on a."""
+    return estimate_cholesky(Permutation.identity(len(a)), SampleCovariance(a), params, settings, l0)
+
+
+def grid_polish_oracle(a, params, span):
     """Dense grid start points, each polished to a local minimum."""
-    k = sub.k
+    k = len(a)
     vals = np.linspace(-span, span, 5)
     dvals = np.linspace(0.1, span, 4)
     best = np.inf
     for combo in itertools.product(*([vals] * (k - 1) + [dvals])):
-        x, _, _ = minimize_row(sub, x0=np.array(combo), settings=SolverSettings(k_max=300))
-        best = min(best, sub.objective(x))
+        x, _, _ = descend_row(a, params, np.array(combo), SolverSettings(k_max=300))
+        best = min(best, row_objective(a, x, params))
     return best
 
 
 class TestOffdiagonalUpdate:
     def test_zero_crosstalk_gives_zero(self):
-        sub = make_sub([[1.0, 0.0], [0.0, 1.0]], 0.5, 2.0)
-        assert update_offdiagonal(sub, np.array([0.3, 1.0]), 0) == 0.0
+        assert offdiagonal_step(0.0, 1.0, 0.5, 2.0) == 0.0
 
     def test_inner_branch_hand_value(self):
         # A_jj = 1, gamma = 2, lambda = 0.5, z = 1 -> S_0.5(1) / (2 - 0.5) = 1/3
-        sub = make_sub([[1.0, -0.5], [-0.5, 1.0]], 0.5, 2.0)
-        x = np.array([0.0, 1.0])  # z = -2 * A_01 * x_1 = 1
-        assert update_offdiagonal(sub, x, 0) == pytest.approx(1.0 / 3.0)
+        assert offdiagonal_step(1.0, 1.0, 0.5, 2.0) == pytest.approx(1.0 / 3.0)
 
     def test_flat_branch_hand_value(self):
         # z = 4 with A_jj = 1: |z|/2 = 2 >= gamma lambda = 1, so x = z/2 = 2
-        sub = make_sub([[1.0, -2.0], [-2.0, 4.2]], 0.5, 2.0)
-        x = np.array([0.0, 1.0])  # z = -2 * (-2) * 1 = 4
-        assert update_offdiagonal(sub, x, 0) == pytest.approx(2.0)
+        assert offdiagonal_step(4.0, 1.0, 0.5, 2.0) == pytest.approx(2.0)
 
     def test_flat_branch_beats_inner_candidate(self):
         # both branch formulas evaluated in h: the flat one must win where
         # the rule selects it
-        sub = make_sub([[1.0, -2.0], [-2.0, 4.2]], 0.5, 2.0)
-        x = np.array([0.0, 1.0])
-        xs = update_offdiagonal(sub, x, 0)
-        inner = np.sign(4.0) * max(4.0 - 0.5, 0) / (2 - 1 / 2.0)
-        h_flat = sub.objective(np.array([xs, 1.0]))
-        h_inner = sub.objective(np.array([inner, 1.0]))
+        a, params = np.array([[1.0, -2.0], [-2.0, 4.2]]), McpParams(0.5, 2.0)
+        z = 4.0  # -2 * A_01 * x_1 at x_1 = 1
+        xs = offdiagonal_step(z, 1.0, 0.5, 2.0)
+        inner = np.sign(z) * max(z - 0.5, 0) / (2 - 1 / 2.0)
+        h_flat = row_objective(a, np.array([xs, 1.0]), params)
+        h_inner = row_objective(a, np.array([inner, 1.0]), params)
         assert h_flat <= h_inner
 
     def test_guard_error(self):
-        sub = make_sub([[0.2, 0.0], [0.0, 1.0]], 0.1, 1.5)
-        # 2 * 0.2 - 1/1.5 < 0
+        # 2 * 0.2 - 1/1.5 < 0: the coordinate update would divide by a
+        # negative curvature, and the solve refuses it up front
+        s = SampleCovariance(np.array([[0.2, 0.0], [0.0, 1.0]]))
         with pytest.raises(ConvexityGuardError, match="gamma"):
-            update_offdiagonal(sub, np.array([0.0, 1.0]), 0)
+            estimate_cholesky(Permutation.identity(2), s, McpParams(0.1, 1.5))
 
     def test_lasso_limit(self):
         # gamma -> inf reduces the update to soft-thresholding
@@ -115,10 +109,8 @@ class TestOffdiagonalUpdate:
         for _ in range(50):
             a01 = rng.uniform(-1, 1)
             ajj = rng.uniform(0.5, 2.0)
-            sub = make_sub([[ajj, a01], [a01, 1.0]], 0.3, 1e8)
-            x = np.array([0.0, rng.uniform(-2, 2)])
-            z = -2 * a01 * x[1]
-            got = update_offdiagonal(sub, x, 0)
+            z = -2 * a01 * rng.uniform(-2, 2)
+            got = offdiagonal_step(z, ajj, 0.3, 1e8)
             want = np.sign(z) * max(abs(z) - 0.3, 0.0) / (2 * ajj)
             if want != 0.0:
                 assert abs(got - want) <= 1e-6 * abs(want)
@@ -128,81 +120,78 @@ class TestOffdiagonalUpdate:
 
 class TestDiagonalUpdate:
     def test_uncoupled(self):
-        sub = make_sub([[1.0, 0.0], [0.0, 4.0]], 0.1, 2.0)
-        assert update_diagonal(sub, np.array([0.7, 1.0])) == pytest.approx(0.5)
+        # A_kk = 4, no coupling: 1/sqrt(4)
+        assert diagonal_step(0.0, 4.0) == pytest.approx(0.5)
 
     def test_golden_ratio_case(self):
         # A_kk = 1, coupling sum 1: positive root of t^2 + t - 1
-        sub = make_sub([[1.0, 1.0], [1.0, 1.0]], 0.1, 2.0)
-        got = update_diagonal(sub, np.array([1.0, 5.0]))
-        assert got == pytest.approx((-1 + np.sqrt(5)) / 2)
+        assert diagonal_step(1.0, 1.0) == pytest.approx((-1 + np.sqrt(5)) / 2)
 
     def test_negative_coupling(self):
         # A_kk = 2, coupling sum -3: (3 + sqrt(17)) / 4
-        sub = make_sub([[1.0, -1.5], [-1.5, 2.0]], 0.1, 3.0)
-        got = update_diagonal(sub, np.array([2.0, 1.0]))
-        assert got == pytest.approx((3 + np.sqrt(17)) / 4)
+        assert diagonal_step(-3.0, 2.0) == pytest.approx((3 + np.sqrt(17)) / 4)
 
     def test_always_positive(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            sub = random_subproblem(4, rng)
+            a, params = random_block(4, rng)
             x = rng.standard_normal(4)
             x[-1] = abs(x[-1]) + 0.1
-            assert update_diagonal(sub, x) > 0
+            assert coordinate_update(a, x, 3, params) > 0
 
 
 class TestMinimizeRow:
+    """Each row subproblem, minimized by ``estimate_cholesky`` as the last
+    row of the factor on its block."""
+
     def test_identity_block_lambda_zero(self):
-        sub = make_sub(np.eye(4), 0.0, 2.0)
-        x, ok, _ = minimize_row(sub)
-        assert ok
-        assert np.allclose(x, [0, 0, 0, 1.0], atol=1e-12)
+        est = solve_block(np.eye(4), McpParams(0.0, 2.0))
+        assert est.all_converged
+        assert np.allclose(est.l.l[-1], [0, 0, 0, 1.0], atol=1e-12)
 
     def test_scalar_row_one_sweep(self):
-        sub = make_sub([[4.0]], 0.3, 2.0)
-        x, ok, sweeps = minimize_row(sub, x0=np.array([3.0]))
-        assert ok and np.allclose(x, [0.5])
-        assert sweeps <= 2
+        est = solve_block(np.array([[4.0]]), McpParams(0.3, 2.0), l0=CholeskyFactor(np.array([[3.0]])))
+        assert est.all_converged and np.allclose(est.l.l, [[0.5]])
+        assert est.sweeps.max() <= 2
 
     def test_monotone_descent_per_sweep(self):
+        # one sweep per solve, chained through the warm start
         rng = np.random.default_rng(2)
+        one_sweep = SolverSettings(k_max=1)
         for _ in range(20):
-            sub = random_subproblem(5, rng, lam=0.2)
-            x = default_row_start(sub)
-            prev = sub.objective(x)
+            a, params = random_block(5, rng, lam=0.2)
+            l = CholeskyFactor(np.diag(1.0 / np.sqrt(np.diag(a))))
+            prev = row_objectives(l, a, params)
             for _ in range(40):
-                for j in range(sub.k - 1):
-                    x[j] = update_offdiagonal(sub, x, j)
-                x[-1] = update_diagonal(sub, x)
-                cur = sub.objective(x)
-                assert cur <= prev + 1e-10
+                l = solve_block(a, params, one_sweep, l0=l).l
+                cur = row_objectives(l, a, params)
+                assert (cur <= prev + 1e-10).all()
                 prev = cur
 
     def test_fixed_point_at_convergence(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            sub = random_subproblem(5, rng)
-            x, ok, _ = minimize_row(sub, settings=SolverSettings(eps=1e-12, k_max=2000))
-            assert ok
-            for j in range(sub.k - 1):
-                assert abs(update_offdiagonal(sub, x, j) - x[j]) <= 1e-8
-            assert abs(update_diagonal(sub, x) - x[-1]) <= 1e-8
+            a, params = random_block(5, rng)
+            est = solve_block(a, params, SolverSettings(eps=1e-12, k_max=2000))
+            assert est.all_converged
+            x = est.l.l[-1]
+            for j in range(len(x)):
+                assert abs(coordinate_update(a, x, j, params) - x[j]) <= 1e-8
 
     def test_grid_polish_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             k = int(rng.integers(2, 5))
-            sub = random_subproblem(k, rng)
-            x, _, _ = minimize_row(sub)
-            h = sub.objective(x)
+            a, params = random_block(k, rng)
+            est = solve_block(a, params)
+            x = est.l.l[-1]
+            h = row_objectives(est.l, a, params)[-1]
             span = max(1.5, 1.5 * np.abs(x).max())
-            assert h <= grid_polish_oracle(sub, span) + 1e-6
+            assert h <= grid_polish_oracle(a, params, span) + 1e-6
 
     def test_rejects_nonpositive_start(self):
-        sub = make_sub(np.eye(2), 0.1, 2.0)
         with pytest.raises(ValueError):
-            minimize_row(sub, x0=np.array([0.0, -1.0]))
+            solve_block(np.eye(2), McpParams(0.1, 2.0), l0=CholeskyFactor(np.diag([1.0, -1.0])))
 
 
 class TestEstimateCholesky:
@@ -271,11 +260,9 @@ class TestEstimateCholesky:
         est = estimate_cholesky(perm, s, params, settings=SolverSettings(eps=1e-12, k_max=2000))
         sp = perm.apply_to_matrix(s.s)
         for i in range(1, p):
-            sub = RowSubproblem(a=sp[: i + 1, : i + 1], params=params)
-            x = est.l.l[i, : i + 1].copy()
-            for j in range(i):
-                assert abs(update_offdiagonal(sub, x, j) - x[j]) <= 1e-8
-            assert abs(update_diagonal(sub, x) - x[-1]) <= 1e-8
+            x = est.l.l[i, : i + 1]
+            for j in range(i + 1):
+                assert abs(coordinate_update(sp[: i + 1, : i + 1], x, j, params) - x[j]) <= 1e-8
 
     def test_guard_raises(self, rng):
         s = SampleCovariance(np.diag([0.2, 0.3]))
@@ -283,20 +270,19 @@ class TestEstimateCholesky:
             estimate_cholesky(Permutation.identity(2), s, McpParams(0.1, 1.2))
 
     def test_rows_independent_of_schedule(self, rng):
-        # each row is a pure function of the permuted covariance, so
-        # solving rows in any order assembles the identical factor
+        # each row is a function of its leading block of the permuted
+        # covariance alone, so a solve of that block on its own ends in the
+        # same sweep at the same row, up to the rounding of shorter products
         p = 6
         s = random_covariance(p, 40, rng)
         perm = Permutation(rng.permutation(p))
         params = McpParams(0.2, 2.0)
         sp = perm.apply_to_matrix(s.s)
-        reference = serial_cholesky(perm, s, params).l.l
-        l = np.zeros((p, p))
-        l[0, 0] = 1.0 / np.sqrt(sp[0, 0])
-        for i in rng.permutation(np.arange(1, p)):  # shuffled schedule
-            sub = RowSubproblem(a=sp[: i + 1, : i + 1], params=params)
-            l[i, : i + 1] = minimize_row(sub)[0]
-        assert np.array_equal(l, reference)
+        full = estimate_cholesky(perm, s, params)
+        for i in range(1, p):
+            alone = solve_block(sp[: i + 1, : i + 1], params)
+            assert np.abs(alone.l.l[-1] - full.l.l[i, : i + 1]).max() <= 1e-12
+            assert alone.sweeps[-1] == full.sweeps[i]
 
     def test_warm_start_accepted(self, rng):
         p = 5
