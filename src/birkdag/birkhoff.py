@@ -11,7 +11,8 @@ This module provides the four pieces of that pipeline:
   1/2 tr(L P S P^t L^t) - mu/2 ||T P||_F^2 with T = I - (1/p) 1 1^t.
   On the polytope ||T P||_F^2 = ||P||_F^2 - 1, so this is the paper's
   plain penalty -mu/2 ||P||_F^2 up to the constant mu/2, and both forms
-  give the same iterates;
+  give the same iterates.  Its fixed step 1/(curvature bound + mu)
+  guarantees descent, and it stops on the gradient-mapping norm;
 * convexity/concavity thresholds for mu from the spectra of S and L^t L;
 * rounding back to permutations, either by rank-matching against random
   Gaussian vectors or by solving a linear assignment problem.
@@ -184,8 +185,8 @@ def project_to_birkhoff(
     Parameters
     ----------
     p0 : non-empty square matrix to project.
-    eps : duality-gap tolerance; the marginals are held to it too,
-        where float64 allows.
+    eps : positive duality-gap tolerance; the marginals are held to it
+        too, where float64 allows.
     k_max : iteration cap; every iteration tests the current point and
         all but the last take one Newton step, so at most k_max - 1 steps
         are taken.  On expiry, or earlier when no step can improve the
@@ -200,6 +201,8 @@ def project_to_birkhoff(
         raise ValueError(f"p0 must be a non-empty square matrix, got shape {p0.shape}")
     if not np.isfinite(p0).all():
         raise ValueError("p0 contains non-finite entries")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     p = p0.shape[0]
@@ -435,17 +438,17 @@ def gradient_projection(
 ) -> GradientProjectionResult:
     """Minimize the relaxed ordering objective over the Birkhoff polytope.
 
-    Iterates P_hat <- proj(P - eta grad) and P <- P + alpha (P_hat - P)
-    with eta = 1/(concave threshold + mu), the inverse of a bound on the
-    gradient's Lipschitz constant.  alpha comes from Armijo backtracking
-    (start 1, halve, sufficient decrease 1e-4) along the feasible
-    direction; it seldom shortens the step, but it is what stops the
-    descent once the step reaches the noise floor of the inner
-    projections and the slope is no longer negative.  Stops when the
-    iterate moves less than cfg.eps in Frobenius norm or cfg.k_max is
-    reached.  Inner projections run at the defaults of
-    ``project_to_birkhoff`` and warm start their dual variables from the
-    previous iteration, which keeps them to one or two Newton steps each.
+    Iterates P <- proj(P - eta grad f(P)) with eta = 1/(M + mu), where
+    M = lambda_max(S) lambda_max(L^t L), the concave threshold, bounds
+    the curvature of f (the -mu/2 ||T P||^2 term only lowers it).  So
+    eta <= 1/M for every mu >= 0, and the descent lemma with the
+    projection inequality gives f(P+) <= f(P) - ||P+ - P||_F^2 / (2 eta):
+    every full step descends, and no line search is needed.  Stops when
+    the step ||P+ - P||_F = eta ||G_eta(P)||_F, the scaled gradient
+    mapping, falls to cfg.eps, or after cfg.k_max iterations.  Inner
+    projections run at the defaults of ``project_to_birkhoff`` and warm
+    start their dual variables from the previous iteration, which keeps
+    them to one or two Newton steps each.
     """
     if cfg.mu is None:
         raise ValueError(
@@ -469,19 +472,10 @@ def gradient_projection(
         n_iter = k + 1
         proj = project_to_birkhoff(P - eta * g, duals0=duals)
         duals = proj.duals
-        d = proj.ds.m - P
-        slope = float((g * d).sum())
-        # the last trial, at alpha <= 1e-13, is taken unconditionally
-        alpha = 1.0
-        while True:
-            P_new = P + alpha * d
-            g_new = relaxed_gradient(P_new, l, s, cfg)
-            f_new = _objective_from_gradient(g_new, P_new)
-            if alpha <= 1e-13 or f_new <= fP + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        moved = float(np.linalg.norm(P_new - P))
-        P, fP, g = P_new, f_new, g_new
+        moved = float(np.linalg.norm(proj.ds.m - P))
+        P = proj.ds.m
+        g = relaxed_gradient(P, l, s, cfg)
+        fP = _objective_from_gradient(g, P)
         trace.append(fP)
         if not np.isfinite(fP):
             raise FloatingPointError("relaxed objective became non-finite")
@@ -489,7 +483,7 @@ def gradient_projection(
             converged = True
             break
     return GradientProjectionResult(
-        ds=DoublyStochastic(P),
+        ds=proj.ds,
         converged=converged,
         n_iter=n_iter,
         objective=fP,

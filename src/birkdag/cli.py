@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,12 +60,6 @@ def cmd_generate(args) -> int:
     from birkdag import io as bio
     from birkdag.sem import generate_dag, sample_data
 
-    if args.p < 2:
-        raise _UsageError("--p must be at least 2")
-    if args.s < 0 or args.s > args.p * (args.p - 1) // 2:
-        raise _UsageError(f"--s must lie in [0, {args.p * (args.p - 1) // 2}]")
-    if args.n < 1:
-        raise _UsageError("--n must be at least 1")
     rng = np.random.default_rng(args.seed)
     inst = generate_dag(args.p, args.s, rng)
     data = sample_data(inst, args.n, rng)
@@ -168,10 +161,6 @@ def cmd_project(args) -> int:
     from birkdag.birkhoff import project_to_birkhoff
 
     m = _load_matrix(args.matrix)
-    if m.shape[0] != m.shape[1]:
-        raise _UsageError(f"matrix must be square, got shape {m.shape}")
-    if args.eps <= 0:
-        raise _UsageError("--eps must be positive")
     res = project_to_birkhoff(m, eps=args.eps, k_max=args.k_max)
     _write_text(args.out, bio.matrix_to_csv(res.ds.m))
     print(f"duality gap: {res.gap:.6e}")
@@ -186,10 +175,6 @@ def cmd_sample_perms(args) -> int:
     from birkdag.birkhoff import DoublyStochastic, sample_permutations
 
     m = _load_matrix(args.matrix)
-    if m.shape[0] != m.shape[1]:
-        raise _UsageError(f"matrix must be square, got shape {m.shape}")
-    if args.n_samples < 1:
-        raise _UsageError("--n-samples must be at least 1")
     try:
         ds = DoublyStochastic(m)
     except ValueError as exc:
@@ -209,8 +194,6 @@ def cmd_benchmark(args) -> int:
         spec = bio.spec_from_json(_read_text(args.spec))
     except (KeyError, ValueError, TypeError) as exc:
         raise _UsageError(f"invalid benchmark spec: {exc}") from exc
-    if args.measure_runtime:
-        spec = replace(spec, measure_runtime=True)
     rows = run_benchmark(spec, threads=args.threads)
     _write_text(args.out, benchmark_csv(rows))
     n_err = 0
@@ -288,10 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("benchmark", help="run the simulation benchmark from a spec JSON")
     b.add_argument("--spec", required=True,
                    help='spec JSON: {"settings":[[p,s],...]} plus optional "n", "reps", '
-                        '"seed", "outer_k_max", "grid" {...} and "measure_runtime" (see '
-                        'BenchmarkSpec for defaults); any other key is an error')
-    b.add_argument("--measure-runtime", action="store_true",
-                   help="stamp wall-clock runtimes into rows (breaks byte determinism)")
+                        '"seed", "outer_k_max", "grid" {...} and "measure_runtime" (true '
+                        'stamps wall-clock runtimes into rows and breaks byte determinism; '
+                        'see BenchmarkSpec for defaults); any other key is an error')
     b.add_argument("--out", required=True, help="output CSV path")
     b.set_defaults(func=cmd_benchmark)
     return ap

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -86,6 +84,11 @@ class TestProjection:
         for _ in range(100):
             q = random_ds(5, rng)
             assert ((q.m - p0) ** 2).sum() >= d_star - 1e-9
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            project_to_birkhoff(np.eye(3), eps=eps)
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match=r"p0 must be a non-empty square matrix.*\(0, 0\)"):
@@ -317,31 +320,19 @@ class TestConvexityThresholds:
 
 
 def direct_objective_gp(l, s, cfg, p_init):
-    """Reference gradient projection with relaxed_objective at every Armijo trial.
+    """Reference gradient projection: P <- proj(P - eta grad f(P)), full steps.
 
     Returns the iterate after each iteration.
     """
     eta = 1.0 / (convexity_thresholds(l, s)[2] + cfg.mu + 1e-15)
     P = p_init.m.copy()
-    fP = relaxed_objective(P, l, s, cfg)
     duals = None
     iterates = []
     for _ in range(cfg.k_max):
-        g = relaxed_gradient(P, l, s, cfg)
-        proj = project_to_birkhoff(P - eta * g, duals0=duals)
+        proj = project_to_birkhoff(P - eta * relaxed_gradient(P, l, s, cfg), duals0=duals)
         duals = proj.duals
-        d = proj.ds.m - P
-        slope = float((g * d).sum())
-        alpha = 1.0
-        f_new = fP
-        while alpha > 1e-13:
-            f_new = relaxed_objective(P + alpha * d, l, s, cfg)
-            if f_new <= fP + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        P_new = P + alpha * d
-        moved = float(np.linalg.norm(P_new - P))
-        P, fP = P_new, f_new
+        moved = float(np.linalg.norm(proj.ds.m - P))
+        P = proj.ds.m
         iterates.append(P)
         if moved <= cfg.eps:
             break
@@ -350,12 +341,16 @@ def direct_objective_gp(l, s, cfg, p_init):
 
 class TestGradientProjection:
     @pytest.mark.parametrize("p", [3, 5, 8, 12, 20, 30])
-    def test_same_iterates_as_direct_objective_loop(self, p):
-        # The loop reads the objective off the gradient, 1/2 <grad f(P), P>,
-        # which rounds differently from relaxed_objective.  That can only
-        # flip an Armijo test at the noise floor, where the slope is no
-        # longer negative: the terminating step, a move below cfg.eps.
-        # Every iterate before it is bit-identical.
+    def test_same_iterates_as_direct_objective_loop(self, p, monkeypatch):
+        # gradient_projection evaluates the gradient once at each iterate, so
+        # recording its arguments yields every iterate, the start first
+        seen = []
+
+        def recording_gradient(P, *args):
+            seen.append(P)
+            return relaxed_gradient(P, *args)
+
+        monkeypatch.setattr(birkhoff, "relaxed_gradient", recording_gradient)
         rng = np.random.default_rng(p)
         s = random_covariance(p, 3 * p, rng)
         l = random_cholesky(p, rng)
@@ -364,15 +359,30 @@ class TestGradientProjection:
         for mu in (max(centered, 0.0), 1.1 * concave):
             cfg = RelaxationConfig(mu=mu)
             ref = direct_objective_gp(l, s, cfg, start)
+            seen.clear()
             res = gradient_projection(l, s, cfg, start)
-            assert res.n_iter == len(ref)
-            if res.converged:
-                assert np.linalg.norm(res.ds.m - ref[-1]) <= 2 * cfg.eps
-            else:
-                assert np.array_equal(res.ds.m, ref[-1])
-            if len(ref) > 1:
-                before = gradient_projection(l, s, replace(cfg, k_max=len(ref) - 1), start)
-                assert np.array_equal(before.ds.m, ref[-2])
+            assert res.n_iter == len(ref) == len(seen) - 1
+            assert res.converged == (np.linalg.norm(seen[-1] - seen[-2]) <= cfg.eps)
+            assert all(np.array_equal(got, want) for got, want in zip(seen[1:], ref))
+            assert np.array_equal(res.ds.m, ref[-1])
+
+    @pytest.mark.parametrize("p", [3, 8, 20])
+    def test_descent_lemma_holds_at_full_step(self, p):
+        # lambda_max(S) lambda_max(L^t L) bounds the curvature and eta is at
+        # most its inverse, so every full step descends by ||P+ - P||^2 / (2 eta)
+        rng = np.random.default_rng(1000 + p)
+        s = random_covariance(p, 3 * p, rng)
+        l = random_cholesky(p, rng)
+        _, centered, concave = convexity_thresholds(l, s)
+        start = DoublyStochastic.center(p)
+        for mu in (0.0, max(centered, 0.0), 1.1 * concave):
+            cfg = RelaxationConfig(mu=mu)
+            eta = 1.0 / (concave + mu + 1e-15)
+            iterates = [start.m] + direct_objective_gp(l, s, cfg, start)
+            f = [relaxed_objective(P, l, s, cfg) for P in iterates]
+            for k in range(len(iterates) - 1):
+                step = float(((iterates[k + 1] - iterates[k]) ** 2).sum())
+                assert f[k + 1] <= f[k] - step / (2 * eta) + 1e-12 * (1 + abs(f[k]))
 
     def test_capped_run_matches_direct_objective_loop(self, rng):
         p = 30

@@ -75,6 +75,12 @@ class TestCliGenerate:
         assert main(["generate", "--p", "5", "--s", "-1", "--n", "10",
                      "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("p, n", [("1", "10"), ("5", "0")])
+    def test_out_of_range_size_exits_2(self, tmp_path, p, n):
+        assert main(["generate", "--p", p, "--s", "0", "--n", n,
+                     "--out-dir", str(tmp_path)]) == 2
+        assert not list(tmp_path.iterdir())
+
 
 class TestCliFit:
     def test_fit_writes_json(self, workdir, tmp_path):
@@ -209,6 +215,14 @@ class TestCliProject:
         m.write_text("1,2,3\n4,5,6\n")
         assert main(["project", "--matrix", str(m), "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "0"])
+    def test_nonpositive_eps_exits_2(self, tmp_path, eps):
+        m = tmp_path / "m.csv"
+        m.write_text(bio.matrix_to_csv(np.eye(3)))
+        out = tmp_path / "o.csv"
+        assert main(["project", "--matrix", str(m), "--eps", eps, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestCliSamplePerms:
     def test_permutation_input(self, tmp_path):
@@ -226,6 +240,14 @@ class TestCliSamplePerms:
         m.write_text(bio.matrix_to_csv(np.full((3, 3), 0.5)))
         assert main(["sample-perms", "--matrix", str(m), "--n-samples", "2",
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_zero_samples_exits_2(self, tmp_path):
+        m = tmp_path / "m.csv"
+        m.write_text(bio.matrix_to_csv(np.eye(3)))
+        out = tmp_path / "o.csv"
+        assert main(["sample-perms", "--matrix", str(m), "--n-samples", "0",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestCliBenchmark:
