@@ -277,13 +277,27 @@ def project_to_birkhoff(
     if not converged:
         gap = cur.gap()
     P = cur.P
+    # A converged P = max(W, 0) is exactly nonnegative, and the test above
+    # bounded its marginal sums by MARGIN_TOL; U = max(., 0) is nonnegative.
+    # Both results are built without re-running those checks.
     return ProjectionResult(
-        ds=DoublyStochastic(P) if converged else _force_feasible(P),
-        duals=DualVariables(u=cur.u, v=cur.v, bigu=np.maximum(cur.outer - p0, 0.0)),
+        ds=_unchecked(DoublyStochastic, m=P) if converged else _force_feasible(P),
+        duals=_unchecked(DualVariables, u=cur.u, v=cur.v, bigu=np.maximum(cur.outer - p0, 0.0)),
         gap=gap,
         converged=converged,
         n_iter=n_iter,
     )
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` without its __post_init__.
+
+    Only for fields that already hold the class's invariants and types.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 class _NewtonState:

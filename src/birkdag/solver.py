@@ -24,35 +24,42 @@ so the per-column overhead is paid once for the whole path;
 
 Rows converge unevenly: at p = 200 the median row stops after about 10
 sweeps and the slowest after 38-160, so a solve ends in sweeps with a
-handful of active rows.  Once at most ``SCALAR_TAIL_PAIRS`` (cell, row)
-pairs are active, a sweep runs the closed-form steps in Python floats on
-those rows alone.  It keeps the column order and each cell's full-slice
-product, and every float operation is the one the stacked sweep applies
-elementwise, so factors, sweep counts and convergence flags are
-bit-identical whichever path a sweep takes.  The scalar steps
-``offdiagonal_step`` and ``diagonal_step`` are the one closed form of
-each coordinate update.
+handful of active rows.  Once a cell has at most ``BLOCK_TAIL_SHARE`` * p
+active rows, its sweeps run row by row (``_block_sweep``).  With a row's
+support S, its signs and each coordinate's MCP region fixed, one cyclic
+pass over its off-diagonals is an affine Gauss-Seidel step: forward
+substitution with T = diag(c) + 2 tril(A_SS, -1).  The step is taken only
+when its result reproduces the assumed pattern, so that the cyclic pass
+makes the same step in exact arithmetic; otherwise the row takes the
+cyclic pass by the scalar closed forms.  The iterates, and the theorem
+above, are those of cyclic coordinate descent, and the two paths differ
+only in rounding: per-row sweep counts, convergence flags and supports
+agree, and factors to 1e-12.  The switch counts each cell's own rows, so
+a cell's factor, sweep counts and flags in a path are bit-identical to
+those of a solve on its own.  ``offdiagonal_step`` and ``diagonal_step``
+are the one closed form of each coordinate update.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from birkdag.scoring import McpParams, _permuted_cov, mcp
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
 
 
-# A sweep with at most this many active (cell, row) pairs runs through
-# ``_scalar_sweep``.  The stacked sweep pays about 15 numpy calls per
-# column however few rows are still active.  Measured break-even: 16-32
-# pairs (p = 100 and 200); at 64 a p = 100 fit gives back most of the gain.
-SCALAR_TAIL_PAIRS = 24
+# A cell whose active rows number at most this share of p sweeps them
+# through ``_block_sweep``.  The stacked sweep pays about 15 numpy calls
+# per column however few rows are still active, so its cost per sweep
+# grows with p, while a block row step is a fixed two dozen numpy calls.
+# Measured best shares: about p/3 for a 5-cell tuning path and p/2 for
+# one cell, at p = 100 and at p = 200.
+BLOCK_TAIL_SHARE = 1 / 3
 
 
 class ConvexityGuardError(ValueError):
@@ -127,8 +134,12 @@ def estimate_cholesky_path(
     an independent subproblem on the leading block of S^P = P S P^t.
     The cells of ``params_seq`` are stacked, and all rows of all cells
     advance together through shared column sweeps, each row in cyclic
-    coordinate order, so every cell's factor, sweep counts and
-    convergence flags are those of a solve on its own.  A row stops once
+    coordinate order, until a cell has at most ``BLOCK_TAIL_SHARE`` * p
+    active rows; from then on that cell sweeps its rows one at a time
+    by ``_block_sweep``, which makes the same cyclic steps up to
+    rounding (see the module docstring).  Every cell's factor, sweep
+    counts and convergence flags are those of a solve on its own, bit
+    for bit.  A row stops once
     a sweep moves it less than ``settings.eps``; rows still moving after
     ``settings.k_max`` sweeps are flagged unconverged.  ``l0`` warm
     starts the rows of every cell.  The convexity guard is checked for
@@ -162,6 +173,7 @@ def estimate_cholesky_path(
     dl = d.tolist()
     out: list[CholeskyEstimate | None] = [None] * c
     cells = np.arange(c)  # the cell each slab of the stack belongs to
+    patterns = [{} for _ in range(c)]  # per cell: row -> its _Pattern
     for sweep in range(1, settings.k_max + 1):
         # a cell whose rows have all converged leaves the stack
         done = ~active.any(axis=1)
@@ -173,10 +185,21 @@ def estimate_cholesky_path(
             lam, gamma = lam[keep], gamma[keep]
         if not cells.size:
             break
-        if np.count_nonzero(active) <= SCALAR_TAIL_PAIRS:
-            moved = _scalar_sweep(sp, dl, l, active, lam, gamma)
-        else:
+        # the switch counts each cell's own rows, so that a cell's factor
+        # does not depend on which other cells share the stack
+        stacked = np.count_nonzero(active, axis=1) > BLOCK_TAIL_SHARE * p
+        if stacked.all():
             moved = _column_sweep(sp, dl, l, active, lam, gamma)
+        else:
+            moved = np.zeros(active.shape)
+            if stacked.any():
+                sub = l[stacked]
+                moved[stacked] = _column_sweep(sp, dl, sub, active[stacked], lam[stacked], gamma[stacked])
+                l[stacked] = sub
+            for k in np.flatnonzero(~stacked).tolist():
+                moved[k] = _block_sweep(
+                    sp, dl, l[k], active[k], lam.item(k), gamma.item(k), patterns[cells[k]]
+                )
         finished = active & (moved < settings.eps)
         sweeps[finished] = sweep
         active &= ~finished
@@ -221,37 +244,138 @@ def _column_sweep(sp, dl, l, active, lam, gamma) -> np.ndarray:
     return np.sqrt(((l - l_old) ** 2).sum(axis=2))
 
 
-def _scalar_sweep(sp, dl, l, active, lam, gamma) -> np.ndarray:
-    """``_column_sweep`` for a few active rows: the straggler tail of a solve.
+def _block_sweep(sp, dl, slab, active, lam, gamma, patterns) -> np.ndarray:
+    """One cyclic sweep of the active rows of one cell, row by row.
 
-    Each cell takes the same full-slice product per column as the stacked
-    sweep (a 2-D product rounds like one slab of the 3-D one), and the
-    closed-form steps run in floats on the active rows only, in the same
-    order, so the bits are those of ``_column_sweep``.  Returns the moves
-    of the active rows, zero elsewhere.
+    A row whose pattern (``_row_pattern``) still holds takes the sweep as
+    one triangular solve (``_pattern_step``); otherwise it takes the
+    cyclic pass itself (``_cyclic_row``) from its value before the sweep,
+    and its pattern is read again at the next sweep.  ``slab`` is the
+    cell's (p, p) factor, updated in place, and ``patterns`` maps each
+    row to its current pattern.  Returns the moves of the active rows, zero
+    elsewhere.
     """
-    ks, rows = np.nonzero(active)
-    old = l[ks, rows]
-    lams, gammas = lam[:, 0].tolist(), gamma[:, 0].tolist()
-    for k, pairs in itertools.groupby(zip(ks.tolist(), rows.tolist()), key=itemgetter(0)):
-        own = [i for _, i in pairs]
-        slab, lam_k, gamma_k = l[k], lams[k], gammas[k]
-        lo = 0  # own[lo] is the first active row at or below column j
-        for j in range(own[-1] + 1):
-            dj = dl[j]
-            if own[lo] == j:
-                ssum = float(sp[: j + 1, j].dot(slab[j, : j + 1])) - dj * slab.item(j, j)
-                slab[j, j] = diagonal_step(ssum, dj)
-                lo += 1
-                if lo == len(own):
-                    break
-            prod = slab[j + 1 :] @ sp[:, j]
-            for i in own[lo:]:
-                z = -2.0 * (prod.item(i - j - 1) - dj * slab.item(i, j))
-                slab[i, j] = offdiagonal_step(z, dj, lam_k, gamma_k)
-    moved = np.zeros(active.shape)
-    moved[ks, rows] = np.sqrt(((l[ks, rows] - old) ** 2).sum(axis=1))
+    moved = np.zeros(len(active))
+    for i in np.flatnonzero(active).tolist():
+        x = slab[i, : i + 1]
+        old = x.copy()
+        pattern = patterns.get(i)
+        if pattern is None:
+            pattern = patterns[i] = _row_pattern(sp, x, lam, gamma)
+        if not _pattern_step(dl, x, lam, gamma, pattern):
+            del patterns[i]
+            _cyclic_row(sp, dl, x, lam, gamma)
+        step = x - old
+        moved[i] = math.sqrt(float(step @ step))
     return moved
+
+
+@dataclass(frozen=True)
+class _Pattern:
+    """A row's pattern: the support S of its off-diagonals, their signs and
+    MCP regions, with the blocks of the step it implies.
+
+    Each off-diagonal's input z_j, with new values before j and old ones
+    after, is ``lower`` x_S' + ``upper`` (x_S, x_i): ``upper`` is
+    -2 A[:i, S + [i]] kept on the columns after each row, ``lower`` is
+    -2 A[:i, S] kept on the columns before it.
+    """
+
+    s: np.ndarray  # S, ascending
+    s_ext: np.ndarray  # S and the diagonal i
+    lam_sign: np.ndarray  # lambda sign(x_j) on the inner coordinates of S, 0 on flat ones
+    flat: np.ndarray  # the region of each of the i off-diagonals: flat or not
+    # z_j must lie strictly between lo_j and hi_j: (lambda, inf) or
+    # (-inf, -lambda) inner, [-lambda, lambda] for a zero (its ends pushed
+    # out by one ulp), anywhere flat
+    lo: np.ndarray
+    hi: np.ndarray
+    twice_d: np.ndarray  # 2 A_jj of the i off-diagonals
+    tri: np.ndarray  # T = diag(c) + 2 tril(A_SS, -1), Fortran order
+    upper: np.ndarray
+    lower: np.ndarray
+    diag_col: np.ndarray  # A[S, i]
+
+
+def _row_pattern(sp, x, lam, gamma) -> _Pattern:
+    """The pattern of row ``x`` read off its values.
+
+    Flat values have |x_j| >= gamma lambda and inner ones less: the two
+    branches of ``offdiagonal_step`` meet at gamma lambda.
+    """
+    i = len(x) - 1
+    off = x[:i]
+    support = off != 0.0
+    flat = support & (np.abs(off) >= gamma * lam)
+    s = np.flatnonzero(support)
+    s_ext = np.append(s, i)
+    block = -2.0 * sp[:i, s_ext]
+    rows = np.arange(i)[:, None]
+    upper = np.where(s_ext > rows, block, 0.0)
+    lower = np.where(s < rows, block[:, :-1], 0.0)
+    inner = ~flat[s]
+    tri = -lower[s]
+    tri[np.diag_indices(len(s))] = 2.0 * sp[s, s] - inner / gamma
+    sign = np.sign(off)
+    lo = np.where(support, np.where(sign > 0, lam, -np.inf), np.nextafter(-lam, -np.inf))
+    hi = np.where(support, np.where(sign < 0, -lam, np.inf), np.nextafter(lam, np.inf))
+    lo[flat], hi[flat] = -np.inf, np.inf
+    return _Pattern(
+        s=s,
+        s_ext=s_ext,
+        lam_sign=lam * sign[s] * inner,
+        flat=flat,
+        lo=lo,
+        hi=hi,
+        twice_d=2.0 * sp.diagonal()[:i],
+        tri=np.asfortranarray(tri),
+        upper=upper,
+        lower=lower,
+        diag_col=sp[s, i],
+    )
+
+
+def _pattern_step(dl, x, lam, gamma, pat: _Pattern) -> bool:
+    """The cyclic pass over row ``x`` as one forward substitution.
+
+    While the row keeps its pattern, each off-diagonal step is affine in
+    the values before and after it: flat ones are z_j / (2 A_jj), inner
+    ones (z_j - lambda sign(x_j)) / (2 A_jj - 1/gamma), zeros stay zero.
+    So the pass over S solves T x_S' = -2 (triu(A_SS, 1) x_S + A_{S,i} x_i)
+    - lambda sign(x_S) (inner coordinates only).  The step is taken only
+    if the pass would have made it in exact arithmetic: every z_j falls
+    in its assumed region by ``offdiagonal_step``'s own test, each inner
+    one clears lambda with the assumed sign, and each zero sees
+    |z_j| <= lambda.  Then the new row, diagonal included, is written
+    into ``x`` and True returned; else ``x`` is untouched and False
+    returned.
+    """
+    i = len(x) - 1
+    b = pat.upper @ x[pat.s_ext]
+    if pat.s.size:
+        new, info = dtrtrs(pat.tri, b[pat.s] - pat.lam_sign, lower=1)
+        if info:
+            return False
+        z = pat.lower @ new + b
+    else:
+        new, z = b[:0], b
+    held = (np.abs(z) / pat.twice_d >= gamma * lam) == pat.flat
+    held &= pat.lo < z
+    held &= z < pat.hi
+    if not held.all():
+        return False
+    x[pat.s] = new
+    x[i] = diagonal_step(float(pat.diag_col @ new), dl[i])
+    return True
+
+
+def _cyclic_row(sp, dl, x, lam, gamma) -> None:
+    """The cyclic pass over row ``x`` by the scalar closed forms, in place."""
+    i = len(x) - 1
+    for j in range(i):
+        z = -2.0 * (float(sp[j, : i + 1] @ x) - dl[j] * x.item(j))
+        x[j] = offdiagonal_step(z, dl[j], lam, gamma)
+    x[i] = diagonal_step(float(sp[i, :i] @ x[:i]), dl[i])
 
 
 def estimate_cholesky(

@@ -69,3 +69,15 @@ def row_objective(a, x, params):
     l = np.eye(len(x))
     l[-1] = x
     return row_objectives(CholeskyFactor(l), a, params)[-1]
+
+
+def assert_same_cyclic_iterates(a, b):
+    """Two L-step estimates whose sweeps differ only in rounding.
+
+    Per-row sweep counts, convergence flags and supports are equal, and
+    the factors agree to 1e-12.
+    """
+    assert np.array_equal(a.sweeps, b.sweeps)
+    assert np.array_equal(a.converged, b.converged)
+    assert np.array_equal(a.l.l != 0.0, b.l.l != 0.0)
+    assert np.abs(a.l.l - b.l.l).max() <= 1e-12

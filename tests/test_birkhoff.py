@@ -65,6 +65,20 @@ class TestProjection:
             assert np.abs(m.sum(axis=0) - 1).max() <= 1e-8
             assert np.abs(m.sum(axis=1) - 1).max() <= 1e-8
 
+    def test_results_pass_their_public_checks(self, rng):
+        # both result objects are built unchecked: rebuilding them through
+        # the checked constructors must raise nothing, cold and warm
+        for _ in range(40):
+            p = int(rng.integers(1, 21))
+            p0 = rng.standard_normal((p, p)) * rng.choice([0.1, 1.0, 30.0])
+            cold = project_to_birkhoff(p0, eps=2e-9)
+            warm = project_to_birkhoff(p0 + 0.01 * rng.standard_normal((p, p)), duals0=cold.duals)
+            for res in (cold, warm):
+                assert res.converged
+                assert res.ds.m.min() >= 0.0
+                DoublyStochastic(res.ds.m)
+                DualVariables(res.duals.u, res.duals.v, res.duals.bigu)
+
     def test_idempotent_on_feasible(self, rng):
         for _ in range(20):
             ds = random_ds(6, rng)

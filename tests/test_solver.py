@@ -25,7 +25,13 @@ from birkdag.solver import (
     row_objectives,
 )
 
-from conftest import coordinate_update, descend_row, random_covariance, row_objective
+from conftest import (
+    assert_same_cyclic_iterates,
+    coordinate_update,
+    descend_row,
+    random_covariance,
+    row_objective,
+)
 
 
 def serial_cholesky(perm, s, params, settings=SolverSettings(), l0=None):
@@ -350,40 +356,81 @@ class TestEstimateCholeskyPath:
         assert str(path.value) == str(one_cell.value)
 
 
-class TestScalarTail:
+class TestBlockTail:
     @pytest.mark.parametrize("p", [2, 3, 8, 30, 100, 200])
-    def test_scalar_and_column_sweeps_bit_identical(self, p, monkeypatch):
-        # a cutoff of 0 keeps every sweep on the stacked path, a huge one
-        # sends every sweep through the scalar path
+    def test_block_and_column_sweeps_agree(self, p, monkeypatch):
+        # a share of 0 keeps every sweep on the stacked path, a share of 1
+        # sends every sweep through the block path
         perm, s = path_problem(p, p, n=2 * p)
         warm = estimate_cholesky(perm, s, McpParams(0.4, 2.0)).l
         capped = SolverSettings(k_max=1)
         for settings, l0 in itertools.product((capped, SolverSettings()), (None, warm)):
             paths = []
-            for cutoff in (0, 10**9):
-                monkeypatch.setattr(solver, "SCALAR_TAIL_PAIRS", cutoff)
+            for share in (0, 1):
+                monkeypatch.setattr(solver, "BLOCK_TAIL_SHARE", share)
                 paths.append(estimate_cholesky_path(perm, s, PATH_CELLS, settings, l0))
-            for column, scalar in zip(*paths, strict=True):
-                assert_same_estimate(column, scalar)
+            for column, block in zip(*paths, strict=True):
+                assert_same_cyclic_iterates(column, block)
 
-    def test_straggler_sweeps_take_the_scalar_path(self, monkeypatch):
-        taken = {"_column_sweep": [], "_scalar_sweep": []}
-        for name, log in taken.items():
-            sweep = getattr(solver, name)
+    def test_straggler_rows_take_the_block_path(self, monkeypatch):
+        p = 30
+        limit = solver.BLOCK_TAIL_SHARE * p
+        column_counts, block_counts = [], []
+        column_sweep, block_sweep = solver._column_sweep, solver._block_sweep
 
-            def counted(sp, dl, l, active, lam, gamma, sweep=sweep, log=log):
-                log.append(int(active.sum()))
-                return sweep(sp, dl, l, active, lam, gamma)
+        def column_counted(sp, dl, l, active, lam, gamma):
+            column_counts.append(active.sum(axis=1).tolist())
+            return column_sweep(sp, dl, l, active, lam, gamma)
 
-            monkeypatch.setattr(solver, name, counted)
-        perm, s = path_problem(30, 30)
+        def block_counted(sp, dl, slab, active, lam, gamma, patterns):
+            block_counts.append(int(active.sum()))
+            return block_sweep(sp, dl, slab, active, lam, gamma, patterns)
+
+        monkeypatch.setattr(solver, "_column_sweep", column_counted)
+        monkeypatch.setattr(solver, "_block_sweep", block_counted)
+        perm, s = path_problem(p, p)
         est = estimate_cholesky(perm, s, McpParams(0.2, 2.0))
         assert est.all_converged
-        assert taken["_column_sweep"] and taken["_scalar_sweep"]
-        assert min(taken["_column_sweep"]) > solver.SCALAR_TAIL_PAIRS
-        assert max(taken["_scalar_sweep"]) <= solver.SCALAR_TAIL_PAIRS
-        n_sweeps = len(taken["_column_sweep"]) + len(taken["_scalar_sweep"])
-        assert n_sweeps == est.sweeps.max()
+        assert column_counts and block_counts
+        assert min(min(counts) for counts in column_counts) > limit
+        assert max(block_counts) <= limit
+        assert len(column_counts) + len(block_counts) == est.sweeps.max()
+        # in a path each cell switches on its own rows: the stacked sweep
+        # goes on for the cells that still have many active rows
+        column_counts.clear()
+        block_counts.clear()
+        estimate_cholesky_path(perm, s, PATH_CELLS)
+        assert min(min(counts) for counts in column_counts) > limit
+        assert max(block_counts) <= limit
+        assert any(len(counts) < len(PATH_CELLS) for counts in column_counts)
+
+    def test_pattern_changes_fall_back_to_the_cyclic_pass(self, monkeypatch):
+        # from sweep 1 on the supports still change, so some block row steps
+        # must be refused and redone by the scalar cyclic pass
+        calls = {"_pattern_step": [], "_cyclic_row": 0}
+        pattern_step, cyclic_row = solver._pattern_step, solver._cyclic_row
+
+        def step_logged(*args):
+            accepted = pattern_step(*args)
+            calls["_pattern_step"].append(accepted)
+            return accepted
+
+        def cyclic_counted(*args):
+            calls["_cyclic_row"] += 1
+            return cyclic_row(*args)
+
+        monkeypatch.setattr(solver, "_pattern_step", step_logged)
+        monkeypatch.setattr(solver, "_cyclic_row", cyclic_counted)
+        perm, s = path_problem(30, 30)
+        params = McpParams(0.2, 2.0)
+        monkeypatch.setattr(solver, "BLOCK_TAIL_SHARE", 1)
+        block = estimate_cholesky(perm, s, params)
+        steps = calls["_pattern_step"]
+        assert calls["_cyclic_row"] == steps.count(False) > 0
+        assert steps.count(True) > 0
+        monkeypatch.setattr(solver, "BLOCK_TAIL_SHARE", 0)
+        column = estimate_cholesky(perm, s, params)
+        assert_same_cyclic_iterates(column, block)
 
 
 class TestLowerBounds:

@@ -13,7 +13,7 @@ from birkdag.scoring import McpParams
 from birkdag.sem import Permutation
 from birkdag.solver import SolverSettings, estimate_cholesky, estimate_cholesky_path
 
-from conftest import random_covariance
+from conftest import assert_same_cyclic_iterates, random_covariance
 
 cells = st.lists(
     st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 3.0)), min_size=1, max_size=6
@@ -37,15 +37,19 @@ def test_path_cells_equal_one_cell_solves(p, seed, cells, k_max, warm):
     params = [McpParams(lam, guard + offset) for lam, offset in cells]
     settings = SolverSettings(k_max=k_max)
     l0 = estimate_cholesky(perm, s, McpParams(0.3, guard + 1.0)).l if warm else None
-    path = estimate_cholesky_path(perm, s, params, settings, l0)
-    # every sweep on the stacked path, then every sweep on the scalar path
-    by_cutoff = []
-    for cutoff in (0, 10**9):
-        with mock.patch.object(solver, "SCALAR_TAIL_PAIRS", cutoff):
-            by_cutoff.append(estimate_cholesky_path(perm, s, params, settings, l0))
-    for cell, est, column, scalar in zip(params, path, *by_cutoff, strict=True):
-        one = estimate_cholesky(perm, s, cell, settings, l0)
-        for other in (one, column, scalar):
-            assert np.array_equal(est.l.l, other.l.l)
-            assert np.array_equal(est.sweeps, other.sweeps)
-            assert np.array_equal(est.converged, other.converged)
+    # the default switch, every sweep on the stacked path, every sweep on
+    # the block path: at each, the path equals one-cell solves bit for bit
+    by_share = []
+    for share in (solver.BLOCK_TAIL_SHARE, 0, 1):
+        with mock.patch.object(solver, "BLOCK_TAIL_SHARE", share):
+            path = estimate_cholesky_path(perm, s, params, settings, l0)
+            for cell, est in zip(params, path, strict=True):
+                one = estimate_cholesky(perm, s, cell, settings, l0)
+                assert np.array_equal(est.l.l, one.l.l)
+                assert np.array_equal(est.sweeps, one.sweeps)
+                assert np.array_equal(est.converged, one.converged)
+        by_share.append(path)
+    # across the switch the sweeps differ only in rounding
+    for column, others in zip(by_share[1], zip(by_share[0], by_share[2], strict=True)):
+        for other in others:
+            assert_same_cyclic_iterates(column, other)
