@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dposv
-from scipy.optimize import linear_sum_assignment
 
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
 
@@ -549,6 +548,10 @@ def round_hungarian(ds: DoublyStochastic) -> Permutation:
     Solved exactly as a linear assignment problem; ties resolve
     deterministically (a constant matrix rounds to the identity).
     """
+    # imported here: scipy.optimize costs about 0.3 s to load, and only
+    # the ordering step needs it
+    from scipy.optimize import linear_sum_assignment
+
     _, cols = linear_sum_assignment(-ds.m)
     return Permutation(cols)
 

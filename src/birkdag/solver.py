@@ -15,8 +15,12 @@ value in the flat region of the penalty.
 Rows are independent, so the full-factor driver interleaves all rows
 through shared column sweeps; within each row the coordinates still
 update in cyclic order, off-diagonals ascending and then the diagonal.
-Each coordinate is strictly convex and h is bounded below, so the
-sweeps descend to a coordinate-wise minimum (Tseng 2001, Thm 5.1).
+A column sweep gets z_j of every row below column j from one product
+with row j of M = -2 S^P, its diagonal zeroed, and writes all diagonals
+after the last column: a row's diagonal comes last in its cyclic order
+and no other coordinate reads it.  Each coordinate is strictly convex
+and h is bounded below, so the sweeps descend to a coordinate-wise
+minimum (Tseng 2001, Thm 5.1).
 ``estimate_cholesky_path`` stacks the factors of several (lambda, gamma)
 cells at one ordering, such as a tuning grid, and sweeps them together,
 so the per-column overhead is paid once for the whole path;
@@ -30,14 +34,22 @@ support S, its signs and each coordinate's MCP region fixed, one cyclic
 pass over its off-diagonals is an affine Gauss-Seidel step: forward
 substitution with T = diag(c) + 2 tril(A_SS, -1).  The step is taken only
 when its result reproduces the assumed pattern, so that the cyclic pass
-makes the same step in exact arithmetic; otherwise the row takes the
-cyclic pass by the scalar closed forms.  The iterates, and the theorem
-above, are those of cyclic coordinate descent, and the two paths differ
-only in rounding: per-row sweep counts, convergence flags and supports
-agree, and factors to 1e-12.  The switch counts each cell's own rows, so
-a cell's factor, sweep counts and flags in a path are bit-identical to
-those of a solve on its own.  ``offdiagonal_step`` and ``diagonal_step``
-are the one closed form of each coordinate update.
+makes the same step in exact arithmetic; otherwise the row keeps the
+step's coordinates before the first one refused, which the cyclic pass
+also makes, and goes on by the scalar closed forms.  The iterates, and
+the theorem above, are those of cyclic coordinate descent, and the two
+paths differ only in rounding: per-row sweep counts, convergence flags
+and supports agree, and factors to 1e-12.  The switch counts each cell's
+own rows, so a cell's factor, sweep counts and flags in a path are
+bit-identical to those of a solve on its own.
+
+``offdiagonal_step`` and ``diagonal_step`` are the one closed form of
+each coordinate update.  The column sweep applies their float operations
+elementwise, so from the same z_j (or diagonal sum) the scalar and array
+forms give the same bits, signed zeros included.  Those inputs are
+products and sums whose rounding depends on their length and order, which
+differ between the column sweep, the block step and the scalar cyclic
+pass (``_cyclic_row``); so these three agree to 1e-12, not bit for bit.
 """
 
 from __future__ import annotations
@@ -54,11 +66,12 @@ from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
 
 
 # A cell whose active rows number at most this share of p sweeps them
-# through ``_block_sweep``.  The stacked sweep pays about 15 numpy calls
-# per column however few rows are still active, so its cost per sweep
-# grows with p, while a block row step is a fixed two dozen numpy calls.
-# Measured best shares: about p/3 for a 5-cell tuning path and p/2 for
-# one cell, at p = 100 and at p = 200.
+# through ``_block_sweep``.  The stacked sweep pays one product and about
+# ten numpy calls per column however few rows are still active, so its
+# cost per sweep grows with p, while a block row step is a fixed two dozen
+# numpy calls.  Measured best shares: about p/3 for a 5-cell tuning path
+# and p/2 for one cell, at p = 100 and at p = 200; each loses about 10%
+# on the other's case.
 BLOCK_TAIL_SHARE = 1 / 3
 
 
@@ -94,20 +107,21 @@ def offdiagonal_step(z: float, a_jj: float, lam: float, gamma: float) -> float:
     """MCP minimizer of a_jj t^2 - z t + rho(|t|) over t.
 
     In the flat-penalty region (|z|/(2 a_jj) >= gamma lambda) it is the
-    unpenalized value z / (2 a_jj); otherwise S_lambda(z) / (2 a_jj - 1/gamma).
-    Each float operation is the one the column sweep applies elementwise,
-    so the scalar and the array forms agree bit for bit.
+    unpenalized value z / (2 a_jj); otherwise S_lambda(z) / (2 a_jj - 1/gamma)
+    with S_lambda(z) = copysign(max(|z| - lambda, 0), z).  The test reads
+    |z / (2 a_jj)|, which equals |z| / (2 a_jj) exactly.  Each float
+    operation is the one the column sweep applies elementwise, so from the
+    same z the scalar and the array forms agree bit for bit.
     """
-    if abs(z) / (2.0 * a_jj) >= gamma * lam:
-        return z / (2.0 * a_jj)
-    # S_lambda(z) = sign(z) max(|z| - lambda, 0), with numpy's sign(+-0) = +0
-    m = max(abs(z) - lam, 0.0)
-    return (m if z > 0 else -m if z < 0 else 0.0 * m) / (2.0 * a_jj - 1.0 / gamma)
+    q = z / (2.0 * a_jj)
+    if abs(q) >= gamma * lam:
+        return q
+    return math.copysign(max(abs(z) - lam, 0.0), z) / (2.0 * a_jj - 1.0 / gamma)
 
 
-def diagonal_step(ssum: float, a_kk: float) -> float:
-    """Positive root of a_kk t^2 + ssum t - 1 = 0."""
-    return (-ssum + math.sqrt(ssum * ssum + 4.0 * a_kk)) / (2.0 * a_kk)
+def diagonal_step(ssum, a_kk):
+    """Positive root of a_kk t^2 + ssum t - 1 = 0, for floats or elementwise."""
+    return (-ssum + np.sqrt(ssum * ssum + 4.0 * a_kk)) / (2.0 * a_kk)
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,8 @@ def estimate_cholesky_path(
     l[:, 0, 0] = 1.0 / np.sqrt(d[0])
     sweeps = np.zeros((c, p), dtype=int)
     dl = d.tolist()
+    m = -2.0 * sp
+    np.fill_diagonal(m, 0.0)
     out: list[CholeskyEstimate | None] = [None] * c
     cells = np.arange(c)  # the cell each slab of the stack belongs to
     patterns = [{} for _ in range(c)]  # per cell: row -> its _Pattern
@@ -189,12 +205,12 @@ def estimate_cholesky_path(
         # does not depend on which other cells share the stack
         stacked = np.count_nonzero(active, axis=1) > BLOCK_TAIL_SHARE * p
         if stacked.all():
-            moved = _column_sweep(sp, dl, l, active, lam, gamma)
+            moved = _column_sweep(m, d, l, active, lam, gamma)
         else:
             moved = np.zeros(active.shape)
             if stacked.any():
                 sub = l[stacked]
-                moved[stacked] = _column_sweep(sp, dl, sub, active[stacked], lam[stacked], gamma[stacked])
+                moved[stacked] = _column_sweep(m, d, sub, active[stacked], lam[stacked], gamma[stacked])
                 l[stacked] = sub
             for k in np.flatnonzero(~stacked).tolist():
                 moved[k] = _block_sweep(
@@ -209,38 +225,40 @@ def estimate_cholesky_path(
     return out
 
 
-def _column_sweep(sp, dl, l, active, lam, gamma) -> np.ndarray:
+def _column_sweep(m, d, l, active, lam, gamma) -> np.ndarray:
     """One cyclic sweep of all active rows of all cells at once, column by column.
 
-    Updates the (cells, p, p) stack ``l`` in place and returns how far each
-    row moved, in Euclidean norm.
+    ``m`` is -2 S^P with a zero diagonal, so that z_j of every row below
+    column j is one product with its row ``m[j]``.  Each column writes the
+    off-diagonal steps of the active rows below it; the diagonals follow
+    after the last column, all at once.  A row's diagonal comes last in its
+    cyclic order and no other coordinate reads it, so the iterate is the
+    cyclic one.  Updates the (cells, p, p) stack ``l`` in place and returns
+    how far each row moved, in Euclidean norm.
     """
-    p = sp.shape[0]
     thresh = gamma * lam
-    denom = 2.0 * sp.diagonal() - 1.0 / gamma
+    denom = 2.0 * d - 1.0 / gamma
+    twice_d = (2.0 * d).tolist()
     # past the last active row no column update touches an active row
     last = int(np.flatnonzero(active.any(axis=0))[-1])
-    by_col = active.T.tolist()
-    slabs = list(l)
     l_old = l.copy()
-    for j in range(last + 1):
-        dj = dl[j]
-        # a separate dot per cell: a stacked product rounds differently
-        col = sp[: j + 1, j]
-        for slab, on in zip(slabs, by_col[j]):
-            if on:
-                ssum = float(col.dot(slab[j, : j + 1])) - dj * slab.item(j, j)
-                slab[j, j] = diagonal_step(ssum, dj)
-        if j >= last:
-            continue
+    for j in range(last):
         # all rows below j, active or not: a shorter product rounds differently
-        rows = slice(j + 1, p)
-        lj = l[:, rows, j]
-        z = -2.0 * (l[:, rows, :] @ sp[:, j] - dj * lj)
-        az = np.abs(z)
-        new = np.sign(z) * np.maximum(az - lam, 0.0) / denom[:, j : j + 1]
-        np.copyto(new, z / (2.0 * dj), where=az / (2.0 * dj) >= thresh)
-        np.copyto(lj, new, where=active[:, rows])
+        rows = slice(j + 1, None)
+        z = l[:, rows, :] @ m[j]
+        # offdiagonal_step, elementwise: |z| / (2 A_jj) is |z / (2 A_jj)| exactly
+        q = z / twice_d[j]
+        inner = np.abs(z)
+        inner -= lam
+        np.maximum(inner, 0.0, out=inner)
+        np.copysign(inner, z, out=inner)
+        np.divide(inner, denom[:, j : j + 1], out=q, where=np.abs(q) < thresh)
+        np.copyto(l[:, rows, j], q, where=active[:, rows])
+    on_cells, on_rows = np.nonzero(active)
+    # sum_{k<i} S^P_ik L_ik, each summed along its own row of length p, so
+    # that its rounding does not depend on the stack
+    ssum = -0.5 * (l[on_cells, on_rows] * m[on_rows]).sum(axis=1)
+    l[on_cells, on_rows, on_rows] = diagonal_step(ssum, d[on_rows])
     return np.sqrt(((l - l_old) ** 2).sum(axis=2))
 
 
@@ -248,11 +266,12 @@ def _block_sweep(sp, dl, slab, active, lam, gamma, patterns) -> np.ndarray:
     """One cyclic sweep of the active rows of one cell, row by row.
 
     A row whose pattern (``_row_pattern``) still holds takes the sweep as
-    one triangular solve (``_pattern_step``); otherwise it takes the
-    cyclic pass itself (``_cyclic_row``) from its value before the sweep,
-    and its pattern is read again at the next sweep.  ``slab`` is the
-    cell's (p, p) factor, updated in place, and ``patterns`` maps each
-    row to its current pattern.  Returns the moves of the active rows, zero
+    one triangular solve (``_pattern_step``).  Otherwise it keeps the
+    solve's coordinates before the first one refused, the cyclic pass
+    itself (``_cyclic_row``) goes on from that coordinate, and its pattern
+    is read again at the next sweep.  ``slab`` is the cell's (p, p)
+    factor, updated in place, and ``patterns`` maps each row to its
+    current pattern.  Returns the moves of the active rows, zero
     elsewhere.
     """
     moved = np.zeros(len(active))
@@ -262,9 +281,10 @@ def _block_sweep(sp, dl, slab, active, lam, gamma, patterns) -> np.ndarray:
         pattern = patterns.get(i)
         if pattern is None:
             pattern = patterns[i] = _row_pattern(sp, x, lam, gamma)
-        if not _pattern_step(dl, x, lam, gamma, pattern):
+        kept = _pattern_step(dl, x, lam, gamma, pattern)
+        if kept < i:
             del patterns[i]
-            _cyclic_row(sp, dl, x, lam, gamma)
+            _cyclic_row(sp, dl, x, lam, gamma, kept)
         step = x - old
         moved[i] = math.sqrt(float(step @ step))
     return moved
@@ -335,7 +355,7 @@ def _row_pattern(sp, x, lam, gamma) -> _Pattern:
     )
 
 
-def _pattern_step(dl, x, lam, gamma, pat: _Pattern) -> bool:
+def _pattern_step(dl, x, lam, gamma, pat: _Pattern) -> int:
     """The cyclic pass over row ``x`` as one forward substitution.
 
     While the row keeps its pattern, each off-diagonal step is affine in
@@ -346,16 +366,17 @@ def _pattern_step(dl, x, lam, gamma, pat: _Pattern) -> bool:
     if the pass would have made it in exact arithmetic: every z_j falls
     in its assumed region by ``offdiagonal_step``'s own test, each inner
     one clears lambda with the assumed sign, and each zero sees
-    |z_j| <= lambda.  Then the new row, diagonal included, is written
-    into ``x`` and True returned; else ``x`` is untouched and False
-    returned.
+    |z_j| <= lambda.  A z_j depends only on the new values before j, so
+    the coordinates before the first refused one are those the cyclic pass
+    makes.  They are written into ``x`` and their count returned; when no
+    coordinate is refused that count is i and the diagonal is written too.
     """
     i = len(x) - 1
     b = pat.upper @ x[pat.s_ext]
     if pat.s.size:
         new, info = dtrtrs(pat.tri, b[pat.s] - pat.lam_sign, lower=1)
         if info:
-            return False
+            return 0
         z = pat.lower @ new + b
     else:
         new, z = b[:0], b
@@ -363,16 +384,20 @@ def _pattern_step(dl, x, lam, gamma, pat: _Pattern) -> bool:
     held &= pat.lo < z
     held &= z < pat.hi
     if not held.all():
-        return False
+        first = int(held.argmin())
+        k = int(np.searchsorted(pat.s, first))
+        x[pat.s[:k]] = new[:k]
+        return first
     x[pat.s] = new
     x[i] = diagonal_step(float(pat.diag_col @ new), dl[i])
-    return True
+    return i
 
 
-def _cyclic_row(sp, dl, x, lam, gamma) -> None:
-    """The cyclic pass over row ``x`` by the scalar closed forms, in place."""
+def _cyclic_row(sp, dl, x, lam, gamma, start=0) -> None:
+    """The cyclic pass over row ``x`` by the scalar closed forms, in place,
+    from off-diagonal ``start`` on."""
     i = len(x) - 1
-    for j in range(i):
+    for j in range(start, i):
         z = -2.0 * (float(sp[j, : i + 1] @ x) - dl[j] * x.item(j))
         x[j] = offdiagonal_step(z, dl[j], lam, gamma)
     x[i] = diagonal_step(float(sp[i, :i] @ x[:i]), dl[i])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -528,6 +533,28 @@ class TestRoundHungarian:
 
     def test_center_ties_to_identity(self):
         assert np.array_equal(round_hungarian(DoublyStochastic.center(4)).pi, np.arange(4))
+
+    def test_scipy_optimize_loads_at_first_rounding(self):
+        # a fresh interpreter: importing birkdag leaves scipy.optimize out,
+        # and the first rounding loads it and returns the exact assignment
+        code = """
+import itertools, sys
+import numpy as np
+import birkdag
+from birkdag.birkhoff import DoublyStochastic, round_hungarian
+print('scipy.optimize' in sys.modules)
+m = np.random.default_rng(5).random((6, 6))
+for _ in range(500):
+    m /= m.sum(axis=1, keepdims=True)
+    m /= m.sum(axis=0, keepdims=True)
+best = max(itertools.permutations(range(6)), key=lambda pi: m[np.arange(6), pi].sum())
+print(round_hungarian(DoublyStochastic(m)).pi.tolist() == list(best))
+print('scipy.optimize' in sys.modules)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "True"]
 
 
 class TestEstimatePermutation:

@@ -331,6 +331,25 @@ class TestEstimateCholeskyPath:
             for params, est in zip(PATH_CELLS, path):
                 assert_same_estimate(est, estimate_cholesky(perm, s, params, settings, l0))
 
+    @pytest.mark.parametrize("p", [30, 100])
+    def test_one_sweep_is_one_cyclic_pass(self, p):
+        # the column sweep writes the diagonals after the last column; each
+        # row's iterate is still one cyclic pass, off-diagonals ascending
+        # and then the diagonal
+        perm, s = path_problem(p, p)
+        sp = perm.apply_to_matrix(s.s)
+        warm = estimate_cholesky(perm, s, McpParams(0.4, 2.0)).l
+        for l0 in (None, warm):
+            start = np.diag(1.0 / np.sqrt(np.diag(sp))) if l0 is None else np.tril(l0.l)
+            path = estimate_cholesky_path(perm, s, PATH_CELLS, SolverSettings(k_max=1), l0)
+            for params, est in zip(PATH_CELLS, path, strict=True):
+                assert est.l.l[0, 0] == 1.0 / np.sqrt(sp[0, 0])
+                for i in range(1, p):
+                    x = start[i, : i + 1].copy()
+                    for j in range(i + 1):
+                        x[j] = coordinate_update(sp[: i + 1, : i + 1], x, j, params)
+                    assert np.abs(est.l.l[i, : i + 1] - x).max() <= 1e-12
+
     def test_cells_match_serial(self):
         settings = SolverSettings(eps=1e-10, k_max=2000)
         for seed in range(3):
@@ -406,28 +425,36 @@ class TestBlockTail:
 
     def test_pattern_changes_fall_back_to_the_cyclic_pass(self, monkeypatch):
         # from sweep 1 on the supports still change, so some block row steps
-        # must be refused and redone by the scalar cyclic pass
-        calls = {"_pattern_step": [], "_cyclic_row": 0}
+        # must be refused; each keeps the coordinates before the first one
+        # refused and the scalar cyclic pass goes on from there
+        steps, fallbacks = [], []
         pattern_step, cyclic_row = solver._pattern_step, solver._cyclic_row
 
-        def step_logged(*args):
-            accepted = pattern_step(*args)
-            calls["_pattern_step"].append(accepted)
-            return accepted
+        def step_logged(dl, x, lam, gamma, pat):
+            before = x.copy()
+            held = pattern_step(dl, x, lam, gamma, pat)
+            steps.append((len(x) - 1, held, before))
+            return held
 
-        def cyclic_counted(*args):
-            calls["_cyclic_row"] += 1
-            return cyclic_row(*args)
+        def cyclic_checked(sp, dl, x, lam, gamma, start):
+            row, held, before = steps[-1]
+            assert (len(x) - 1, start) == (row, held) and held < row
+            cyclic_row(sp, dl, x, lam, gamma, start)
+            full = before.copy()
+            cyclic_row(sp, dl, full, lam, gamma)
+            assert np.abs(x - full).max() <= 1e-12
+            fallbacks.append(start)
 
         monkeypatch.setattr(solver, "_pattern_step", step_logged)
-        monkeypatch.setattr(solver, "_cyclic_row", cyclic_counted)
+        monkeypatch.setattr(solver, "_cyclic_row", cyclic_checked)
         perm, s = path_problem(30, 30)
         params = McpParams(0.2, 2.0)
         monkeypatch.setattr(solver, "BLOCK_TAIL_SHARE", 1)
         block = estimate_cholesky(perm, s, params)
-        steps = calls["_pattern_step"]
-        assert calls["_cyclic_row"] == steps.count(False) > 0
-        assert steps.count(True) > 0
+        refused = [held for row, held, _ in steps if held < row]
+        assert fallbacks == refused and len(refused) > 0
+        assert any(start > 0 for start in fallbacks)
+        assert len(steps) > len(refused)
         monkeypatch.setattr(solver, "BLOCK_TAIL_SHARE", 0)
         column = estimate_cholesky(perm, s, params)
         assert_same_cyclic_iterates(column, block)
