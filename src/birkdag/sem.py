@@ -188,6 +188,18 @@ class DataMatrix:
         return self.x.shape[1]
 
 
+def _checked_covariance(s) -> np.ndarray:
+    s = _as_float_matrix(s, "s")
+    if np.abs(s - s.T).max(initial=0.0) > 1e-12:
+        raise ValueError("sample covariance must be symmetric within 1e-12")
+    if not (np.diag(s) > 0).all():
+        raise ValueError(
+            "sample covariance has a non-positive diagonal entry "
+            "(zero-variance column); the row solver requires S_ii > 0"
+        )
+    return s
+
+
 @dataclass(frozen=True)
 class SampleCovariance:
     """Symmetric PSD sample covariance with strictly positive diagonal."""
@@ -195,18 +207,19 @@ class SampleCovariance:
     s: np.ndarray
 
     def __post_init__(self):
-        s = _as_float_matrix(self.s, "s")
-        if np.abs(s - s.T).max(initial=0.0) > 1e-12:
-            raise ValueError("sample covariance must be symmetric within 1e-12")
-        if not (np.diag(s) > 0).all():
-            raise ValueError(
-                "sample covariance has a non-positive diagonal entry "
-                "(zero-variance column); the row solver requires S_ii > 0"
-            )
+        s = _checked_covariance(self.s)
         w = np.linalg.eigvalsh(s)
         if w[0] < -1e-10 * max(w[-1], 1.0):
             raise ValueError("sample covariance is not positive semi-definite")
         object.__setattr__(self, "s", s)
+
+    @classmethod
+    def _of_gram(cls, s: np.ndarray) -> SampleCovariance:
+        """A covariance X^t X / n, PSD by construction: the eigenvalue test
+        is skipped, the symmetry and diagonal checks are kept."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "s", _checked_covariance(s))
+        return out
 
     @property
     def p(self) -> int:
@@ -293,9 +306,13 @@ def sample_data(inst: SemInstance, n: int, rng: np.random.Generator) -> DataMatr
 
 
 def sample_covariance(x: DataMatrix) -> SampleCovariance:
-    """S = X^t X / n, symmetrized to remove round-off asymmetry."""
+    """S = X^t X / n, symmetrized to remove round-off asymmetry.
+
+    S is PSD by construction, so the constructor's eigenvalue test is
+    skipped; its symmetry and diagonal checks still run.
+    """
     s = x.x.T @ x.x / x.n
     s = 0.5 * (s + s.T)
     if (np.diag(s) <= 0).any():
         raise ValueError("degenerate data: a column has zero variance")
-    return SampleCovariance(s)
+    return SampleCovariance._of_gram(s)

@@ -27,21 +27,27 @@ so the per-column overhead is paid once for the whole path;
 ``estimate_cholesky`` is its one-cell case.
 
 Rows converge unevenly: at p = 200 the median row stops after about 10
-sweeps and the slowest after 38-160, so a solve ends in sweeps with a
-handful of active rows.  Once a cell has at most ``BLOCK_TAIL_SHARE`` * p
-active rows, its sweeps run row by row (``_block_sweep``).  With a row's
-support S, its signs and each coordinate's MCP region fixed, one cyclic
-pass over its off-diagonals is an affine Gauss-Seidel step: forward
-substitution with T = diag(c) + 2 tril(A_SS, -1).  The step is taken only
-when its result reproduces the assumed pattern, so that the cyclic pass
-makes the same step in exact arithmetic; otherwise the row keeps the
-step's coordinates before the first one refused, which the cyclic pass
-also makes, and goes on by the scalar closed forms.  The iterates, and
-the theorem above, are those of cyclic coordinate descent, and the two
-paths differ only in rounding: per-row sweep counts, convergence flags
-and supports agree, and factors to 1e-12.  The switch counts each cell's
-own rows, so a cell's factor, sweep counts and flags in a path are
-bit-identical to those of a solve on its own.
+sweeps and the slowest after 38-160, but a row's pattern (the support S
+of its off-diagonals, their signs and each one's MCP region) settles
+much sooner: by sweep 5 to 10 only a few rows still change it.  A cell
+leaves the column sweep for good after a column sweep in which the
+pattern of at most ``SETTLED_SHARE`` of its active rows changed; from
+then on each sweep advances all its active rows by one batched block
+step (``_block_sweep``).  With a row's pattern fixed, one cyclic pass over
+its off-diagonals is an affine Gauss-Seidel step: forward substitution
+with T = diag(c) + 2 tril(A_SS, -1).  The batched step pads the cell's
+supports to one width, reads z_j from the columns of M on each support,
+and runs the substitution for all rows at once.  A row's step is taken
+only when its result reproduces the assumed pattern, so that the cyclic
+pass makes the same step in exact arithmetic; otherwise the row keeps
+the step's coordinates before the first one refused, which the cyclic
+pass also makes, goes on by the scalar closed forms, and its pattern is
+read again.  The iterates, and the theorem above, are those of cyclic
+coordinate descent, and the two paths differ only in rounding: per-row
+sweep counts, convergence flags and supports agree, and factors to
+1e-12.  The switch reads each cell's own rows, so a cell's factor, sweep
+counts and flags in a path are bit-identical to those of a solve on its
+own.
 
 ``offdiagonal_step`` and ``diagonal_step`` are the one closed form of
 each coordinate update.  The column sweep applies their float operations
@@ -56,23 +62,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from birkdag.scoring import McpParams, _permuted_cov, mcp
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
 
 
-# A cell whose active rows number at most this share of p sweeps them
-# through ``_block_sweep``.  The stacked sweep pays one product and about
-# ten numpy calls per column however few rows are still active, so its
-# cost per sweep grows with p, while a block row step is a fixed two dozen
-# numpy calls.  Measured best shares: about p/3 for a 5-cell tuning path
-# and p/2 for one cell, at p = 100 and at p = 200; each loses about 10%
-# on the other's case.
-BLOCK_TAIL_SHARE = 1 / 3
+# A cell leaves the column sweep for good after a column sweep in which
+# the pattern of at most this share of its active rows changed.
+SETTLED_SHARE = 0.05
 
 
 class ConvexityGuardError(ValueError):
@@ -148,12 +148,12 @@ def estimate_cholesky_path(
     an independent subproblem on the leading block of S^P = P S P^t.
     The cells of ``params_seq`` are stacked, and all rows of all cells
     advance together through shared column sweeps, each row in cyclic
-    coordinate order, until a cell has at most ``BLOCK_TAIL_SHARE`` * p
-    active rows; from then on that cell sweeps its rows one at a time
-    by ``_block_sweep``, which makes the same cyclic steps up to
-    rounding (see the module docstring).  Every cell's factor, sweep
-    counts and convergence flags are those of a solve on its own, bit
-    for bit.  A row stops once
+    coordinate order, until the row patterns of a cell settle (see
+    ``SETTLED_SHARE``); from then on that cell sweeps its rows by one
+    batched step per sweep (``_block_sweep``), which makes the same
+    cyclic steps up to rounding (see the module docstring).  Every
+    cell's factor, sweep counts and convergence flags are those of a
+    solve on its own, bit for bit.  A row stops once
     a sweep moves it less than ``settings.eps``; rows still moving after
     ``settings.k_max`` sweeps are flagged unconverged.  ``l0`` warm
     starts the rows of every cell.  The convexity guard is checked for
@@ -184,37 +184,43 @@ def estimate_cholesky_path(
     active[:, 0] = False
     l[:, 0, 0] = 1.0 / np.sqrt(d[0])
     sweeps = np.zeros((c, p), dtype=int)
-    dl = d.tolist()
     m = -2.0 * sp
     np.fill_diagonal(m, 0.0)
+    cov = _BlockCov.of(sp, m)
     out: list[CholeskyEstimate | None] = [None] * c
     cells = np.arange(c)  # the cell each slab of the stack belongs to
-    patterns = [{} for _ in range(c)]  # per cell: row -> its _Pattern
+    settled = np.zeros(c, dtype=bool)  # the slab's cell has left the column sweep
+    batches = [None] * c  # per cell: its _Batch once settled
     for sweep in range(1, settings.k_max + 1):
         # a cell whose rows have all converged leaves the stack
         done = ~active.any(axis=1)
         if done.any():
             for k in np.flatnonzero(done):
                 out[cells[k]] = CholeskyEstimate(CholeskyFactor(l[k]), sweeps[k], ~active[k])
+                batches[cells[k]] = None
             keep = ~done
             l, active, sweeps, cells = l[keep], active[keep], sweeps[keep], cells[keep]
-            lam, gamma = lam[keep], gamma[keep]
+            lam, gamma, settled = lam[keep], gamma[keep], settled[keep]
         if not cells.size:
             break
-        # the switch counts each cell's own rows, so that a cell's factor
+        # the switch reads each cell's own rows, so that a cell's factor
         # does not depend on which other cells share the stack
-        stacked = np.count_nonzero(active, axis=1) > BLOCK_TAIL_SHARE * p
-        if stacked.all():
-            moved = _column_sweep(m, d, l, active, lam, gamma)
+        block = np.flatnonzero(settled).tolist()
+        if not block:
+            moved, changed = _column_sweep(m, d, l, active, lam, gamma)
+            settled = changed <= SETTLED_SHARE * np.count_nonzero(active, axis=1)
         else:
             moved = np.zeros(active.shape)
+            stacked = ~settled
             if stacked.any():
                 sub = l[stacked]
-                moved[stacked] = _column_sweep(m, d, sub, active[stacked], lam[stacked], gamma[stacked])
+                on = active[stacked]
+                moved[stacked], changed = _column_sweep(m, d, sub, on, lam[stacked], gamma[stacked])
                 l[stacked] = sub
-            for k in np.flatnonzero(~stacked).tolist():
-                moved[k] = _block_sweep(
-                    sp, dl, l[k], active[k], lam.item(k), gamma.item(k), patterns[cells[k]]
+                settled[stacked] = changed <= SETTLED_SHARE * np.count_nonzero(on, axis=1)
+            for k in block:
+                moved[k], batches[cells[k]] = _block_sweep(
+                    cov, l[k], active[k], lam.item(k), gamma.item(k), batches[cells[k]]
                 )
         finished = active & (moved < settings.eps)
         sweeps[finished] = sweep
@@ -225,7 +231,7 @@ def estimate_cholesky_path(
     return out
 
 
-def _column_sweep(m, d, l, active, lam, gamma) -> np.ndarray:
+def _column_sweep(m, d, l, active, lam, gamma) -> tuple[np.ndarray, np.ndarray]:
     """One cyclic sweep of all active rows of all cells at once, column by column.
 
     ``m`` is -2 S^P with a zero diagonal, so that z_j of every row below
@@ -234,7 +240,9 @@ def _column_sweep(m, d, l, active, lam, gamma) -> np.ndarray:
     after the last column, all at once.  A row's diagonal comes last in its
     cyclic order and no other coordinate reads it, so the iterate is the
     cyclic one.  Updates the (cells, p, p) stack ``l`` in place and returns
-    how far each row moved, in Euclidean norm.
+    how far each row moved, in Euclidean norm, and for each cell the count
+    of its rows whose pattern changed: an off-diagonal changed sign or
+    MCP region.
     """
     thresh = gamma * lam
     denom = 2.0 * d - 1.0 / gamma
@@ -259,138 +267,202 @@ def _column_sweep(m, d, l, active, lam, gamma) -> np.ndarray:
     # that its rounding does not depend on the stack
     ssum = -0.5 * (l[on_cells, on_rows] * m[on_rows]).sum(axis=1)
     l[on_cells, on_rows, on_rows] = diagonal_step(ssum, d[on_rows])
-    return np.sqrt(((l - l_old) ** 2).sum(axis=2))
-
-
-def _block_sweep(sp, dl, slab, active, lam, gamma, patterns) -> np.ndarray:
-    """One cyclic sweep of the active rows of one cell, row by row.
-
-    A row whose pattern (``_row_pattern``) still holds takes the sweep as
-    one triangular solve (``_pattern_step``).  Otherwise it keeps the
-    solve's coordinates before the first one refused, the cyclic pass
-    itself (``_cyclic_row``) goes on from that coordinate, and its pattern
-    is read again at the next sweep.  ``slab`` is the cell's (p, p)
-    factor, updated in place, and ``patterns`` maps each row to its
-    current pattern.  Returns the moves of the active rows, zero
-    elsewhere.
-    """
-    moved = np.zeros(len(active))
-    for i in np.flatnonzero(active).tolist():
-        x = slab[i, : i + 1]
-        old = x.copy()
-        pattern = patterns.get(i)
-        if pattern is None:
-            pattern = patterns[i] = _row_pattern(sp, x, lam, gamma)
-        kept = _pattern_step(dl, x, lam, gamma, pattern)
-        if kept < i:
-            del patterns[i]
-            _cyclic_row(sp, dl, x, lam, gamma, kept)
-        step = x - old
-        moved[i] = math.sqrt(float(step @ step))
-    return moved
+    moved = np.sqrt(((l - l_old) ** 2).sum(axis=2))
+    # each entry's sign, doubled in the flat region
+    thresh = thresh[:, :, None]
+    changed = np.sign(l) * (1.0 + (np.abs(l) >= thresh))
+    changed = changed != np.sign(l_old) * (1.0 + (np.abs(l_old) >= thresh))
+    diagonal = np.arange(l.shape[1])
+    changed[:, diagonal, diagonal] = False
+    return moved, np.count_nonzero(changed.any(axis=2), axis=1)
 
 
 @dataclass(frozen=True)
-class _Pattern:
-    """A row's pattern: the support S of its off-diagonals, their signs and
-    MCP regions, with the blocks of the step it implies.
+class _BlockCov:
+    """S^P as the block path reads it, padded by one index p.
 
-    Each off-diagonal's input z_j, with new values before j and old ones
-    after, is ``lower`` x_S' + ``upper`` (x_S, x_i): ``upper`` is
-    -2 A[:i, S + [i]] kept on the columns after each row, ``lower`` is
-    -2 A[:i, S] kept on the columns before it.
+    Index p pads the batched row supports: its rows and columns of
+    ``older`` and ``newer`` are zero, and its ``dz`` entry is 1/2, so that
+    a padded slot divides by 2 dz = 1.
     """
 
-    s: np.ndarray  # S, ascending
-    s_ext: np.ndarray  # S and the diagonal i
-    lam_sign: np.ndarray  # lambda sign(x_j) on the inner coordinates of S, 0 on flat ones
-    flat: np.ndarray  # the region of each of the i off-diagonals: flat or not
+    sp: np.ndarray
+    dl: list  # the diagonal of S^P, as floats for the scalar pass
+    dz: np.ndarray  # the diagonal of S^P, then 1/2
+    # M = -2 S^P with a zero diagonal, split: row t of ``older`` is the
+    # weight of x_t in each z_j before it (j < t), row t of ``newer`` in
+    # each z_j after it (j > t)
+    older: np.ndarray
+    newer: np.ndarray
+
+    @classmethod
+    def of(cls, sp, m):
+        p = len(sp)
+        mz = np.zeros((p + 1, p + 1))
+        mz[:p, :p] = m
+        d = np.diag(sp)
+        return cls(sp, d.tolist(), np.append(d, 0.5), np.tril(mz, -1), np.triu(mz, 1))
+
+
+def _block_sweep(cov, slab, active, lam, gamma, batch) -> tuple[np.ndarray, _Batch]:
+    """One cyclic sweep of the active rows of one settled cell, as one batched step.
+
+    ``batch`` holds the patterns of the cell's rows (``_batch``).  They are
+    read at the cell's first block sweep (``batch`` None) and kept while
+    they hold.  Rows that have stopped stay in the batch, their steps
+    discarded, until they make up half of it; then the patterns of the
+    active rows are read afresh.  All rows advance by one ``_batch_step``.
+    A row it refuses keeps the step's coordinates before the first one
+    refused, the cyclic pass itself (``_cyclic_row``) goes on from that
+    coordinate, and only that row's pattern is read again.  ``slab`` is
+    the cell's (p, p) factor, updated in place.  Returns the moves of the
+    active rows, zero elsewhere, and the batch for the next sweep.
+    """
+    p = len(active)
+    if batch is None or 2 * np.count_nonzero(active) <= len(batch.rows):
+        batch = _batch(cov, slab, np.flatnonzero(active), lam, gamma)
+    rows = batch.rows
+    # column p is a sink for the padded support slots
+    x = np.zeros((len(rows), p + 1))
+    x[:, :p] = slab[rows]
+    kept = _batch_step(cov, x, batch, lam, gamma)
+    live = active[rows]
+    refused = np.flatnonzero(live & (kept < rows))
+    for r in refused.tolist():
+        _cyclic_row(cov.sp, cov.dl, x[r, : rows[r] + 1], lam, gamma, kept.item(r))
+    on = rows[live]
+    new = x[live, :p]
+    step = new - slab[on]
+    slab[on] = new
+    moved = np.zeros(p)
+    moved[on] = np.sqrt((step * step).sum(axis=1))
+    if refused.size:
+        width = batch.s.shape[1]
+        fresh = _batch(cov, slab, rows[refused], lam, gamma, width)
+        if fresh.s.shape[1] > width:
+            return moved, _batch(cov, slab, on, lam, gamma)
+        for f in fields(_Batch):
+            getattr(batch, f.name)[refused] = getattr(fresh, f.name)
+    return moved, batch
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """The patterns of a cell's rows, stacked for one batched block step.
+
+    A row's pattern is the support S of its off-diagonals, their signs and
+    MCP regions.  Row r of the batch is factor row ``rows[r]``; its support
+    fills ``s[r]`` in ascending order, padded to the common width w with
+    p, the zero index of ``_BlockCov``.  Each off-diagonal's
+    input z_j, with new values before j and old ones after, is
+    ``lower`` x_S' + ``upper`` (x_S, x_i) over the coordinates j <= p, of
+    which those at or past the row's diagonal are ignored: ``upper`` is
+    -2 A[j, S + [i]] kept where the column lies after j, ``lower`` is
+    -2 A[j, S] kept where it lies before j.
+    """
+
+    rows: np.ndarray
+    s: np.ndarray  # (R, w): S, ascending, padded with p
+    cols: np.ndarray  # (R, w + 1): S and the diagonal i
+    upper: np.ndarray  # (R, w + 1, p + 1)
+    lower: np.ndarray  # (R, w, p + 1)
+    sub: np.ndarray  # (R, w, w): lower on the columns S, the off-diagonal part of -T
+    c: np.ndarray  # (R, w): T's diagonal, 2 A_jj less 1/gamma if inner; 1 on padding
+    lam_sign: np.ndarray  # (R, w): lambda sign(x_j) on the inner coordinates of S, 0 elsewhere
+    flat: np.ndarray  # (R, p + 1): each coordinate's region, flat or not
     # z_j must lie strictly between lo_j and hi_j: (lambda, inf) or
     # (-inf, -lambda) inner, [-lambda, lambda] for a zero (its ends pushed
     # out by one ulp), anywhere flat
     lo: np.ndarray
     hi: np.ndarray
-    twice_d: np.ndarray  # 2 A_jj of the i off-diagonals
-    tri: np.ndarray  # T = diag(c) + 2 tril(A_SS, -1), Fortran order
-    upper: np.ndarray
-    lower: np.ndarray
-    diag_col: np.ndarray  # A[S, i]
+    past: np.ndarray  # (R, p + 1): the coordinates at or past the row's diagonal
+    diag_col: np.ndarray  # (R, w): A[i, S], 0 on padding
 
 
-def _row_pattern(sp, x, lam, gamma) -> _Pattern:
-    """The pattern of row ``x`` read off its values.
+def _batch(cov, slab, rows, lam, gamma, width=0) -> _Batch:
+    """The patterns of ``rows`` of ``slab``, read off their values.
 
     Flat values have |x_j| >= gamma lambda and inner ones less: the two
-    branches of ``offdiagonal_step`` meet at gamma lambda.
+    branches of ``offdiagonal_step`` meet at gamma lambda.  The supports
+    are padded to at least ``width``.
     """
-    i = len(x) - 1
-    off = x[:i]
-    support = off != 0.0
-    flat = support & (np.abs(off) >= gamma * lam)
-    s = np.flatnonzero(support)
-    s_ext = np.append(s, i)
-    block = -2.0 * sp[:i, s_ext]
-    rows = np.arange(i)[:, None]
-    upper = np.where(s_ext > rows, block, 0.0)
-    lower = np.where(s < rows, block[:, :-1], 0.0)
-    inner = ~flat[s]
-    tri = -lower[s]
-    tri[np.diag_indices(len(s))] = 2.0 * sp[s, s] - inner / gamma
-    sign = np.sign(off)
+    p = len(slab)
+    x = np.zeros((len(rows), p + 1))
+    x[:, :p] = slab[rows]
+    past = np.arange(p + 1) >= rows[:, None]
+    support = (x != 0.0) & ~past
+    count = np.count_nonzero(support, axis=1)
+    width = max(width, int(count.max()))
+    s = np.argsort(~support, axis=1, kind="stable")[:, :width]
+    s[np.arange(width) >= count[:, None]] = p
+    cols = np.concatenate([s, rows[:, None]], axis=1)
+    lower = cov.newer[s]
+    flat = support & (np.abs(x) >= gamma * lam)
+    at = np.arange(len(rows))[:, None]
+    inner = support[at, s] & ~flat[at, s]
+    sign = np.sign(x)
     lo = np.where(support, np.where(sign > 0, lam, -np.inf), np.nextafter(-lam, -np.inf))
     hi = np.where(support, np.where(sign < 0, -lam, np.inf), np.nextafter(lam, np.inf))
     lo[flat], hi[flat] = -np.inf, np.inf
-    return _Pattern(
+    return _Batch(
+        rows=rows,
         s=s,
-        s_ext=s_ext,
-        lam_sign=lam * sign[s] * inner,
+        cols=cols,
+        upper=cov.older[cols],
+        lower=lower,
+        sub=lower[at[:, :, None], np.arange(width)[:, None], s[:, None, :]],
+        c=2.0 * cov.dz[s] - inner / gamma,
+        lam_sign=lam * sign[at, s] * inner,
         flat=flat,
         lo=lo,
         hi=hi,
-        twice_d=2.0 * sp.diagonal()[:i],
-        tri=np.asfortranarray(tri),
-        upper=upper,
-        lower=lower,
-        diag_col=sp[s, i],
+        past=past,
+        diag_col=-0.5 * cov.older[rows[:, None], s],
     )
 
 
-def _pattern_step(dl, x, lam, gamma, pat: _Pattern) -> int:
-    """The cyclic pass over row ``x`` as one forward substitution.
+def _batch_step(cov, x, batch: _Batch, lam, gamma) -> np.ndarray:
+    """The cyclic pass over each row of ``x`` as one forward substitution.
 
-    While the row keeps its pattern, each off-diagonal step is affine in
-    the values before and after it: flat ones are z_j / (2 A_jj), inner
-    ones (z_j - lambda sign(x_j)) / (2 A_jj - 1/gamma), zeros stay zero.
-    So the pass over S solves T x_S' = -2 (triu(A_SS, 1) x_S + A_{S,i} x_i)
-    - lambda sign(x_S) (inner coordinates only).  The step is taken only
-    if the pass would have made it in exact arithmetic: every z_j falls
-    in its assumed region by ``offdiagonal_step``'s own test, each inner
-    one clears lambda with the assumed sign, and each zero sees
+    While a row keeps its pattern, each off-diagonal step is affine in the
+    values before and after it: flat ones are z_j / (2 A_jj), inner ones
+    (z_j - lambda sign(x_j)) / (2 A_jj - 1/gamma), zeros stay zero.  So the
+    pass over S solves T x_S' = -2 (triu(A_SS, 1) x_S + A_{S,i} x_i)
+    - lambda sign(x_S) (inner coordinates only), with
+    T = diag(c) + 2 tril(A_SS, -1); the substitution runs over the padded
+    support width, all rows at once.  A row's step is taken only if the
+    pass would have made it in exact arithmetic: every z_j falls in its
+    assumed region by ``offdiagonal_step``'s own test, each inner one
+    clears lambda with the assumed sign, and each zero sees
     |z_j| <= lambda.  A z_j depends only on the new values before j, so
-    the coordinates before the first refused one are those the cyclic pass
-    makes.  They are written into ``x`` and their count returned; when no
-    coordinate is refused that count is i and the diagonal is written too.
+    the coordinates before a row's first refused one are those the cyclic
+    pass makes.  They are written into ``x`` (R, p + 1), and for each row
+    the count of its coordinates written is returned; when no coordinate
+    is refused that count is the row index i and the diagonal is written
+    too.
     """
-    i = len(x) - 1
-    b = pat.upper @ x[pat.s_ext]
-    if pat.s.size:
-        new, info = dtrtrs(pat.tri, b[pat.s] - pat.lam_sign, lower=1)
-        if info:
-            return 0
-        z = pat.lower @ new + b
-    else:
-        new, z = b[:0], b
-    held = (np.abs(z) / pat.twice_d >= gamma * lam) == pat.flat
-    held &= pat.lo < z
-    held &= z < pat.hi
-    if not held.all():
-        first = int(held.argmin())
-        k = int(np.searchsorted(pat.s, first))
-        x[pat.s[:k]] = new[:k]
-        return first
-    x[pat.s] = new
-    x[i] = diagonal_step(float(pat.diag_col @ new), dl[i])
-    return i
+    rows, s = batch.rows, batch.s
+    at = np.arange(len(rows))[:, None]
+    old = x[at, batch.cols]
+    b = np.matmul(old[:, None, :], batch.upper)[:, 0]
+    new = b[at, s]
+    new -= batch.lam_sign
+    # forward substitution: column q of T moves into the right-hand sides
+    # below it once x_q' is known
+    for q in range(s.shape[1]):
+        new[:, q] /= batch.c[:, q]
+        new[:, q + 1 :] += batch.sub[:, q, q + 1 :] * new[:, q, None]
+    z = np.matmul(new[:, None, :], batch.lower)[:, 0]
+    z += b
+    held = (np.abs(z) / (2.0 * cov.dz) >= gamma * lam) == batch.flat
+    held &= batch.lo < z
+    held &= z < batch.hi
+    held |= batch.past
+    kept = np.where(held.all(axis=1), rows, held.argmin(axis=1))
+    x[at, s] = np.where(s < kept[:, None], new, old[:, :-1])
+    diag = diagonal_step((batch.diag_col * new).sum(axis=1), cov.dz[rows])
+    x[at[:, 0], rows] = np.where(kept == rows, diag, old[:, -1])
+    return kept
 
 
 def _cyclic_row(sp, dl, x, lam, gamma, start=0) -> None:

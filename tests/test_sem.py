@@ -6,6 +6,7 @@ from birkdag.sem import (
     DataMatrix,
     NoiseVariances,
     Permutation,
+    SampleCovariance,
     SemInstance,
     WeightedAdjacency,
     adjacency_to_cholesky,
@@ -225,6 +226,29 @@ class TestSampleCovariance:
             for j in range(5):
                 brute[i, j] = sum(x[t, i] * x[t, j] for t in range(100)) / 100
         assert np.abs(s - brute).max() <= 1e-12
+
+    def test_constructor_rejects_non_psd(self):
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            SampleCovariance(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_gram_skips_only_the_eigenvalue_test(self, monkeypatch):
+        x = np.random.default_rng(12).standard_normal((40, 6))
+        g = x.T @ x / 40
+        want = 0.5 * (g + g.T)
+
+        def no_eigvalsh(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        s = sample_covariance(DataMatrix(x))
+        assert isinstance(s, SampleCovariance)
+        assert np.array_equal(s.s, want)
+        with pytest.raises(ValueError, match="symmetric"):
+            SampleCovariance._of_gram(want + np.triu(np.ones((6, 6)), 1))
+        with pytest.raises(ValueError, match="non-positive diagonal"):
+            SampleCovariance._of_gram(np.diag([1.0, 0.0]))
+        with pytest.raises(AssertionError, match="eigvalsh"):
+            SampleCovariance(want)
 
     def test_zero_variance_column_is_error(self):
         x = np.ones((10, 3))

@@ -375,89 +375,162 @@ class TestEstimateCholeskyPath:
         assert str(path.value) == str(one_cell.value)
 
 
+# SETTLED_SHARE at the switch's two extremes: no count of changed rows is
+# at most a negative share, so every sweep stays on the stacked path; every
+# count is at most all active rows, so each cell takes the block path from
+# its second sweep on
+COLUMN_ONLY, BLOCK_FROM_SWEEP_2 = -1, 1
+
+
+def region(x, params):
+    """Each off-diagonal's pattern as ``_batch_step`` tests it: 0 zero,
+    +-1 inner with its sign, 2 flat (either sign)."""
+    flat = np.abs(x) >= params.gamma * params.lam
+    return np.where(flat & (x != 0.0), 2, np.sign(x)).astype(int)
+
+
 class TestBlockTail:
     @pytest.mark.parametrize("p", [2, 3, 8, 30, 100, 200])
     def test_block_and_column_sweeps_agree(self, p, monkeypatch):
-        # a share of 0 keeps every sweep on the stacked path, a share of 1
-        # sends every sweep through the block path
         perm, s = path_problem(p, p, n=2 * p)
         warm = estimate_cholesky(perm, s, McpParams(0.4, 2.0)).l
-        capped = SolverSettings(k_max=1)
+        capped = SolverSettings(k_max=2)
         for settings, l0 in itertools.product((capped, SolverSettings()), (None, warm)):
             paths = []
-            for share in (0, 1):
-                monkeypatch.setattr(solver, "BLOCK_TAIL_SHARE", share)
+            for share in (COLUMN_ONLY, BLOCK_FROM_SWEEP_2):
+                monkeypatch.setattr(solver, "SETTLED_SHARE", share)
                 paths.append(estimate_cholesky_path(perm, s, PATH_CELLS, settings, l0))
             for column, block in zip(*paths, strict=True):
                 assert_same_cyclic_iterates(column, block)
 
     def test_straggler_rows_take_the_block_path(self, monkeypatch):
         p = 30
-        limit = solver.BLOCK_TAIL_SHARE * p
-        column_counts, block_counts = [], []
+        column_counts, events = [], []
         column_sweep, block_sweep = solver._column_sweep, solver._block_sweep
 
-        def column_counted(sp, dl, l, active, lam, gamma):
-            column_counts.append(active.sum(axis=1).tolist())
-            return column_sweep(sp, dl, l, active, lam, gamma)
+        def column_counted(m, d, l, active, lam, gamma):
+            moved, changed = column_sweep(m, d, l, active, lam, gamma)
+            column_counts.append((active.sum(axis=1).tolist(), changed.tolist()))
+            events.append("column")
+            return moved, changed
 
-        def block_counted(sp, dl, slab, active, lam, gamma, patterns):
-            block_counts.append(int(active.sum()))
-            return block_sweep(sp, dl, slab, active, lam, gamma, patterns)
+        def block_counted(*args):
+            events.append("block")
+            return block_sweep(*args)
 
         monkeypatch.setattr(solver, "_column_sweep", column_counted)
         monkeypatch.setattr(solver, "_block_sweep", block_counted)
         perm, s = path_problem(p, p)
         est = estimate_cholesky(perm, s, McpParams(0.2, 2.0))
         assert est.all_converged
-        assert column_counts and block_counts
-        assert min(min(counts) for counts in column_counts) > limit
-        assert max(block_counts) <= limit
-        assert len(column_counts) + len(block_counts) == est.sweeps.max()
-        # in a path each cell switches on its own rows: the stacked sweep
-        # goes on for the cells that still have many active rows
+        # the cell sweeps by columns until the pattern of at most the
+        # settled share of its active rows changed, then by blocks for good
+        share = solver.SETTLED_SHARE
+        *before, (last_active, last_changed) = column_counts
+        assert all(changed[0] > share * active[0] for active, changed in before)
+        assert last_changed[0] <= share * last_active[0]
+        assert events == ["column"] * len(column_counts) + ["block"] * (len(events) - len(column_counts))
+        assert "block" in events
+        assert len(events) == est.sweeps.max()
+        # in a path each cell switches on its own rows: block sweeps of the
+        # settled cells run while the others still sweep by columns
         column_counts.clear()
-        block_counts.clear()
+        events.clear()
         estimate_cholesky_path(perm, s, PATH_CELLS)
-        assert min(min(counts) for counts in column_counts) > limit
-        assert max(block_counts) <= limit
-        assert any(len(counts) < len(PATH_CELLS) for counts in column_counts)
+        assert "block" in events[: events.index("column", events.index("block"))]
+        assert any(len(active) < len(PATH_CELLS) for active, _ in column_counts)
 
     def test_pattern_changes_fall_back_to_the_cyclic_pass(self, monkeypatch):
-        # from sweep 1 on the supports still change, so some block row steps
-        # must be refused; each keeps the coordinates before the first one
-        # refused and the scalar cyclic pass goes on from there
+        # from sweep 2 on the supports still change, so some batched row
+        # steps must be refused; each keeps the coordinates before the first
+        # one refused and the scalar cyclic pass goes on from there
         steps, fallbacks = [], []
-        pattern_step, cyclic_row = solver._pattern_step, solver._cyclic_row
+        block_sweep, batch_step, cyclic_row = solver._block_sweep, solver._batch_step, solver._cyclic_row
+        live = []
 
-        def step_logged(dl, x, lam, gamma, pat):
+        def block_logged(cov, slab, active, *rest):
+            live[:] = [active]
+            return block_sweep(cov, slab, active, *rest)
+
+        def step_logged(cov, x, batch, lam, gamma):
             before = x.copy()
-            held = pattern_step(dl, x, lam, gamma, pat)
-            steps.append((len(x) - 1, held, before))
-            return held
+            kept = batch_step(cov, x, batch, lam, gamma)
+            for r, (row, held) in enumerate(zip(batch.rows.tolist(), kept.tolist())):
+                if live[0][row]:
+                    steps.append((row, held, before[r, : row + 1]))
+            return kept
 
         def cyclic_checked(sp, dl, x, lam, gamma, start):
-            row, held, before = steps[-1]
-            assert (len(x) - 1, start) == (row, held) and held < row
+            row = len(x) - 1
+            held, before = next((held, before) for r, held, before in reversed(steps) if r == row)
+            assert start == held and held < row
             cyclic_row(sp, dl, x, lam, gamma, start)
             full = before.copy()
             cyclic_row(sp, dl, full, lam, gamma)
             assert np.abs(x - full).max() <= 1e-12
-            fallbacks.append(start)
+            fallbacks.append((row, start))
 
-        monkeypatch.setattr(solver, "_pattern_step", step_logged)
+        monkeypatch.setattr(solver, "_block_sweep", block_logged)
+        monkeypatch.setattr(solver, "_batch_step", step_logged)
         monkeypatch.setattr(solver, "_cyclic_row", cyclic_checked)
         perm, s = path_problem(30, 30)
         params = McpParams(0.2, 2.0)
-        monkeypatch.setattr(solver, "BLOCK_TAIL_SHARE", 1)
+        monkeypatch.setattr(solver, "SETTLED_SHARE", BLOCK_FROM_SWEEP_2)
         block = estimate_cholesky(perm, s, params)
-        refused = [held for row, held, _ in steps if held < row]
+        refused = [(row, held) for row, held, _ in steps if held < row]
         assert fallbacks == refused and len(refused) > 0
-        assert any(start > 0 for start in fallbacks)
+        assert any(start > 0 for _, start in fallbacks)
         assert len(steps) > len(refused)
-        monkeypatch.setattr(solver, "BLOCK_TAIL_SHARE", 0)
+        monkeypatch.setattr(solver, "SETTLED_SHARE", COLUMN_ONLY)
         column = estimate_cholesky(perm, s, params)
         assert_same_cyclic_iterates(column, block)
+
+    def test_batched_step_equals_scalar_cyclic_passes(self, monkeypatch):
+        # one batched step over rows of unequal support width, one of them
+        # empty, equals one scalar cyclic pass on each row; a row refused
+        # part way finishes by the cyclic pass from the refused coordinate
+        p = 30
+        perm, s = path_problem(p, p)
+        sp = perm.apply_to_matrix(s.s)
+        params = McpParams(0.3, 2.0)
+        slab = np.tril(estimate_cholesky(perm, s, params, SolverSettings(k_max=3)).l.l)
+        slab[20, 4] = 0.5  # a coordinate far from its next value
+        rows = np.array([3, 13, 18, 20, 21, 23, 29])  # row 3 has an empty support
+        active = np.zeros(p, dtype=bool)
+        active[rows] = True
+        starts = {}
+        cyclic_row = solver._cyclic_row
+
+        def cyclic_logged(sp, dl, x, lam, gamma, start):
+            starts[len(x) - 1] = start
+            cyclic_row(sp, dl, x, lam, gamma, start)
+
+        monkeypatch.setattr(solver, "_cyclic_row", cyclic_logged)
+        m = -2.0 * sp
+        np.fill_diagonal(m, 0.0)
+        cov = solver._BlockCov.of(sp, m)
+        batch = solver._batch(cov, slab, rows, params.lam, params.gamma)
+        widths = np.count_nonzero(batch.s < p, axis=1)
+        assert 0 in widths and len(set(widths.tolist())) > 2
+        out = slab.copy()
+        moved, _ = solver._block_sweep(cov, out, active, params.lam, params.gamma, batch)
+        assert 20 in starts and starts[20] > 0
+        # the empty row and at least two others take the batched step whole
+        accepted = set(rows.tolist()) - set(starts)
+        assert 3 in accepted and len(accepted) > 2
+        for i in range(p):
+            if not active[i]:
+                assert np.array_equal(out[i], slab[i]) and moved[i] == 0.0
+                continue
+            x = slab[i, : i + 1].copy()
+            refused = None
+            for j in range(i + 1):
+                x[j] = coordinate_update(sp[: i + 1, : i + 1], x, j, params)
+                if refused is None and j < i and region(x[j], params) != region(slab[i, j], params):
+                    refused = j
+            assert np.abs(out[i, : i + 1] - x).max() <= 1e-12
+            assert starts.get(i) == refused
+            assert moved[i] == pytest.approx(np.linalg.norm(x - slab[i, : i + 1]), rel=1e-9, abs=1e-14)
 
 
 class TestLowerBounds:

@@ -37,11 +37,12 @@ def test_path_cells_equal_one_cell_solves(p, seed, cells, k_max, warm):
     params = [McpParams(lam, guard + offset) for lam, offset in cells]
     settings = SolverSettings(k_max=k_max)
     l0 = estimate_cholesky(perm, s, McpParams(0.3, guard + 1.0)).l if warm else None
-    # the default switch, every sweep on the stacked path, every sweep on
-    # the block path: at each, the path equals one-cell solves bit for bit
+    # the default switch, every sweep on the stacked path, every sweep from
+    # the second on the block path: at each, the path equals one-cell
+    # solves bit for bit
     by_share = []
-    for share in (solver.BLOCK_TAIL_SHARE, 0, 1):
-        with mock.patch.object(solver, "BLOCK_TAIL_SHARE", share):
+    for share in (solver.SETTLED_SHARE, -1, 1):
+        with mock.patch.object(solver, "SETTLED_SHARE", share):
             path = estimate_cholesky_path(perm, s, params, settings, l0)
             for cell, est in zip(params, path, strict=True):
                 one = estimate_cholesky(perm, s, cell, settings, l0)
