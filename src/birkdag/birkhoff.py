@@ -27,17 +27,6 @@ from scipy.linalg.lapack import dposv
 
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
 
-# The C routine behind np.einsum, which np.einsum calls unchanged when
-# optimize is off; calling it directly skips the Python-level dispatch,
-# a large share of a projection pass on small matrices.
-try:
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:
-    try:
-        from numpy.core.multiarray import c_einsum as _einsum
-    except ImportError:
-        _einsum = np.einsum
-
 # Entrywise negativity / marginal-sum slack a doubly stochastic matrix is
 # allowed; projection iterates must clear these before they are returned.
 NEG_TOL = 1e-10
@@ -321,7 +310,7 @@ class _NewtonState:
         np.add.reduce(self.P, 0, None, self.c)
         self.rc -= 1.0
         self.res = float(np.abs(self.rc).max())
-        self.theta = -0.5 * float(_einsum("ij,ij->", self.P, self.P)) - float(self.uv.sum())
+        self.theta = -0.5 * float(np.vdot(self.P, self.P)) - float(self.uv.sum())
 
     def gap(self) -> float:
         """|f(P) - f*(u, v, U)| with U = max(0, u 1^t + 1 v^t - P0).
@@ -405,7 +394,7 @@ def _objective_from_gradient(g: np.ndarray, P: np.ndarray) -> float:
     The objective is a homogeneous quadratic in P, so f(P) = 1/2 <grad f(P), P>
     exactly; ``relaxed_objective`` is the direct form.
     """
-    return 0.5 * float(_einsum("ij,ij->", g, P))
+    return 0.5 * float(np.vdot(g, P))
 
 
 def convexity_thresholds(

@@ -76,14 +76,13 @@ def _fit_config(args):
     from birkdag.birkhoff import RelaxationConfig
     from birkdag.pipeline import RrcfConfig
     from birkdag.scoring import McpParams
+    from birkdag.solver import ConvexityGuardError
 
     if args.gamma <= 1.0:
-        print(
-            f"error: --gamma {args.gamma} violates the MCP domain (gamma > 1); the "
-            "coordinate updates are strictly convex only for gamma > max(1/(2 A_jj), 1)",
-            file=sys.stderr,
+        raise ConvexityGuardError(
+            f"--gamma {args.gamma} violates the MCP domain (gamma > 1); the "
+            "coordinate updates are strictly convex only for gamma > max(1/(2 A_jj), 1)"
         )
-        return None
     return RrcfConfig(
         mcp=McpParams(lam=args.lam, gamma=args.gamma),
         relax=RelaxationConfig(mu=args.mu),
@@ -98,22 +97,12 @@ def cmd_fit(args) -> int:
     from birkdag import io as bio
     from birkdag.pipeline import fit
     from birkdag.sem import DataMatrix
-    from birkdag.solver import ConvexityGuardError
 
     if args.lam < 0:
         raise _UsageError("--lambda must be nonnegative")
     cfg = _fit_config(args)
-    if cfg is None:
-        return EXIT_GUARD
     x = _load_matrix(args.data)
-    try:
-        res = fit(DataMatrix(x), cfg)
-    except ConvexityGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    res = fit(DataMatrix(x), cfg)
     _write_text(args.out, bio.fit_result_to_json(res, x.shape[0], cfg))
     print(f"fit written to {args.out}; ebic={res.ebic_value:.6g}; "
           f"support={res.l_hat.support_size()}; converged={res.converged}")
@@ -126,7 +115,6 @@ def cmd_tune(args) -> int:
     from birkdag import io as bio
     from birkdag.pipeline import RrcfConfig, tune
     from birkdag.sem import DataMatrix
-    from birkdag.solver import ConvexityGuardError
 
     try:
         grid = bio.grid_from_json(_read_text(args.grid))
@@ -134,11 +122,7 @@ def cmd_tune(args) -> int:
         raise _UsageError(f"invalid grid JSON: {exc}") from exc
     x = _load_matrix(args.data)
     cfg = RrcfConfig(seed=args.seed, init=args.init)
-    try:
-        best, table = tune(DataMatrix(x), grid, cfg)
-    except ConvexityGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+    best, table = tune(DataMatrix(x), grid, cfg)
     out = Path(args.out)
     header = "lambda,gamma,support,ebic"
     lines = [header]
@@ -282,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    from birkdag.solver import ConvexityGuardError
+
     try:
         if args.threads < 1:
             raise _UsageError(f"--threads must be at least 1, got {args.threads}")
@@ -292,6 +278,9 @@ def main(argv=None) -> int:
     except _IoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ConvexityGuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -101,6 +101,14 @@ def score_params(params: McpParams) -> McpParams:
     return McpParams(lam=0.5 * params.lam, gamma=2.0 * params.gamma)
 
 
+def _data_and_covariance(x, caller: str) -> tuple[DataMatrix, SampleCovariance]:
+    if not isinstance(x, DataMatrix):
+        x = DataMatrix(np.asarray(x, dtype=float))
+    if x.p < 2:
+        raise ValueError(f"{caller} requires at least two variables")
+    return x, sample_covariance(x)
+
+
 def _initial_order(s: SampleCovariance, init: str) -> Permutation:
     if init == "variance":
         return Permutation(np.argsort(np.diag(s.s), kind="stable"))
@@ -126,18 +134,14 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
     ``score_trace``; "n_outer" counts ordering steps.  A converged fit
     has n_outer L-steps; a capped one has outer_k_max = n_outer + 1.
     """
-    if not isinstance(x, DataMatrix):
-        x = DataMatrix(np.asarray(x, dtype=float))
-    if x.p < 2:
-        raise ValueError("fit requires at least two variables")
-    s = sample_covariance(x)
+    x, s = _data_and_covariance(x, "fit")
     rng = np.random.default_rng(cfg.seed)
     sp_params = score_params(cfg.mcp)
 
     order = _initial_order(s, cfg.init)
     score_trace: list[ScoreBreakdown] = []
     best_total = np.inf
-    best: tuple[CholeskyFactor, Permutation] | None = None
+    best: tuple[CholeskyFactor, Permutation, ScoreBreakdown] | None = None
     diag: dict = {
         "mu": [],
         "gp_converged": [],
@@ -159,7 +163,7 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
         score_trace.append(breakdown)
         if breakdown.total < best_total:
             best_total = breakdown.total
-            best = (l, order)
+            best = (l, order, breakdown)
         if k == cfg.outer_k_max - 1:
             break
 
@@ -180,14 +184,13 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
             break
         order = est.perm
 
-    l_hat, perm_hat = best
+    l_hat, perm_hat, best_breakdown = best
     b_perm, omega_perm = cholesky_to_adjacency(l_hat)
     inv = perm_hat.inverse()
     b_hat = WeightedAdjacency(inv.apply_to_matrix(b_perm.b))
     omega = np.empty(s.p)
     omega[perm_hat.pi] = omega_perm.omega2
-    nll_best = neg_log_likelihood(l_hat, perm_hat, s)
-    ebic_value = ebic(x.n * nll_best, l_hat.support_size(), x.n, x.p, cfg.gamma_bic)
+    ebic_value = ebic(x.n * best_breakdown.nll, l_hat.support_size(), x.n, x.p, cfg.gamma_bic)
     return FitResult(
         l_hat=l_hat,
         perm_hat=perm_hat,
@@ -251,13 +254,9 @@ def tune(
     "unconverged_rows".  Returns (best cell, table); the best cell is
     the eBIC argmin with ties resolved by grid order.
     """
-    if not isinstance(x, DataMatrix):
-        x = DataMatrix(np.asarray(x, dtype=float))
-    if x.p < 2:
-        raise ValueError("tune requires at least two variables")
+    x, s = _data_and_covariance(x, "tune")
     cells = grid.cells()
     params = [cell_config(cfg, cell).mcp for cell in cells]
-    s = sample_covariance(x)
     order = _initial_order(s, cfg.init)
     table = []
     best = None

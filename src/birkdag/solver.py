@@ -29,13 +29,15 @@ so the per-column overhead is paid once for the whole path;
 Rows converge unevenly: at p = 200 the median row stops after about 10
 sweeps and the slowest after 38-160, but a row's pattern (the support S
 of its off-diagonals, their signs and each one's MCP region) settles
-much sooner: by sweep 5 to 10 only a few rows still change it.  A cell
-leaves the column sweep for good after a column sweep in which the
-pattern of at most ``SETTLED_SHARE`` of its active rows changed; from
-then on each sweep advances all its active rows by one batched block
-step (``_block_sweep``).  With a row's pattern fixed, one cyclic pass over
-its off-diagonals is an affine Gauss-Seidel step: forward substitution
-with T = diag(c) + 2 tril(A_SS, -1).  The batched step pads the cell's
+much sooner: by sweep 5 to 10 only a few rows still change it.  So a
+cell leaves the stack after a column sweep in which the pattern of at
+most ``SETTLED_SHARE`` of its active rows changed, or once all its rows
+have stopped, and finishes on its own (``_finish``): each further sweep
+advances its active rows by one batched block step (``_block_sweep``)
+until they stop or reach the sweep cap.  The stack only shrinks.  With
+a row's pattern fixed, one cyclic pass over its off-diagonals is an
+affine Gauss-Seidel step: forward substitution with
+T = diag(c) + 2 tril(A_SS, -1).  The batched step pads the cell's
 supports to one width, reads z_j from the columns of M on each support,
 and runs the substitution for all rows at once.  A row's step is taken
 only when its result reproduces the assumed pattern, so that the cyclic
@@ -45,9 +47,9 @@ pass also makes, goes on by the scalar closed forms, and its pattern is
 read again.  The iterates, and the theorem above, are those of cyclic
 coordinate descent, and the two paths differ only in rounding: per-row
 sweep counts, convergence flags and supports agree, and factors to
-1e-12.  The switch reads each cell's own rows, so a cell's factor, sweep
-counts and flags in a path are bit-identical to those of a solve on its
-own.
+1e-12.  The leaving rule reads each cell's own rows, so a cell's factor,
+sweep counts and flags in a path are bit-identical to those of a solve on
+its own.
 
 ``offdiagonal_step`` and ``diagonal_step`` are the one closed form of
 each coordinate update.  The column sweep applies their float operations
@@ -70,8 +72,8 @@ from birkdag.scoring import McpParams, _permuted_cov, mcp
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
 
 
-# A cell leaves the column sweep for good after a column sweep in which
-# the pattern of at most this share of its active rows changed.
+# A cell leaves the stack of column sweeps for good after a column sweep
+# in which the pattern of at most this share of its active rows changed.
 SETTLED_SHARE = 0.05
 
 
@@ -146,18 +148,19 @@ def estimate_cholesky_path(
 
     Row 1 has the closed form L_11 = 1/sqrt(S^P_11); every other row is
     an independent subproblem on the leading block of S^P = P S P^t.
-    The cells of ``params_seq`` are stacked, and all rows of all cells
+    The cells of ``params_seq`` are stacked, and all rows of the stack
     advance together through shared column sweeps, each row in cyclic
-    coordinate order, until the row patterns of a cell settle (see
-    ``SETTLED_SHARE``); from then on that cell sweeps its rows by one
-    batched step per sweep (``_block_sweep``), which makes the same
-    cyclic steps up to rounding (see the module docstring).  Every
-    cell's factor, sweep counts and convergence flags are those of a
-    solve on its own, bit for bit.  A row stops once
-    a sweep moves it less than ``settings.eps``; rows still moving after
-    ``settings.k_max`` sweeps are flagged unconverged.  ``l0`` warm
-    starts the rows of every cell.  The convexity guard is checked for
-    every cell, in order, before the first sweep.
+    coordinate order.  After each column sweep, a cell whose row patterns
+    settled (see ``SETTLED_SHARE``) or whose rows all stopped leaves the
+    stack for good and finishes on its own (``_finish``), one batched
+    block step per sweep, which makes the same cyclic steps up to
+    rounding (see the module docstring).  Every cell's factor, sweep
+    counts and convergence flags are those of a solve on its own, bit
+    for bit.  A row stops once a sweep moves it less than
+    ``settings.eps``; rows still moving after ``settings.k_max`` sweeps
+    are flagged unconverged.  ``l0`` warm starts the rows of every cell.
+    The convexity guard is checked for every cell, in order, before the
+    first sweep.
     """
     sp = _permuted_cov(perm, s)
     p = sp.shape[0]
@@ -189,46 +192,53 @@ def estimate_cholesky_path(
     cov = _BlockCov.of(sp, m)
     out: list[CholeskyEstimate | None] = [None] * c
     cells = np.arange(c)  # the cell each slab of the stack belongs to
-    settled = np.zeros(c, dtype=bool)  # the slab's cell has left the column sweep
-    batches = [None] * c  # per cell: its _Batch once settled
     for sweep in range(1, settings.k_max + 1):
-        # a cell whose rows have all converged leaves the stack
-        done = ~active.any(axis=1)
-        if done.any():
-            for k in np.flatnonzero(done):
-                out[cells[k]] = CholeskyEstimate(CholeskyFactor(l[k]), sweeps[k], ~active[k])
-                batches[cells[k]] = None
-            keep = ~done
-            l, active, sweeps, cells = l[keep], active[keep], sweeps[keep], cells[keep]
-            lam, gamma, settled = lam[keep], gamma[keep], settled[keep]
-        if not cells.size:
+        # each cell in the stack has an active row, unless p is 1
+        if not active.any():
             break
-        # the switch reads each cell's own rows, so that a cell's factor
-        # does not depend on which other cells share the stack
-        block = np.flatnonzero(settled).tolist()
-        if not block:
-            moved, changed = _column_sweep(m, d, l, active, lam, gamma)
-            settled = changed <= SETTLED_SHARE * np.count_nonzero(active, axis=1)
-        else:
-            moved = np.zeros(active.shape)
-            stacked = ~settled
-            if stacked.any():
-                sub = l[stacked]
-                on = active[stacked]
-                moved[stacked], changed = _column_sweep(m, d, sub, on, lam[stacked], gamma[stacked])
-                l[stacked] = sub
-                settled[stacked] = changed <= SETTLED_SHARE * np.count_nonzero(on, axis=1)
-            for k in block:
-                moved[k], batches[cells[k]] = _block_sweep(
-                    cov, l[k], active[k], lam.item(k), gamma.item(k), batches[cells[k]]
+        moved, changed = _column_sweep(m, d, l, active, lam, gamma)
+        # the rule reads each cell's own rows, so that a cell's factor does
+        # not depend on which other cells share the stack
+        settled = changed <= SETTLED_SHARE * np.count_nonzero(active, axis=1)
+        finished = active & (moved < settings.eps)
+        sweeps[finished] = sweep
+        active &= ~finished
+        leave = settled | ~active.any(axis=1)
+        if leave.any():
+            for k in np.flatnonzero(leave).tolist():
+                out[cells[k]] = _finish(
+                    cov, l[k], active[k], sweeps[k], lam.item(k), gamma.item(k), sweep, settings
                 )
+            keep = ~leave
+            l, active, sweeps, cells = l[keep], active[keep], sweeps[keep], cells[keep]
+            lam, gamma = lam[keep], gamma[keep]
+    # cells still in the stack at k_max finish with no block sweep
+    for k, cell in enumerate(cells.tolist()):
+        out[cell] = _finish(
+            cov, l[k], active[k], sweeps[k], lam.item(k), gamma.item(k), settings.k_max, settings
+        )
+    return out
+
+
+def _finish(cov, slab, active, sweeps, lam, gamma, sweep, settings) -> CholeskyEstimate:
+    """A cell that has left the stack after column sweep ``sweep``, run to its end.
+
+    Each further sweep advances the active rows of ``slab`` by one
+    ``_block_sweep`` until they stop or ``settings.k_max`` sweeps have
+    run; rows still moving then are flagged unconverged.  ``slab``,
+    ``active`` and ``sweeps`` are the cell's rows of the stack, updated in
+    place.
+    """
+    batch = None
+    for sweep in range(sweep + 1, settings.k_max + 1):
+        if not active.any():
+            break
+        moved, batch = _block_sweep(cov, slab, active, lam, gamma, batch)
         finished = active & (moved < settings.eps)
         sweeps[finished] = sweep
         active &= ~finished
     sweeps[active] = settings.k_max
-    for k, cell in enumerate(cells):
-        out[cell] = CholeskyEstimate(CholeskyFactor(l[k]), sweeps[k], ~active[k])
-    return out
+    return CholeskyEstimate(CholeskyFactor(slab), sweeps, ~active)
 
 
 def _column_sweep(m, d, l, active, lam, gamma) -> tuple[np.ndarray, np.ndarray]:

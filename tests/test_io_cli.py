@@ -195,6 +195,32 @@ class TestCliTune:
         assert best["gamma_bic"] == 1.0
 
 
+class TestCliGuard:
+    @pytest.mark.parametrize("command", ["fit", "tune"])
+    def test_data_dependent_guard_exits_5(self, workdir, tmp_path, capsys, command):
+        # gamma 1.5 lies in the MCP domain, but with the data scaled by 0.1
+        # it falls below 1/(2 min S_ii), which only the solver can check
+        from birkdag.sem import DataMatrix, sample_covariance
+
+        x = 0.1 * bio.matrix_from_csv((workdir / "gen" / "data.csv").read_text())
+        data = tmp_path / "scaled.csv"
+        data.write_text(bio.matrix_to_csv(x))
+        guard = 1.0 / (2.0 * np.diag(sample_covariance(DataMatrix(x)).s).min())
+        assert 1.5 < guard
+        out = tmp_path / "out"
+        if command == "fit":
+            args = ["--lambda", "0.2", "--gamma", "1.5"]
+        else:
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"lambdas": [0.2], "gammas": [1.5]}))
+            args = ["--grid", str(grid)]
+        capsys.readouterr()
+        assert main([command, "--data", str(data), *args, "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err == f"error: gamma=1.5 must exceed max(1/(2 min S^P_ii), 1) = {guard}\n"
+        assert not out.exists()
+
+
 class TestCliProject:
     def test_identity_input(self, tmp_path):
         m = tmp_path / "m.csv"

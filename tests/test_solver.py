@@ -533,6 +533,43 @@ class TestBlockTail:
             assert moved[i] == pytest.approx(np.linalg.norm(x - slab[i, : i + 1]), rel=1e-9, abs=1e-14)
 
 
+class TestCellLifecycle:
+    def test_cells_leave_the_stack_and_finish_alone(self, monkeypatch):
+        # each cell is named by its (lambda, gamma): column sweeps log the
+        # cells of the stack, block sweeps the one cell they advance
+        events = []
+        column_sweep, block_sweep = solver._column_sweep, solver._block_sweep
+
+        def column_logged(m, d, l, active, lam, gamma):
+            events.append(("column", list(zip(lam[:, 0].tolist(), gamma[:, 0].tolist()))))
+            return column_sweep(m, d, l, active, lam, gamma)
+
+        def block_logged(cov, slab, active, lam, gamma, batch):
+            events.append(("block", (lam, gamma)))
+            return block_sweep(cov, slab, active, lam, gamma, batch)
+
+        monkeypatch.setattr(solver, "_column_sweep", column_logged)
+        monkeypatch.setattr(solver, "_block_sweep", block_logged)
+        perm, s = path_problem(30, 30)
+        estimate_cholesky_path(perm, s, PATH_CELLS)
+        stacks = [cells for kind, cells in events if kind == "column"]
+        assert all(len(after) <= len(before) for before, after in zip(stacks, stacks[1:]))
+        assert len(stacks[-1]) < len(stacks[0]) == len(PATH_CELLS)
+        finished = 0
+        for params in PATH_CELLS:
+            cell = (params.lam, params.gamma)
+            blocks = [k for k, (kind, arg) in enumerate(events) if kind == "block" and arg == cell]
+            columns = [k for k, (kind, arg) in enumerate(events) if kind == "column" and cell in arg]
+            assert columns and columns[0] == 0
+            if blocks:
+                # one contiguous run, after the cell's last column sweep
+                assert blocks == list(range(blocks[0], blocks[-1] + 1))
+                assert blocks[0] > columns[-1]
+                finished += any(kind == "column" for kind, _ in events[blocks[-1] :])
+        # some cell finishes while others still sweep by columns
+        assert finished > 0
+
+
 class TestLowerBounds:
     def test_identity_case(self):
         # row objectives equal 1 and the row bound is 0 at L_ii = 1
