@@ -56,6 +56,8 @@ class DoublyStochastic:
         m = np.asarray(self.m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"m must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("m contains non-finite entries")
         if m.min() < -NEG_TOL:
             raise ValueError(f"entries must be >= -{NEG_TOL}, min is {m.min()}")
         if np.abs(m.sum(axis=1) - 1.0).max() > MARGIN_TOL or np.abs(m.sum(axis=0) - 1.0).max() > MARGIN_TOL:

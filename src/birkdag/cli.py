@@ -42,10 +42,6 @@ class _IoError(Exception):
     pass
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _load_matrix(path: str) -> np.ndarray:
     from birkdag import io as bio
 
@@ -64,7 +60,7 @@ def cmd_generate(args) -> int:
     inst = generate_dag(args.p, args.s, rng)
     data = sample_data(inst, args.n, rng)
     out = Path(args.out_dir)
-    _write_text(str(out / "instance.json"), bio.instance_to_json(inst, args.s, args.seed))
+    _write_text(str(out / "instance.json"), bio.instance_to_json(inst, args.seed))
     _write_text(str(out / "data.csv"), bio.matrix_to_csv(data.x))
     _write_text(str(out / "truth_b.csv"), bio.matrix_to_csv(inst.adjacency.b))
     _write_text(str(out / "truth_perm.csv"), bio.permutation_to_csv(inst.ordering))
@@ -99,7 +95,7 @@ def cmd_fit(args) -> int:
     from birkdag.sem import DataMatrix
 
     if args.lam < 0:
-        raise _UsageError("--lambda must be nonnegative")
+        raise ValueError("--lambda must be nonnegative")
     cfg = _fit_config(args)
     x = _load_matrix(args.data)
     res = fit(DataMatrix(x), cfg)
@@ -113,16 +109,15 @@ def cmd_fit(args) -> int:
 
 def cmd_tune(args) -> int:
     from birkdag import io as bio
-    from birkdag.pipeline import RrcfConfig, tune
+    from birkdag.pipeline import tune
     from birkdag.sem import DataMatrix
 
     try:
         grid = bio.grid_from_json(_read_text(args.grid))
     except (ValueError, TypeError) as exc:
-        raise _UsageError(f"invalid grid JSON: {exc}") from exc
+        raise ValueError(f"invalid grid JSON: {exc}") from exc
     x = _load_matrix(args.data)
-    cfg = RrcfConfig(seed=args.seed, init=args.init)
-    best, table = tune(DataMatrix(x), grid, cfg)
+    best, table = tune(DataMatrix(x), grid, init=args.init)
     out = Path(args.out)
     header = "lambda,gamma,support,ebic"
     lines = [header]
@@ -162,7 +157,7 @@ def cmd_sample_perms(args) -> int:
     try:
         ds = DoublyStochastic(m)
     except ValueError as exc:
-        raise _UsageError(f"input is not doubly stochastic: {exc}") from exc
+        raise ValueError(f"input is not doubly stochastic: {exc}") from exc
     rng = np.random.default_rng(args.seed)
     perms = sample_permutations(ds, args.n_samples, rng)
     _write_text(args.out, "".join(bio.permutation_to_csv(p) for p in perms))
@@ -177,7 +172,7 @@ def cmd_benchmark(args) -> int:
     try:
         spec = bio.spec_from_json(_read_text(args.spec))
     except (KeyError, ValueError, TypeError) as exc:
-        raise _UsageError(f"invalid benchmark spec: {exc}") from exc
+        raise ValueError(f"invalid benchmark spec: {exc}") from exc
     rows = run_benchmark(spec, threads=args.threads)
     _write_text(args.out, benchmark_csv(rows))
     n_err = 0
@@ -227,12 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out", required=True, help="output JSON path")
     f.set_defaults(func=cmd_fit)
 
-    t = sub.add_parser("tune", help="select (lambda, gamma) by eBIC, one L-step per cell")
+    t = sub.add_parser("tune", help="select (lambda, gamma) by eBIC, one L-step per cell at "
+                                    "the initial ordering; deterministic, so it takes no seed")
     t.add_argument("--data", required=True, help="n x p data CSV (no header)")
     t.add_argument("--grid", required=True,
                    help='grid JSON with keys lambdas, gammas and optional gamma_bic (eBIC '
                         'gamma in [0,1], default 0.5), e.g. {"lambdas":[0.2,0.4],"gammas":[2.0]}')
-    t.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     t.add_argument("--init", choices=("variance", "identity"), default="variance",
                    help="initial ordering (default: ascending sample variance)")
     t.add_argument("--out", required=True, help="output directory for table and best params")
@@ -270,11 +265,8 @@ def main(argv=None) -> int:
 
     try:
         if args.threads < 1:
-            raise _UsageError(f"--threads must be at least 1, got {args.threads}")
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _IoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -49,10 +49,10 @@ def permutation_from_csv(text: str) -> Permutation:
     return Permutation(np.array([int(t) - 1 for t in toks], dtype=int))
 
 
-def instance_to_json(inst: SemInstance, s: int, seed: int) -> str:
+def instance_to_json(inst: SemInstance, seed: int) -> str:
     doc = {
         "p": inst.p,
-        "s": s,
+        "s": inst.expected_edges,
         "seed": seed,
         "ordering": [int(i) + 1 for i in inst.ordering.pi],
         "b": inst.adjacency.b.tolist(),

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from birkdag.pipeline import RrcfConfig, TuningGrid, cell_config, fit, tune
+from birkdag.pipeline import RrcfConfig, TuningGrid, fit, tune
+from birkdag.scoring import McpParams
 from birkdag.sem import WeightedAdjacency, generate_dag, sample_data
 
 
@@ -124,9 +125,13 @@ def _run_replicate(spec: BenchmarkSpec, setting_index: int, rep: int) -> dict:
         rng = np.random.default_rng(seed)
         inst = generate_dag(p, s, rng)
         data = sample_data(inst, spec.n, rng)
-        base_cfg = RrcfConfig(seed=seed, gamma_bic=spec.grid.gamma_bic)
-        best, _ = tune(data, spec.grid, base_cfg)
-        res = fit(data, cell_config(base_cfg, best, outer_k_max=spec.outer_k_max))
+        best, _ = tune(data, spec.grid)
+        res = fit(data, RrcfConfig(
+            mcp=McpParams(best["lam"], best["gamma"]),
+            seed=seed,
+            gamma_bic=spec.grid.gamma_bic,
+            outer_k_max=spec.outer_k_max,
+        ))
         est = extract_edges(res.b_hat)
         true = extract_edges(inst.adjacency)
         tpr, fpr, shd = structure_metrics(est, true)

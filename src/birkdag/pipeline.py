@@ -49,6 +49,11 @@ from birkdag.solver import SolverSettings, estimate_cholesky, estimate_cholesky_
 ANCHOR = 0.5
 
 
+def _check_init(init: str):
+    if init not in ("variance", "identity"):
+        raise ValueError(f"init must be 'variance' or 'identity', got {init!r}")
+
+
 @dataclass(frozen=True)
 class RrcfConfig:
     """Configuration of the alternating fit.
@@ -74,8 +79,7 @@ class RrcfConfig:
     def __post_init__(self):
         if self.outer_k_max < 1:
             raise ValueError("outer_k_max must be at least 1")
-        if self.init not in ("variance", "identity"):
-            raise ValueError(f"init must be 'variance' or 'identity', got {self.init!r}")
+        _check_init(self.init)
         if not 0.0 <= self.gamma_bic <= 1.0:
             raise ValueError("gamma_bic must lie in [0, 1]")
 
@@ -221,55 +225,47 @@ class TuningGrid:
             raise ValueError("lambdas and gammas must be non-empty")
         if not 0.0 <= self.gamma_bic <= 1.0:
             raise ValueError("gamma_bic must lie in [0, 1]")
-        for lam, gamma in product(self.lambdas, self.gammas):
-            McpParams(lam, gamma)
+        self.cells()
 
-    def cells(self):
+    def cells(self) -> list[McpParams]:
         """Grid cells in lexicographic order."""
-        return [{"lam": l, "gamma": g} for l, g in product(self.lambdas, self.gammas)]
-
-
-def cell_config(cfg: RrcfConfig, cell: dict, **changes) -> RrcfConfig:
-    """cfg with a grid cell's lam and gamma applied.
-
-    ``changes`` are further RrcfConfig fields to replace.
-    """
-    mcp = McpParams(lam=float(cell["lam"]), gamma=float(cell["gamma"]))
-    return replace(cfg, mcp=mcp, **changes)
+        return [McpParams(lam, gamma) for lam, gamma in product(self.lambdas, self.gammas)]
 
 
 def tune(
     x: DataMatrix | np.ndarray,
     grid: TuningGrid = TuningGrid(),
-    cfg: RrcfConfig = RrcfConfig(),
+    *,
+    init: str = "variance",
+    solver: SolverSettings = SolverSettings(),
 ) -> tuple[dict, list[dict]]:
     """Select tuning parameters by eBIC over the grid.
 
-    Each cell is one L-step at the initial ordering, the factor a fit
-    with outer_k_max 1 would return; all cells are solved in one batched
+    Each cell is one L-step at the ``init`` ordering (as in
+    ``RrcfConfig``) under the ``solver`` settings, the factor a fit with
+    outer_k_max 1 would return; all cells are solved in one batched
     L-step (``estimate_cholesky_path``).  A cell is scored by the eBIC
     of its factor on the full-data log-likelihood scale,
-    2 n nll + s log n + 4 s gamma_bic log p.  Each table row holds the
-    cell, "ebic", "support", and the cell's L-step "sweeps_max" and
-    "unconverged_rows".  Returns (best cell, table); the best cell is
-    the eBIC argmin with ties resolved by grid order.
+    2 n nll + s log n + 4 s grid.gamma_bic log p.  Each table row holds
+    the cell's "lam" and "gamma", "ebic", "support", and the cell's
+    L-step "sweeps_max" and "unconverged_rows".  Returns (best row,
+    table); the best row is the eBIC argmin with ties resolved by grid
+    order.
     """
+    _check_init(init)
     x, s = _data_and_covariance(x, "tune")
     cells = grid.cells()
-    params = [cell_config(cfg, cell).mcp for cell in cells]
-    order = _initial_order(s, cfg.init)
+    order = _initial_order(s, init)
     table = []
-    best = None
-    for cell, ch in zip(cells, estimate_cholesky_path(order, s, params, cfg.solver)):
+    for cell, ch in zip(cells, estimate_cholesky_path(order, s, cells, solver)):
         support = ch.l.support_size()
-        row = dict(cell)
-        row["ebic"] = ebic(
-            x.n * neg_log_likelihood(ch.l, order, s), support, x.n, x.p, grid.gamma_bic
-        )
-        row["support"] = support
-        row["sweeps_max"] = int(ch.sweeps.max())
-        row["unconverged_rows"] = int((~ch.converged).sum())
-        table.append(row)
-        if best is None or row["ebic"] < best["ebic"]:
-            best = row
-    return best, table
+        nll = neg_log_likelihood(ch.l, order, s)
+        table.append({
+            "lam": cell.lam,
+            "gamma": cell.gamma,
+            "ebic": ebic(x.n * nll, support, x.n, x.p, grid.gamma_bic),
+            "support": support,
+            "sweeps_max": int(ch.sweeps.max()),
+            "unconverged_rows": int((~ch.converged).sum()),
+        })
+    return min(table, key=lambda row: row["ebic"]), table

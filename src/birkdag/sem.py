@@ -38,13 +38,14 @@ class Permutation:
     pi: np.ndarray
 
     def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=int)
-        p = pi.shape[0]
-        if pi.ndim != 1 or p < 1:
+        pi = np.asarray(self.pi)
+        if pi.ndim != 1 or pi.shape[0] < 1:
             raise ValueError("pi must be a non-empty 1-d index array")
-        if not np.array_equal(np.sort(pi), np.arange(p)):
+        # compared before any integer cast, so 0.5 or nan fails here
+        # rather than truncating to a valid index
+        if not np.array_equal(np.sort(pi), np.arange(pi.shape[0])):
             raise ValueError("pi must be a bijection on 0..p-1")
-        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "pi", pi.astype(int, copy=False))
 
     @property
     def p(self) -> int:

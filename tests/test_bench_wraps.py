@@ -1,10 +1,14 @@
-"""The benchmark tracer patches program functions by (module, attribute) name.
+"""The benchmark reaches into ``birkdag`` by name.
 
-A refactor that renames or removes one of them would silently drop a
-traced layer, so every name in ``bench/tracing.py``'s ``WRAPS`` must still
-resolve in ``birkdag``.  The tracer file is only read, never modified.
+The tracer patches program functions by (module, attribute) name, and
+the workloads and the benchmark's self-test call program names through
+module attributes.  A refactor that renames or removes one of them would
+silently drop a traced layer or fail only inside a benchmark run, so
+every such name must still resolve in ``birkdag``.  The benchmark files
+are only read, never modified.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -12,6 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
+CALLERS = ("workloads.py", "selftest.py")
 
 
 def load_tracing():
@@ -35,3 +40,57 @@ def test_every_wrapped_attribute_resolves():
         if not callable(getattr(importlib.import_module(f"birkdag.{mod_name}"), attr, None))
     ]
     assert not missing, missing
+
+
+def birkdag_references(source: str) -> set:
+    """Dotted birkdag names a module's source uses.
+
+    Covers ``from birkdag[.mod] import name`` and one attribute deep on
+    a name bound by such an import (``solver.check_lower_bounds``).
+    """
+    tree = ast.parse(source)
+    bound = {}
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "birkdag":
+            for alias in node.names:
+                dotted = f"{node.module}.{alias.name}"
+                bound[alias.asname or alias.name] = dotted
+                refs.add(dotted)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "birkdag":
+                    bound[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            refs.add(f"{bound[node.value.id]}.{node.attr}")
+    return refs
+
+
+def resolves(dotted: str) -> bool:
+    """A birkdag module, or an attribute of one, exists under this name."""
+    try:
+        importlib.import_module(dotted)
+        return True
+    except ModuleNotFoundError:
+        module, _, attr = dotted.rpartition(".")
+        return hasattr(importlib.import_module(module), attr)
+
+
+def test_every_benchmark_reference_resolves():
+    refs = {
+        name: birkdag_references((ROOT / "bench" / name).read_text()) for name in CALLERS
+    }
+    assert "birkdag.solver.check_lower_bounds" in refs["workloads.py"]
+    assert "birkdag.pipeline.score_params" in refs["workloads.py"]
+    missing = sorted(f"{name}: {ref}" for name, found in refs.items()
+                     for ref in found if not resolves(ref))
+    assert not missing, missing
+
+
+def test_reference_walk_sees_a_missing_name():
+    source = "from birkdag import solver\nsolver.no_such_name(1)\n"
+    refs = birkdag_references(source)
+    assert refs == {"birkdag.solver", "birkdag.solver.no_such_name"}
+    assert resolves("birkdag.solver") and not resolves("birkdag.solver.no_such_name")

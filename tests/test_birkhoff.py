@@ -495,6 +495,15 @@ class TestRankVector:
         assert np.array_equal(rank_vector([1.0, 1.0, 1.0]), [1, 2, 3])
 
 
+class TestDoublyStochastic:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.full((2, 2), 0.5)
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DoublyStochastic(m)
+
+
 class TestSamplePermutations:
     def test_permutation_input_reproduced(self, rng):
         p = 6

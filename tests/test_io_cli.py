@@ -35,7 +35,7 @@ class TestPermutationCsv:
 class TestInstanceJson:
     def test_round_trip(self):
         inst = generate_dag(6, 5, np.random.default_rng(0))
-        text = bio.instance_to_json(inst, s=5, seed=0)
+        text = bio.instance_to_json(inst, seed=0)
         back = bio.instance_from_json(text)
         assert np.array_equal(back.adjacency.b, inst.adjacency.b)
         assert np.array_equal(back.ordering.pi, inst.ordering.pi)
@@ -158,6 +158,16 @@ class TestCliTune:
         assert table[0] == "lambda,gamma,support,ebic"
         assert len(table) == 2
 
+    def test_seed_is_not_an_option(self, workdir, tmp_path):
+        # tune is deterministic without one: no step of it draws at random
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lambdas": [0.3], "gammas": [2.0]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--data", str(workdir / "gen" / "data.csv"),
+                  "--grid", str(grid), "--seed", "0", "--out", str(tmp_path / "t")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "t").exists()
+
     def test_unknown_grid_key_exits_2(self, workdir, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"lambdas": [0.3], "gammas": [2.0], "etas": [0.1]}))
@@ -266,6 +276,15 @@ class TestCliSamplePerms:
         m.write_text(bio.matrix_to_csv(np.full((3, 3), 0.5)))
         assert main(["sample-perms", "--matrix", str(m), "--n-samples", "2",
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_nan_input_exits_2(self, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_text("nan,nan\nnan,nan\n")
+        out = tmp_path / "o.csv"
+        assert main(["sample-perms", "--matrix", str(m), "--n-samples", "2",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "non-finite" in capsys.readouterr().err
 
     def test_zero_samples_exits_2(self, tmp_path):
         m = tmp_path / "m.csv"

@@ -265,10 +265,11 @@ class TestTune:
         for seed in range(3):
             rng = np.random.default_rng(seed)
             x = sample_data(generate_dag(15, 15, rng), 80, rng)
-            cfg = RrcfConfig(seed=seed)
-            _, table = tune(x, grid, cfg)
+            _, table = tune(x, grid)
             for row in table:
-                res = fit(x, pipeline.cell_config(cfg, row, outer_k_max=1, gamma_bic=grid.gamma_bic))
+                cfg = RrcfConfig(mcp=McpParams(row["lam"], row["gamma"]), seed=seed,
+                                 outer_k_max=1, gamma_bic=grid.gamma_bic)
+                res = fit(x, cfg)
                 assert row["ebic"] == res.ebic_value
                 assert row["support"] == res.l_hat.support_size()
                 assert row["sweeps_max"] == res.diagnostics["solver_sweeps_max"][0]
@@ -278,10 +279,46 @@ class TestTune:
         rng = np.random.default_rng(8)
         x = sample_data(generate_dag(6, 6, rng), 200, rng)
         grid = TuningGrid(lambdas=(0.1, 0.4), gammas=(2.0,))
-        _, capped = tune(x, grid, RrcfConfig(solver=SolverSettings(k_max=1)))
+        _, capped = tune(x, grid, solver=SolverSettings(k_max=1))
         assert all(row["sweeps_max"] == 1 and 0 < row["unconverged_rows"] <= 5 for row in capped)
         _, default = tune(x, grid)
         assert all(row["sweeps_max"] > 1 and row["unconverged_rows"] == 0 for row in default)
+
+    def test_cells_are_mcp_params_in_lexicographic_order(self):
+        grid = TuningGrid(lambdas=(0.4, 0.1), gammas=(3.0, 2.0))
+        assert grid.cells() == [
+            McpParams(0.4, 3.0), McpParams(0.4, 2.0), McpParams(0.1, 3.0), McpParams(0.1, 2.0)
+        ]
+
+    def test_rows_carry_the_cell_parameters(self):
+        grid = TuningGrid(lambdas=(0.1, 0.3), gammas=(2.0, 2.5))
+        _, table = tune(independent_data(4, 150, 9), grid)
+        assert [McpParams(row["lam"], row["gamma"]) for row in table] == grid.cells()
+
+    def test_init_selects_the_ordering(self):
+        # a v-structure 0 -> 2 <- 1 with variances about 9, 4 and 3.3:
+        # the variance sort reverses the input order, and the reversed
+        # ordering is not Markov equivalent, so the two starts score
+        # differently
+        rng = np.random.default_rng(10)
+        x = DataMatrix(rng.standard_normal((400, 3)) @ np.array(
+            [[3.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.5, 1.0, 0.3]]).T)
+        grid = TuningGrid(lambdas=(0.1,), gammas=(2.0,))
+        _, by_variance = tune(x, grid)
+        _, by_identity = tune(x, grid, init="identity")
+        assert by_variance == tune(x, grid, init="variance")[1]
+        assert by_variance[0]["ebic"] != by_identity[0]["ebic"]
+
+    def test_rejects_unknown_init(self):
+        x = independent_data(4, 100, 7)
+        with pytest.raises(ValueError, match="init must be 'variance' or 'identity'"):
+            tune(x, TuningGrid(lambdas=(0.2,), gammas=(2.0,)), init="bogus")
+
+    def test_rejects_a_positional_config(self):
+        # tune reads only init and solver, both keyword-only
+        x = independent_data(4, 100, 7)
+        with pytest.raises(TypeError):
+            tune(x, TuningGrid(lambdas=(0.2,), gammas=(2.0,)), RrcfConfig())
 
     def test_guard_error_names_the_first_bad_cell(self):
         x = independent_data(4, 200, 6)

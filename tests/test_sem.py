@@ -31,6 +31,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             Permutation(np.array([0, 0, 2]))
 
+    def test_permutation_rejects_scalar(self):
+        with pytest.raises(ValueError, match="1-d"):
+            Permutation(np.array(0))
+
+    @pytest.mark.parametrize("pi", [[0.5, 1.0], [1.0, 0.2], [0.0, np.nan]])
+    def test_permutation_rejects_non_integral_entries(self, pi):
+        with pytest.raises(ValueError, match="bijection"):
+            Permutation(np.array(pi))
+
+    def test_permutation_accepts_integral_floats(self):
+        perm = Permutation(np.array([1.0, 0.0, 2.0]))
+        assert perm.pi.dtype.kind == "i"
+        assert perm.pi.tolist() == [1, 0, 2]
+
     def test_permutation_matrix_action(self):
         perm = Permutation(np.array([2, 0, 1]))
         x = np.array([10.0, 20.0, 30.0])

@@ -80,7 +80,7 @@ def test_permutation_csv_round_trip(perm):
 def test_instance_json_round_trip(p, density, seed):
     s = int(density * p * (p - 1) // 2)
     inst = generate_dag(p, s, np.random.default_rng(seed))
-    back = bio.instance_from_json(bio.instance_to_json(inst, s=s, seed=seed))
+    back = bio.instance_from_json(bio.instance_to_json(inst, seed=seed))
     assert np.array_equal(back.adjacency.b, inst.adjacency.b)
     assert np.array_equal(back.noise.omega2, inst.noise.omega2)
     assert np.array_equal(back.ordering.pi, inst.ordering.pi)
