@@ -42,7 +42,6 @@ from birkdag.scoring import (
     mcp,
     neg_log_likelihood,
     penalized_score,
-    nll_gradient_in_l,
     ebic,
 )
 from birkdag.birkhoff import (
@@ -84,7 +83,7 @@ __all__ = [
     "generate_dag", "adjacency_to_cholesky", "cholesky_to_adjacency",
     "sample_data", "sample_covariance",
     "McpParams", "ScoreBreakdown", "mcp", "neg_log_likelihood",
-    "penalized_score", "nll_gradient_in_l", "ebic",
+    "penalized_score", "ebic",
     "DoublyStochastic", "DualVariables", "RelaxationConfig",
     "project_to_birkhoff", "dual_objective", "relaxed_objective",
     "relaxed_gradient", "convexity_thresholds", "gradient_projection",

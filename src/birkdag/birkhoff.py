@@ -110,24 +110,22 @@ class ProjectionResult:
 class RelaxationConfig:
     """Settings for the relaxed ordering subproblem.
 
-    mu is the Frobenius-pull weight.  None (the default) means automatic:
-    ``pipeline.fit`` replaces it at each ordering step by the centered
-    convexity threshold of the current factor, and
-    ``gradient_projection`` refuses it.  eps and k_max stop the gradient
-    projection; n_samples is the number of rounding candidates drawn
-    when the relaxed solution is not already a vertex.  The step size
-    and the inner projection tolerances are not settable: see
-    ``gradient_projection``.
+    mu is the Frobenius-pull weight, a nonnegative real; it has no
+    default (``pipeline.fit`` picks it per ordering step).  eps and k_max
+    stop the gradient projection; n_samples is the number of rounding
+    candidates drawn when the relaxed solution is not already a vertex.
+    The step size and the inner projection tolerances are not settable:
+    see ``gradient_projection``.
     """
 
-    mu: float | None = None
+    mu: float
     eps: float = 1e-7
     k_max: int = 500
     n_samples: int = 150
 
     def __post_init__(self):
-        if self.mu is not None and (self.mu < 0 or not np.isfinite(self.mu)):
-            raise ValueError(f"mu must be a nonnegative real or None, got {self.mu}")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be a nonnegative real, got {self.mu}")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.k_max < 1 or self.n_samples < 1:
@@ -454,11 +452,6 @@ def gradient_projection(
     start their dual variables from the previous iteration, which keeps
     them to one or two Newton steps each.
     """
-    if cfg.mu is None:
-        raise ValueError(
-            "cfg.mu is None; gradient_projection needs an explicit mu, e.g. "
-            "replace(cfg, mu=max(convexity_thresholds(l, s)[1], 0.0))"
-        )
     if not (l.p == s.p == p_init.p):
         raise ValueError("dimension mismatch between l, s and p_init")
     eta = 1.0 / (convexity_thresholds(l, s)[2] + cfg.mu + 1e-15)

@@ -69,19 +69,12 @@ def cmd_generate(args) -> int:
 
 
 def _fit_config(args):
-    from birkdag.birkhoff import RelaxationConfig
     from birkdag.pipeline import RrcfConfig
     from birkdag.scoring import McpParams
-    from birkdag.solver import ConvexityGuardError
 
-    if args.gamma <= 1.0:
-        raise ConvexityGuardError(
-            f"--gamma {args.gamma} violates the MCP domain (gamma > 1); the "
-            "coordinate updates are strictly convex only for gamma > max(1/(2 A_jj), 1)"
-        )
     return RrcfConfig(
         mcp=McpParams(lam=args.lam, gamma=args.gamma),
-        relax=RelaxationConfig(mu=args.mu),
+        mu=args.mu,
         outer_k_max=args.outer_k_max,
         seed=args.seed,
         gamma_bic=args.gamma_bic,
@@ -94,8 +87,6 @@ def cmd_fit(args) -> int:
     from birkdag.pipeline import fit
     from birkdag.sem import DataMatrix
 
-    if args.lam < 0:
-        raise ValueError("--lambda must be nonnegative")
     cfg = _fit_config(args)
     x = _load_matrix(args.data)
     res = fit(DataMatrix(x), cfg)
@@ -261,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    from birkdag.solver import ConvexityGuardError
+    from birkdag.scoring import ConvexityGuardError
 
     try:
         if args.threads < 1:

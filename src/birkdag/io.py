@@ -88,7 +88,7 @@ def fit_result_to_json(res: FitResult, n: int, cfg: RrcfConfig) -> str:
         "config": {
             "lambda": cfg.mcp.lam,
             "gamma": cfg.mcp.gamma,
-            "mu": cfg.relax.mu,
+            "mu": cfg.mu,
             "outer_k_max": cfg.outer_k_max,
             "seed": cfg.seed,
             "gamma_bic": cfg.gamma_bic,

@@ -17,7 +17,7 @@ objective the L-step actually descends, halved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -39,7 +39,7 @@ from birkdag.sem import (
     cholesky_to_adjacency,
     sample_covariance,
 )
-from birkdag.solver import SolverSettings, estimate_cholesky, estimate_cholesky_path
+from birkdag.solver import estimate_cholesky, estimate_cholesky_path
 
 # Each ordering step starts gradient projection from
 # ANCHOR * (incumbent vertex) + (1 - ANCHOR) * (polytope center): an
@@ -60,23 +60,25 @@ class RrcfConfig:
 
     ``init`` selects the starting ordering: "variance" sorts variables
     by ascending sample variance (the informative choice for models with
-    comparable noise scales), "identity" keeps the input order.  When
-    ``relax.mu`` is None (the default), each ordering step uses the
-    largest convexity-preserving mu, max(centered threshold, 0), of the
-    current factor; an explicit ``relax.mu`` is used as given.
-    ``outer_k_max`` caps the number of L-steps; the fit stops earlier
-    once an ordering step returns its incumbent.
+    comparable noise scales), "identity" keeps the input order.  ``mu``
+    is the relaxation weight of every ordering step; None (the default)
+    means automatic, the largest convexity-preserving mu of each step's
+    factor (see ``fit``).  ``outer_k_max`` caps the number of L-steps;
+    the fit stops earlier once an ordering step returns its incumbent.
+    The L-step and gradient projection are not configurable here: they
+    run at the defaults of ``SolverSettings`` and ``RelaxationConfig``.
     """
 
     mcp: McpParams = McpParams(lam=0.2, gamma=2.0)
-    relax: RelaxationConfig = RelaxationConfig()
-    solver: SolverSettings = SolverSettings()
+    mu: float | None = None
     outer_k_max: int = 20
     seed: int = 0
     gamma_bic: float = 0.5
     init: str = "variance"
 
     def __post_init__(self):
+        if self.mu is not None:
+            RelaxationConfig(mu=self.mu)  # its check, so mu has one error text
         if self.outer_k_max < 1:
             raise ValueError("outer_k_max must be at least 1")
         _check_init(self.init)
@@ -132,6 +134,10 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
     point and stops; ``converged`` reports that.  Returns the iterate
     with the lowest penalized score seen.
 
+    Each ordering step relaxes with mu = ``cfg.mu`` or, when that is
+    None, with max(centered convexity threshold, 0) of the step's factor
+    (the second value of ``convexity_thresholds``).
+
     ``diagnostics`` holds one entry per ordering step under "mu",
     "thresholds", "gp_converged" and "snapped", and one per L-step under
     "solver_sweeps_max" and "solver_unconverged_rows", matching
@@ -158,7 +164,7 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
     center = DoublyStochastic.center(s.p).m
     converged = False
     for k in range(cfg.outer_k_max):
-        ch = estimate_cholesky(order, s, cfg.mcp, cfg.solver)
+        ch = estimate_cholesky(order, s, cfg.mcp)
         l = ch.l
         diag["solver_sweeps_max"].append(int(ch.sweeps.max()))
         diag["solver_unconverged_rows"].append(int((~ch.converged).sum()))
@@ -173,9 +179,7 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
 
         diag["n_outer"] += 1
         thresholds = convexity_thresholds(l, s)
-        relax = cfg.relax
-        if relax.mu is None:
-            relax = replace(relax, mu=max(thresholds[1], 0.0))
+        relax = RelaxationConfig(mu=max(thresholds[1], 0.0) if cfg.mu is None else cfg.mu)
         diag["mu"].append(relax.mu)
         diag["thresholds"].append(thresholds)
 
@@ -237,27 +241,26 @@ def tune(
     grid: TuningGrid = TuningGrid(),
     *,
     init: str = "variance",
-    solver: SolverSettings = SolverSettings(),
 ) -> tuple[dict, list[dict]]:
     """Select tuning parameters by eBIC over the grid.
 
     Each cell is one L-step at the ``init`` ordering (as in
-    ``RrcfConfig``) under the ``solver`` settings, the factor a fit with
-    outer_k_max 1 would return; all cells are solved in one batched
-    L-step (``estimate_cholesky_path``).  A cell is scored by the eBIC
-    of its factor on the full-data log-likelihood scale,
-    2 n nll + s log n + 4 s grid.gamma_bic log p.  Each table row holds
-    the cell's "lam" and "gamma", "ebic", "support", and the cell's
-    L-step "sweeps_max" and "unconverged_rows".  Returns (best row,
-    table); the best row is the eBIC argmin with ties resolved by grid
-    order.
+    ``RrcfConfig``), the factor a fit with outer_k_max 1 would return;
+    all cells are solved in one batched L-step
+    (``estimate_cholesky_path`` at the default ``SolverSettings``).  A
+    cell is scored by the eBIC of its factor on the full-data
+    log-likelihood scale, 2 n nll + s log n + 4 s grid.gamma_bic log p.
+    Each table row holds the cell's "lam" and "gamma", "ebic",
+    "support", and the cell's L-step "sweeps_max" and
+    "unconverged_rows".  Returns (best row, table); the best row is the
+    eBIC argmin with ties resolved by grid order.
     """
     _check_init(init)
     x, s = _data_and_covariance(x, "tune")
     cells = grid.cells()
     order = _initial_order(s, init)
     table = []
-    for cell, ch in zip(cells, estimate_cholesky_path(order, s, cells, solver)):
+    for cell, ch in zip(cells, estimate_cholesky_path(order, s, cells)):
         support = ch.l.support_size()
         nll = neg_log_likelihood(ch.l, order, s)
         table.append({

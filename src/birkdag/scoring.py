@@ -20,9 +20,23 @@ import numpy as np
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
 
 
+class ConvexityGuardError(ValueError):
+    """gamma is too small for the coordinate subproblems to be strictly convex.
+
+    The off-diagonal update divides by 2 A_jj - 1/gamma; strict convexity
+    in each coordinate requires gamma > max(1/(2 A_jj), 1).  ``McpParams``
+    raises it for gamma <= 1 and the L-step for the data-dependent bound.
+    Raise gamma (or rescale the data) and retry.
+    """
+
+
 @dataclass(frozen=True)
 class McpParams:
-    """Minimax concave penalty parameters (lambda >= 0, gamma > 1)."""
+    """Minimax concave penalty parameters (lambda >= 0, gamma > 1).
+
+    A non-finite value or a negative lambda is a ``ValueError``; a finite
+    gamma <= 1 is a ``ConvexityGuardError``.
+    """
 
     lam: float
     gamma: float
@@ -30,8 +44,11 @@ class McpParams:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be a nonnegative real, got {self.lam}")
-        if not (np.isfinite(self.gamma) and self.gamma > 1):
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        msg = f"gamma must exceed 1, got {self.gamma}"
+        if not np.isfinite(self.gamma):
+            raise ValueError(msg)
+        if self.gamma <= 1:
+            raise ConvexityGuardError(msg)
 
 
 @dataclass(frozen=True)
@@ -83,18 +100,6 @@ def penalized_score(
     tl = np.tril_indices(l.p, -1)
     penalty = float(np.sum(mcp(l.l[tl], params)))
     return ScoreBreakdown(nll=nll, penalty=penalty)
-
-
-def nll_gradient_in_l(l: CholeskyFactor, perm: Permutation, s: SampleCovariance) -> np.ndarray:
-    """Gradient of the negative log-likelihood in the free entries of L.
-
-    The free entries are the lower triangle including the diagonal; the
-    returned matrix is exactly zero above the diagonal.
-    """
-    sp = _permuted_cov(perm, s)
-    g = l.l @ sp
-    g[np.diag_indices(l.p)] -= 1.0 / np.diag(l.l)
-    return np.tril(g)
 
 
 def ebic(nll_value: float, support_size: int, n: int, p: int, gamma_bic: float) -> float:

@@ -68,22 +68,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from birkdag.scoring import McpParams, _permuted_cov, mcp
+from birkdag.scoring import ConvexityGuardError, McpParams, _permuted_cov, mcp
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
 
 
 # A cell leaves the stack of column sweeps for good after a column sweep
 # in which the pattern of at most this share of its active rows changed.
 SETTLED_SHARE = 0.05
-
-
-class ConvexityGuardError(ValueError):
-    """gamma is too small for the coordinate subproblems to be strictly convex.
-
-    The off-diagonal update divides by 2 A_jj - 1/gamma; strict convexity
-    in each coordinate requires gamma > max(1/(2 A_jj), 1).  Raise gamma
-    (or rescale the data) and retry.
-    """
 
 
 @dataclass(frozen=True)

@@ -465,13 +465,9 @@ class TestGradientProjection:
         tr = res.objective_trace
         assert all(tr[i + 1] <= tr[i] + 1e-10 for i in range(len(tr) - 1))
 
-    def test_rejects_automatic_mu(self, rng):
-        p = 3
-        with pytest.raises(ValueError, match="explicit mu"):
-            gradient_projection(
-                random_cholesky(p, rng), random_covariance(p, 20, rng),
-                RelaxationConfig(), DoublyStochastic.center(p),
-            )
+    def test_relaxation_config_requires_mu(self):
+        with pytest.raises(TypeError):
+            RelaxationConfig()
 
     def test_output_feasible(self, rng):
         p = 6

@@ -105,9 +105,23 @@ class TestCliFit:
         assert doc["b_hat"] == []
 
     def test_gamma_below_one_exits_5(self, workdir, tmp_path):
-        rc = main(["fit", "--data", str(workdir / "gen" / "data.csv"),
-                   "--lambda", "0.2", "--gamma", "0.5", "--out", str(tmp_path / "x.json")])
-        assert rc == 5
+        for gamma in ("0.5", "1.0"):
+            rc = main(["fit", "--data", str(workdir / "gen" / "data.csv"),
+                       "--lambda", "0.2", "--gamma", gamma, "--out", str(tmp_path / "x.json")])
+            assert rc == 5
+
+    @pytest.mark.parametrize("change", [
+        {"--gamma": "nan"}, {"--gamma": "inf"},
+        {"--lambda": "-0.1"}, {"--lambda": "nan"},
+        {"--mu": "-1"},
+    ])
+    def test_invalid_setting_exits_2_before_reading_data(self, tmp_path, change):
+        # the data file does not exist, so reading it would exit 3
+        settings = {"--lambda": "0.2", "--gamma": "2.0", **change}
+        args = [item for pair in settings.items() for item in pair]
+        rc = main(["fit", "--data", str(tmp_path / "nope.csv"), *args,
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
 
     def test_malformed_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -120,6 +134,22 @@ class TestCliFit:
         rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--lambda", "0.2",
                    "--gamma", "2.0", "--out", str(tmp_path / "x.json")])
         assert rc == 3
+
+    def test_config_record_has_one_key_per_setting(self, workdir, tmp_path):
+        # every RrcfConfig value is recorded, mcp as lambda and gamma
+        import dataclasses
+
+        from birkdag.pipeline import RrcfConfig
+
+        out = tmp_path / "fit.json"
+        main(["fit", "--data", str(workdir / "gen" / "data.csv"), "--lambda", "0.25",
+              "--gamma", "3.0", "--mu", "0.2", "--seed", "3", "--outer-k-max", "2",
+              "--gamma-bic", "0.25", "--init", "identity", "--out", str(out)])
+        cfg = json.loads(out.read_text())["config"]
+        names = {f.name for f in dataclasses.fields(RrcfConfig)} - {"mcp"}
+        assert set(cfg) == names | {"lambda", "gamma"}
+        assert cfg == {"lambda": 0.25, "gamma": 3.0, "mu": 0.2, "seed": 3,
+                       "outer_k_max": 2, "gamma_bic": 0.25, "init": "identity"}
 
     def test_cli_matches_in_process_fit(self, workdir, tmp_path):
         # the data CSV round-trips exactly, so the CLI result reproduces an

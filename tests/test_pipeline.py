@@ -1,13 +1,20 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
 from birkdag import pipeline
-from birkdag.birkhoff import RelaxationConfig, trace_objective
+from birkdag.birkhoff import trace_objective
 from birkdag.pipeline import RrcfConfig, TuningGrid, fit, score_params, tune
-from birkdag.scoring import McpParams, ebic, neg_log_likelihood, penalized_score
+from birkdag.scoring import (
+    ConvexityGuardError,
+    McpParams,
+    ebic,
+    neg_log_likelihood,
+    penalized_score,
+)
 from birkdag.sem import (
     CholeskyFactor,
     DataMatrix,
@@ -17,7 +24,7 @@ from birkdag.sem import (
     sample_covariance,
     sample_data,
 )
-from birkdag.solver import ConvexityGuardError, SolverSettings, estimate_cholesky
+from birkdag.solver import SolverSettings, estimate_cholesky, estimate_cholesky_path
 from conftest import random_covariance
 
 
@@ -192,7 +199,7 @@ class TestFit:
     def test_explicit_mu_is_honoured(self):
         rng = np.random.default_rng(3)
         x = sample_data(generate_dag(12, 12, rng), 60, rng)
-        res = fit(x, RrcfConfig(relax=RelaxationConfig(mu=0.3), outer_k_max=3))
+        res = fit(x, RrcfConfig(mu=0.3, outer_k_max=3))
         n_outer = res.diagnostics["n_outer"]
         assert n_outer >= 1
         assert res.diagnostics["mu"] == [0.3] * n_outer
@@ -204,10 +211,18 @@ class TestFit:
         assert len(diag["thresholds"]) == diag["n_outer"]
         assert diag["mu"] == [max(t[1], 0.0) for t in diag["thresholds"]]
 
-    def test_unconverged_solver_rows_reported(self):
+    @pytest.mark.parametrize("mu", [-1.0, float("nan"), float("inf")])
+    def test_rejects_invalid_mu(self, mu):
+        with pytest.raises(ValueError, match="mu must be a nonnegative real"):
+            RrcfConfig(mu=mu)
+
+    def test_unconverged_solver_rows_reported(self, monkeypatch):
         rng = np.random.default_rng(8)
         x = sample_data(generate_dag(6, 6, rng), 200, rng)
-        capped = fit(x, RrcfConfig(solver=SolverSettings(k_max=1), outer_k_max=3))
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "estimate_cholesky",
+                      functools.partial(estimate_cholesky, settings=SolverSettings(k_max=1)))
+            capped = fit(x, RrcfConfig(outer_k_max=3))
         rows = capped.diagnostics["solver_unconverged_rows"]
         assert len(rows) == len(capped.score_trace) >= 1
         assert all(0 < k <= 5 for k in rows)
@@ -275,11 +290,14 @@ class TestTune:
                 assert row["sweeps_max"] == res.diagnostics["solver_sweeps_max"][0]
                 assert row["unconverged_rows"] == res.diagnostics["solver_unconverged_rows"][0]
 
-    def test_capped_cells_are_reported(self):
+    def test_capped_cells_are_reported(self, monkeypatch):
         rng = np.random.default_rng(8)
         x = sample_data(generate_dag(6, 6, rng), 200, rng)
         grid = TuningGrid(lambdas=(0.1, 0.4), gammas=(2.0,))
-        _, capped = tune(x, grid, solver=SolverSettings(k_max=1))
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "estimate_cholesky_path",
+                      functools.partial(estimate_cholesky_path, settings=SolverSettings(k_max=1)))
+            _, capped = tune(x, grid)
         assert all(row["sweeps_max"] == 1 and 0 < row["unconverged_rows"] <= 5 for row in capped)
         _, default = tune(x, grid)
         assert all(row["sweeps_max"] > 1 and row["unconverged_rows"] == 0 for row in default)
@@ -315,7 +333,7 @@ class TestTune:
             tune(x, TuningGrid(lambdas=(0.2,), gammas=(2.0,)), init="bogus")
 
     def test_rejects_a_positional_config(self):
-        # tune reads only init and solver, both keyword-only
+        # tune reads only init, which is keyword-only
         x = independent_data(4, 100, 7)
         with pytest.raises(TypeError):
             tune(x, TuningGrid(lambdas=(0.2,), gammas=(2.0,)), RrcfConfig())
