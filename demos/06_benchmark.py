@@ -18,7 +18,7 @@ spec = BenchmarkSpec(
     seed=2024,
     outer_k_max=8,
 )
-rows = run_benchmark(spec, threads=2)
+rows = run_benchmark(spec)
 print(benchmark_csv(rows))
 
 for r in rows:

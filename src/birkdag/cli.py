@@ -101,10 +101,13 @@ def cmd_fit(args) -> int:
 def cmd_tune(args) -> int:
     from birkdag import io as bio
     from birkdag.pipeline import tune
+    from birkdag.scoring import ConvexityGuardError
     from birkdag.sem import DataMatrix
 
     try:
         grid = bio.grid_from_json(_read_text(args.grid))
+    except ConvexityGuardError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ValueError(f"invalid grid JSON: {exc}") from exc
     x = _load_matrix(args.data)
@@ -159,12 +162,15 @@ def cmd_sample_perms(args) -> int:
 def cmd_benchmark(args) -> int:
     from birkdag import io as bio
     from birkdag.metrics import benchmark_csv, run_benchmark
+    from birkdag.scoring import ConvexityGuardError
 
     try:
         spec = bio.spec_from_json(_read_text(args.spec))
+    except ConvexityGuardError:
+        raise
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"invalid benchmark spec: {exc}") from exc
-    rows = run_benchmark(spec, threads=args.threads)
+    rows = run_benchmark(spec)
     _write_text(args.out, benchmark_csv(rows))
     n_err = 0
     for r in rows:
@@ -188,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and MCP-penalized sparse Cholesky estimation.",
     )
     ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for replicate-level work, at least 1 (default 1)")
+                    help="accepted for compatibility, at least 1 (default 1); benchmark "
+                         "replicates run one at a time whatever its value")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a synthetic instance and data")

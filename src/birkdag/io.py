@@ -15,6 +15,7 @@ import numpy as np
 
 from birkdag.metrics import BenchmarkSpec
 from birkdag.pipeline import FitResult, RrcfConfig, TuningGrid
+from birkdag.scoring import ConvexityGuardError
 from birkdag.sem import NoiseVariances, Permutation, SemInstance, WeightedAdjacency
 
 
@@ -125,7 +126,9 @@ def _jsonable(obj):
 
 def _from_doc(cls, fields: dict, doc: dict, what: str):
     """cls built from the keys present in doc, each converted by fields;
-    absent keys take cls's defaults and unknown keys are an error."""
+    absent keys take cls's defaults and unknown keys are an error.  A
+    ``ConvexityGuardError`` from a nested document passes through as it is,
+    so a gamma <= 1 anywhere keeps its own error class."""
     unknown = set(doc) - set(fields)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
@@ -133,6 +136,8 @@ def _from_doc(cls, fields: dict, doc: dict, what: str):
     for k, v in doc.items():
         try:
             values[k] = fields[k](v)
+        except ConvexityGuardError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{what} key {k!r}: {exc}") from exc
     return cls(**values)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,21 +149,17 @@ def _run_replicate(spec: BenchmarkSpec, setting_index: int, rep: int) -> dict:
     return row
 
 
-def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> list[dict]:
+def run_benchmark(spec: BenchmarkSpec) -> list[dict]:
     """Run every (setting, replicate) cell and append per-setting means.
 
-    Replicates are independent jobs with derived per-replicate seeds;
-    rows come back sorted by (setting, rep) regardless of scheduling, so
-    the output is identical for any thread count (at least 1).
+    Replicates are independent jobs with derived per-replicate seeds.
+    They run one at a time, in (setting, rep) order, on the caller's
+    thread: replicates are CPU-bound numpy work that holds the GIL, so
+    running them side by side only slowed each one down.
     """
-    jobs = [(si, rep) for si in range(len(spec.settings)) for rep in range(spec.reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(lambda job: _run_replicate(spec, *job), jobs))
-    rows.sort(key=lambda r: (r["setting_p"], r["setting_s"], r["rep"]))
-
     out = []
     for si, (p, s) in enumerate(spec.settings):
-        block = [r for r in rows if r["setting_p"] == p and r["setting_s"] == s]
+        block = [_run_replicate(spec, si, rep) for rep in range(spec.reps)]
         out.extend(block)
         ok = [r for r in block if r["status"] == "ok"]
         mean_row = {"setting_p": p, "setting_s": s, "rep": "mean", "seed": "", "status": "ok" if ok else "error"}

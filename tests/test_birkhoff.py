@@ -345,11 +345,14 @@ def direct_objective_gp(l, s, cfg, p_init):
     """
     eta = 1.0 / (convexity_thresholds(l, s)[2] + cfg.mu + 1e-15)
     P = p_init.m.copy()
-    duals = None
+    duals = prev = None
     iterates = []
     for _ in range(cfg.k_max):
-        proj = project_to_birkhoff(P - eta * relaxed_gradient(P, l, s, cfg), duals0=duals)
-        duals = proj.duals
+        # warm start at the dual path extrapolated one step, 2 d_k - d_{k-1}
+        start = duals if prev is None else DualVariables(
+            2.0 * duals.u - prev.u, 2.0 * duals.v - prev.v, duals.bigu)
+        proj = project_to_birkhoff(P - eta * relaxed_gradient(P, l, s, cfg), duals0=start)
+        prev, duals = duals, proj.duals
         moved = float(np.linalg.norm(proj.ds.m - P))
         P = proj.ds.m
         iterates.append(P)

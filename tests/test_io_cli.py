@@ -260,6 +260,23 @@ class TestCliGuard:
         assert err == f"error: gamma=1.5 must exceed max(1/(2 min S^P_ii), 1) = {guard}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["tune", "benchmark"])
+    def test_gamma_at_one_in_json_exits_5(self, workdir, tmp_path, capsys, command):
+        # the McpParams check that makes fit --gamma 1.0 exit 5, met while
+        # the grid JSON or the spec's grid is read
+        doc = tmp_path / "doc.json"
+        if command == "tune":
+            doc.write_text(json.dumps({"gammas": [1.0]}))
+            args = ["--data", str(workdir / "gen" / "data.csv"), "--grid", str(doc)]
+        else:
+            doc.write_text(json.dumps({"settings": [[8, 8]], "grid": {"gammas": [1.0]}}))
+            args = ["--spec", str(doc)]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, *args, "--out", str(out)]) == 5
+        assert capsys.readouterr().err == "error: gamma must exceed 1, got 1.0\n"
+        assert not out.exists()
+
 
 class TestCliProject:
     def test_identity_input(self, tmp_path):
@@ -376,7 +393,6 @@ class TestCliBenchmark:
         ({"grid": {"lambdas": [-0.3]}}, "lambda"),
         ({"grid": {"lambdas": [float("nan")]}}, "lambda"),
         ({"grid": {"lambdas": [float("inf")]}}, "lambda"),
-        ({"grid": {"gammas": [1.0]}}, "gamma"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, change, named):
         # rejected when the spec is read, before any replicate runs

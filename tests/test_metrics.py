@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from birkdag import metrics
 from birkdag.metrics import (
     CSV_HEADER,
     BenchmarkSpec,
@@ -151,11 +154,33 @@ class TestRunBenchmark:
         assert a == b
         assert a.splitlines()[0] == CSV_HEADER
 
-    def test_thread_count_invariance(self):
-        spec = tiny_spec(reps=2)
-        a = benchmark_csv(run_benchmark(spec, threads=1))
-        b = benchmark_csv(run_benchmark(spec, threads=4))
-        assert a == b
+    def test_replicate_row_does_not_depend_on_run_size(self):
+        # a replicate draws only from its own derived seed, so the
+        # replicates run after it leave its row unchanged
+        one = run_benchmark(tiny_spec(reps=1))
+        two = run_benchmark(tiny_spec(reps=2))
+        assert benchmark_csv(two[:1]) == benchmark_csv(one[:1])
+
+    def test_replicates_run_once_each_in_order_on_the_calling_thread(self, monkeypatch):
+        # run_benchmark finds _run_replicate in the module globals at call
+        # time, where a wrapper (such as a tracer's op root) is patched in
+        calls = []
+
+        def recording(spec, si, rep):
+            calls.append((si, rep, threading.get_ident()))
+            p, s = spec.settings[si]
+            return {"setting_p": p, "setting_s": s, "rep": rep, "seed": 0, "status": "ok",
+                    "tpr": float(rep), "fpr": 0.0, "shd": si, "scaled_frob": 0.0,
+                    "ebic": 0.0, "runtime_seconds": 0.0}
+
+        monkeypatch.setattr(metrics, "_run_replicate", recording)
+        rows = run_benchmark(tiny_spec(settings=((8, 8), (8, 4)), reps=3))
+        me = threading.get_ident()
+        assert calls == [(si, rep, me) for si in range(2) for rep in range(3)]
+        assert [(r["setting_s"], r["rep"]) for r in rows] == [
+            (8, 0), (8, 1), (8, 2), (8, "mean"), (4, 0), (4, 1), (4, 2), (4, "mean")]
+        assert [r["tpr"] for r in rows if r["rep"] == "mean"] == [1.0, 1.0]
+        assert [r["shd"] for r in rows if r["rep"] == "mean"] == [0.0, 1.0]
 
     def test_mean_row_values(self):
         spec = tiny_spec(reps=3)
