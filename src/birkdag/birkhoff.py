@@ -182,14 +182,18 @@ def project_to_birkhoff(
         are taken.  On expiry, or earlier when no step can improve the
         point any more, the iterate is made feasible by
         ``_force_feasible`` and returned with ``converged=False``.
-    duals0 : optional warm start for (u, v), each of shape (p,);
-        repeated projections of nearby points converge in one or two
+    duals0 : optional warm start for (u, v), each finite and of shape
+        (p,); repeated projections of nearby points converge in one or two
         Newton steps.
     """
     p0 = np.asarray(p0, dtype=float)
     if p0.ndim != 2 or p0.shape[0] != p0.shape[1] or p0.shape[0] == 0:
         raise ValueError(f"p0 must be a non-empty square matrix, got shape {p0.shape}")
-    if not np.isfinite(p0).all():
+    # ||P0||_F^2 sets the gap floor.  As a sum of squares it is NaN or +inf
+    # whenever p0 is not finite, so p0 itself is scanned only then: finite
+    # entries whose squares overflow are still accepted.
+    sq = float(np.add.reduce(p0 * p0, None))
+    if not sq < np.inf and not np.isfinite(p0).all():
         raise ValueError("p0 contains non-finite entries")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -201,29 +205,53 @@ def project_to_birkhoff(
             shape = np.shape(getattr(duals0, name))
             if shape != (p,):
                 raise ValueError(f"duals0.{name} must have shape ({p},), got {shape}")
-
-    floor = 4.0 * _EPS_MACH * (1.0 + float((p0 * p0).sum()))
-    tol = max(eps, floor)
+    tol = max(eps, 4.0 * _EPS_MACH * (1.0 + sq))
 
     # At p <= 20 the per-call overhead of numpy, not arithmetic, sets the
-    # cost of an iteration, so (u, v) and (r, c) each live in one stacked
-    # buffer, and the current point and the line-search trial write into
-    # two preallocated states that swap on acceptance.
+    # cost of an iteration, so every numpy call counts.  (u, v), (r, c),
+    # the mask sums and the Newton direction each live in one stacked
+    # buffer; every work array and view is made once per call and written
+    # in place; products go through np.dot, which reaches the same BLAS
+    # routines as np.matmul with less dispatch; the current point and the
+    # line-search trial write into two preallocated states that swap on
+    # acceptance; and the dual value is evaluated only when the residual
+    # test cannot accept a trial.  Each value is still computed by the
+    # same floating-point operations as in the plain form of the loop.
     cur, trial = _NewtonState(p), _NewtonState(p)
     if duals0 is None:
-        rc0 = np.concatenate((p0.sum(axis=1), p0.sum(axis=0)))
-        np.subtract((rc0 - 1.0) / p, (float(p0.sum()) - p) / (2.0 * p * p), out=cur.uv)
+        np.add.reduce(p0, 1, None, cur.u)
+        np.add.reduce(p0, 0, None, cur.v)
+        cur.uv -= 1.0
+        cur.uv /= p
+        cur.uv -= (float(np.add.reduce(p0, None)) - p) / (2.0 * p * p)
     else:
-        a = (float(np.sum(duals0.v)) - float(np.sum(duals0.u))) / (2.0 * p)
+        a = (float(np.add.reduce(duals0.v)) - float(np.add.reduce(duals0.u))) / (2.0 * p)
+        # a sum is finite only if every entry is, so a finite shift
+        # certifies both vectors
+        if not np.isfinite(a):
+            for name in ("u", "v"):
+                if not np.isfinite(getattr(duals0, name)).all():
+                    raise ValueError(f"duals0.{name} contains non-finite entries")
+            raise ValueError("duals0.u and duals0.v are too large: their sums overflow")
         np.add(duals0.u, a, out=cur.u)
         np.subtract(duals0.v, a, out=cur.v)
     cur.evaluate(p0)
 
+    # One Newton step: the mask O = sign(P) and its shifted sums d1 = O 1,
+    # d2 = O^t 1; the Schur complement diag(d2) - O^t D1^-1 O in schur; the
+    # right-hand side c - O^t D1^-1 r, solved in place into dv by Cholesky
+    # on the block that pins dv[-1] = 0; then du = D1^-1 (r - O dv).
     om = np.empty((p, p))
     od = np.empty((p, p))
     schur = np.empty((p, p))
+    om_t, od_t, pinned = om.T, od.T, schur[:-1, :-1]
+    diag = schur.reshape(-1)[:: p + 1]
+    dd = np.empty(2 * p)
+    d1, d2 = dd[:p], dd[p:]
+    d1_col = d1[:, None]
     d = np.zeros(2 * p)
     du, dv = d[:p], d[p:]
+    dv_pinned = dv[:-1]
     converged = stuck = False
     n_iter = 0
     for k in range(k_max):
@@ -236,27 +264,36 @@ def project_to_birkhoff(
         if stuck or k == k_max - 1:
             break
         np.sign(cur.P, out=om)
-        d1 = om.sum(axis=1) + NEWTON_SHIFT
-        d2 = om.sum(axis=0) + NEWTON_SHIFT
-        np.divide(om, d1[:, None], out=od)
-        np.matmul(om.T, od, out=schur)
+        np.add.reduce(om, 1, None, d1)
+        np.add.reduce(om, 0, None, d2)
+        dd += NEWTON_SHIFT
+        np.divide(om, d1_col, out=od)
+        np.dot(om_t, od, out=schur)
         np.negative(schur, out=schur)
-        schur.flat[:: p + 1] += d2
-        rhs = cur.c - od.T @ cur.r
+        diag += d2
+        np.dot(od_t, cur.r, out=dv)
+        np.subtract(cur.c, dv, out=dv)
         if p > 1:
             # the pinned Schur complement is symmetric positive definite
-            _, dv[:-1], info = dposv(schur[:-1, :-1], rhs[:-1])
+            info = dposv(pinned, dv_pinned, overwrite_b=1)[2]
             if info:
                 raise np.linalg.LinAlgError(f"Newton system not positive definite (dposv {info})")
-        np.divide(cur.r - om @ dv, d1, out=du)
-        slope = float(cur.rc @ d)
+        dv[-1] = 0.0
+        np.dot(om, dv, out=du)
+        np.subtract(cur.r, du, out=du)
+        np.divide(du, d1, out=du)
+        slope = float(np.dot(cur.rc, d))
         t = 1.0
         for _ in range(MAX_HALVINGS):
-            np.multiply(d, t, out=trial.uv)
-            np.add(cur.uv, trial.uv, out=trial.uv)
+            if t == 1.0:
+                np.add(cur.uv, d, out=trial.uv)
+            else:
+                np.multiply(d, t, out=trial.uv)
+                np.add(cur.uv, trial.uv, out=trial.uv)
             trial.evaluate(p0)
-            gain = max(ARMIJO * t * slope, 4.0 * _EPS_MACH * abs(cur.theta))
-            if trial.theta - cur.theta >= gain or trial.res < cur.res:
+            if trial.res < cur.res or trial.theta - cur.theta >= max(
+                ARMIJO * t * slope, 4.0 * _EPS_MACH * abs(cur.theta)
+            ):
                 break
             t *= 0.5
         else:
@@ -267,12 +304,14 @@ def project_to_birkhoff(
     if not converged:
         gap = cur.gap()
     P = cur.P
+    bigu = np.subtract(cur.outer, p0, out=cur.outer)
+    np.maximum(bigu, 0.0, out=bigu)
     # A converged P = max(W, 0) is exactly nonnegative, and the test above
     # bounded its marginal sums by MARGIN_TOL; U = max(., 0) is nonnegative.
     # Both results are built without re-running those checks.
     return ProjectionResult(
         ds=_unchecked(DoublyStochastic, m=P) if converged else _force_feasible(P),
-        duals=_unchecked(DualVariables, u=cur.u, v=cur.v, bigu=np.maximum(cur.outer - p0, 0.0)),
+        duals=_unchecked(DualVariables, u=cur.u, v=cur.v, bigu=bigu),
         gap=gap,
         converged=converged,
         n_iter=n_iter,
@@ -296,23 +335,31 @@ class _NewtonState:
     def __init__(self, p: int):
         self.uv = np.empty(2 * p)
         self.u, self.v = self.uv[:p], self.uv[p:]
-        self.ucol = self.u[:, None]
+        self.ucol, self.vrow = self.u[:, None], self.v[None, :]
         self.outer = np.empty((p, p))
         self.P = np.empty((p, p))
         self.rc = np.empty(2 * p)
         self.r, self.c = self.rc[:p], self.rc[p:]
-        self.res = self.theta = 0.0
+        self.res = 0.0
+        self._theta = None
 
     def evaluate(self, p0: np.ndarray) -> None:
-        """P = max(W, 0), the marginal residuals and the dual value."""
-        np.add(self.ucol, self.v, out=self.outer)
+        """P = max(W, 0) and the marginal residuals; the dual value waits for ``theta``."""
+        np.add(self.ucol, self.vrow, out=self.outer)
         np.subtract(p0, self.outer, out=self.P)
         np.maximum(self.P, 0.0, out=self.P)
         np.add.reduce(self.P, 1, None, self.r)
         np.add.reduce(self.P, 0, None, self.c)
         self.rc -= 1.0
-        self.res = float(np.abs(self.rc).max())
-        self.theta = -0.5 * float(np.vdot(self.P, self.P)) - float(self.uv.sum())
+        self.res = float(np.maximum.reduce(np.abs(self.rc)))
+        self._theta = None
+
+    @property
+    def theta(self) -> float:
+        """The dual value -1/2 ||P||_F^2 - sum(u) - sum(v), computed once per point."""
+        if self._theta is None:
+            self._theta = -0.5 * float(np.vdot(self.P, self.P)) - float(np.add.reduce(self.uv))
+        return self._theta
 
     def gap(self) -> float:
         """|f(P) - f*(u, v, U)| with U = max(0, u 1^t + 1 v^t - P0).
@@ -361,7 +408,7 @@ def dual_objective(dv: DualVariables, p0: np.ndarray) -> float:
 
 def _center_cols(m: np.ndarray) -> np.ndarray:
     """Apply T = I - (1/p) 1 1^t on the left: subtract column means."""
-    return m - m.mean(axis=0, keepdims=True)
+    return m - np.add.reduce(m, 0, keepdims=True) / m.shape[0]
 
 
 def relaxed_objective(
@@ -475,7 +522,9 @@ def gradient_projection(
             DualVariables, u=2.0 * duals.u - prev.u, v=2.0 * duals.v - prev.v, bigu=duals.bigu)
         proj = project_to_birkhoff(P - eta * g, duals0=start)
         prev, duals = duals, proj.duals
-        moved = float(np.linalg.norm(proj.ds.m - P))
+        # ||P+ - P||_F as np.linalg.norm evaluates it, without its dispatch
+        diff = (proj.ds.m - P).ravel()
+        moved = float(np.sqrt(np.dot(diff, diff)))
         P = proj.ds.m
         g = relaxed_gradient(P, l, s, cfg)
         fP = _objective_from_gradient(g, P)

@@ -157,6 +157,12 @@ def run_benchmark(spec: BenchmarkSpec) -> list[dict]:
     thread: replicates are CPU-bound numpy work that holds the GIL, so
     running them side by side only slowed each one down.
     """
+    import importlib
+
+    # The ordering step's rounding loads scipy.optimize on first use (about
+    # 0.2 s), and ``import birkdag`` leaves it out: load it before the first
+    # replicate's timer starts, so that every replicate times the same work.
+    importlib.import_module("scipy.optimize")
     out = []
     for si, (p, s) in enumerate(spec.settings):
         block = [_run_replicate(spec, si, rep) for rep in range(spec.reps)]

@@ -121,6 +121,19 @@ class TestProjection:
         with pytest.raises(ValueError, match=rf"duals0\.{name} must have shape \(4,\)"):
             project_to_birkhoff(np.eye(4), duals0=DualVariables(**duals))
 
+    @pytest.mark.parametrize("name", ["u", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_warm_duals(self, name, bad):
+        duals = {"u": np.zeros(5), "v": np.zeros(5), "bigu": np.zeros((5, 5))}
+        duals[name] = np.full(5, bad) if np.isnan(bad) else np.r_[bad, np.zeros(4)]
+        with pytest.raises(ValueError, match=rf"duals0\.{name} contains non-finite entries"):
+            project_to_birkhoff(np.eye(5), duals0=DualVariables(**duals))
+
+    def test_rejects_warm_duals_whose_sums_overflow(self):
+        big = np.full(5, 1e308)
+        with pytest.raises(ValueError, match="their sums overflow"), np.errstate(over="ignore"):
+            project_to_birkhoff(np.eye(5), duals0=DualVariables(big, -big, np.zeros((5, 5))))
+
     def test_selftest_assumptions(self):
         # the benchmark's self-test feeds its projection checker a result
         # capped before convergence and the uncapped one

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,27 @@ class TestRunBenchmark:
             (8, 0), (8, 1), (8, 2), (8, "mean"), (4, 0), (4, 1), (4, 2), (4, "mean")]
         assert [r["tpr"] for r in rows if r["rep"] == "mean"] == [1.0, 1.0]
         assert [r["shd"] for r in rows if r["rep"] == "mean"] == [0.0, 1.0]
+
+    def test_scipy_optimize_loads_before_the_first_replicate(self):
+        # a fresh interpreter: importing birkdag leaves scipy.optimize out,
+        # and run_benchmark loads it before the first replicate's timer
+        # starts, so rep 0's runtime_seconds does not include that import
+        code = """
+import sys
+from birkdag import metrics
+print('scipy.optimize' in sys.modules)
+seen = []
+def first(spec, si, rep):
+    seen.append('scipy.optimize' in sys.modules)
+    return {"status": "error"}
+metrics._run_replicate = first
+metrics.run_benchmark(metrics.BenchmarkSpec(settings=((4, 4),), reps=2))
+print(seen)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "[True, True]"]
 
     def test_mean_row_values(self):
         spec = tiny_spec(reps=3)
