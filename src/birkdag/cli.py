@@ -170,7 +170,7 @@ def cmd_benchmark(args) -> int:
         raise
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"invalid benchmark spec: {exc}") from exc
-    rows = run_benchmark(spec)
+    rows = run_benchmark(spec, args.threads)
     _write_text(args.out, benchmark_csv(rows))
     n_err = 0
     for r in rows:
@@ -194,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and MCP-penalized sparse Cholesky estimation.",
     )
     ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility, at least 1 (default 1); benchmark "
-                         "replicates run one at a time whatever its value")
+                    help="processes for benchmark replicates, at least 1 (default 1); "
+                         "capped at the replicate count and the usable CPUs; the output "
+                         "does not depend on it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a synthetic instance and data")

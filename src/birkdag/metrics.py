@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -109,16 +110,27 @@ def _replicate_seed(base: int, setting_index: int, rep: int) -> int:
     return base * 1_000_000 + setting_index * 10_000 + rep
 
 
-def _run_replicate(spec: BenchmarkSpec, setting_index: int, rep: int) -> dict:
+def _replicate_row(spec: BenchmarkSpec, setting_index: int, rep: int) -> dict:
     p, s = spec.settings[setting_index]
-    seed = _replicate_seed(spec.seed, setting_index, rep)
-    row = {
+    return {
         "setting_p": p,
         "setting_s": s,
         "rep": rep,
-        "seed": seed,
+        "seed": _replicate_seed(spec.seed, setting_index, rep),
         "status": "ok",
     }
+
+
+def _mark_error(row: dict, text: str) -> dict:
+    row.update(status="error", error=text, tpr=None, fpr=None, shd=None, scaled_frob=None,
+               ebic=None)
+    return row
+
+
+def _run_replicate(spec: BenchmarkSpec, setting_index: int, rep: int) -> dict:
+    p, s = spec.settings[setting_index]
+    row = _replicate_row(spec, setting_index, rep)
+    seed = row["seed"]
     t0 = time.perf_counter()
     try:
         rng = np.random.default_rng(seed)
@@ -142,30 +154,119 @@ def _run_replicate(spec: BenchmarkSpec, setting_index: int, rep: int) -> dict:
             ebic=res.ebic_value,
         )
     except Exception as exc:  # error rows keep the run going
-        row["status"] = "error"
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        row.update(tpr=None, fpr=None, shd=None, scaled_frob=None, ebic=None)
+        _mark_error(row, f"{type(exc).__name__}: {exc}")
     row["runtime_seconds"] = time.perf_counter() - t0 if spec.measure_runtime else 0.0
     return row
 
 
-def run_benchmark(spec: BenchmarkSpec) -> list[dict]:
+def _worker_count(requested: int, jobs: int) -> int:
+    """Processes for ``jobs`` replicates: min(requested, jobs, usable CPUs),
+    at least 1, and 1 where the platform cannot fork."""
+    if min(requested, jobs) <= 1:
+        return 1
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(requested, jobs, cpus or 1)
+
+
+def _worker(conn, spec: BenchmarkSpec, jobs: list) -> None:
+    # Body of a forked worker: it looks _run_replicate up in this module's
+    # globals, as inherited from the caller, and sends each row when done.
+    for si, rep in jobs:
+        conn.send(_run_replicate(spec, si, rep))
+
+
+def _run_forked(spec: BenchmarkSpec, jobs: list, n: int) -> list[dict]:
+    """Rows of ``jobs``, run by the caller and n - 1 forked workers.
+
+    The caller runs jobs 0, n, 2n, ...; worker w runs jobs w, w + n, ...
+    in order.  A worker that dies costs only the job it was running: that
+    job gets an error row naming the exit code, and a new worker takes
+    over the jobs it had left.  No worker outlives the call.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    # fork, not spawn: a worker starts with the caller's loaded modules and
+    # module globals, and this function starts no thread a fork could split.
+    ctx = multiprocessing.get_context("fork")
+    rows = {}
+    running = {}  # read end of a worker's pipe -> (process, jobs not yet received)
+
+    def start(share):
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_worker, args=(send, spec, share), daemon=True)
+        proc.start()
+        send.close()
+        running[recv] = (proc, share)
+
+    def receive(timeout):
+        for conn in wait(list(running), timeout):
+            proc, share = running.pop(conn)
+            try:
+                row = conn.recv()
+            except EOFError:  # the worker exited
+                conn.close()
+                proc.join()
+                if share:  # before it sent the row of share[0]
+                    rows[share[0]] = _mark_error(
+                        _replicate_row(spec, *share[0]),
+                        f"worker process exited with code {proc.exitcode}")
+                    if share[1:]:
+                        start(share[1:])
+            else:
+                rows[share[0]] = row
+                running[conn] = (proc, share[1:])
+
+    try:
+        for w in range(1, n):
+            start(jobs[w::n])
+        for si, rep in jobs[::n]:
+            rows[si, rep] = _run_replicate(spec, si, rep)
+            receive(0)  # keep the workers' pipes from filling up
+        while running:
+            receive(None)
+    finally:
+        for conn, (proc, _) in running.items():
+            proc.terminate()
+            proc.join()
+            conn.close()
+    return [rows[job] for job in jobs]
+
+
+def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> list[dict]:
     """Run every (setting, replicate) cell and append per-setting means.
 
-    Replicates are independent jobs with derived per-replicate seeds.
-    They run one at a time, in (setting, rep) order, on the caller's
-    thread: replicates are CPU-bound numpy work that holds the GIL, so
-    running them side by side only slowed each one down.
+    Replicates are independent jobs with derived per-replicate seeds, so
+    no row depends on where or when its replicate ran.  With ``workers``
+    1 they run one at a time, in (setting, rep) order, on the caller's
+    thread.  Otherwise n = min(workers, replicates, usable CPUs)
+    processes share them (see ``_worker_count``): the caller runs
+    replicates 0, n, 2n, ... of the (setting, rep) order itself, through
+    the module-global ``_run_replicate``, and n - 1 workers forked for
+    this call run the rest.  Processes, not threads, because replicates
+    are CPU-bound numpy work that holds the GIL.  A worker process that
+    dies turns only the replicate it was running into an error row.
     """
     import importlib
 
     # The ordering step's rounding loads scipy.optimize on first use (about
     # 0.2 s), and ``import birkdag`` leaves it out: load it before the first
     # replicate's timer starts, so that every replicate times the same work.
+    # Workers inherit it.
     importlib.import_module("scipy.optimize")
+    jobs = [(si, rep) for si in range(len(spec.settings)) for rep in range(spec.reps)]
+    n = _worker_count(workers, len(jobs))
+    if n == 1:
+        rows = [_run_replicate(spec, si, rep) for si, rep in jobs]
+    else:
+        rows = _run_forked(spec, jobs, n)
     out = []
     for si, (p, s) in enumerate(spec.settings):
-        block = [_run_replicate(spec, si, rep) for rep in range(spec.reps)]
+        block = rows[si * spec.reps:(si + 1) * spec.reps]
         out.extend(block)
         ok = [r for r in block if r["status"] == "ok"]
         mean_row = {"setting_p": p, "setting_s": s, "rep": "mean", "seed": "", "status": "ok" if ok else "error"}

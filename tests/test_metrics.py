@@ -1,13 +1,15 @@
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from birkdag import metrics
+from birkdag import cli, metrics
 from birkdag.metrics import (
     CSV_HEADER,
     BenchmarkSpec,
@@ -142,6 +144,13 @@ def tiny_spec(**kw):
     return BenchmarkSpec(**args)
 
 
+def fake_replicate(spec, si, rep):
+    p, s = spec.settings[si]
+    return {"setting_p": p, "setting_s": s, "rep": rep, "seed": 0, "status": "ok",
+            "tpr": float(rep), "fpr": 0.0, "shd": si, "scaled_frob": 0.0,
+            "ebic": 0.0, "runtime_seconds": 0.0}
+
+
 class TestRunBenchmark:
     def test_row_structure_and_finiteness(self):
         rows = run_benchmark(tiny_spec())
@@ -172,10 +181,7 @@ class TestRunBenchmark:
 
         def recording(spec, si, rep):
             calls.append((si, rep, threading.get_ident()))
-            p, s = spec.settings[si]
-            return {"setting_p": p, "setting_s": s, "rep": rep, "seed": 0, "status": "ok",
-                    "tpr": float(rep), "fpr": 0.0, "shd": si, "scaled_frob": 0.0,
-                    "ebic": 0.0, "runtime_seconds": 0.0}
+            return fake_replicate(spec, si, rep)
 
         monkeypatch.setattr(metrics, "_run_replicate", recording)
         rows = run_benchmark(tiny_spec(settings=((8, 8), (8, 4)), reps=3))
@@ -187,13 +193,14 @@ class TestRunBenchmark:
         assert [r["shd"] for r in rows if r["rep"] == "mean"] == [0.0, 1.0]
 
     def test_scipy_optimize_loads_before_the_first_replicate(self):
-        # a fresh interpreter: importing birkdag leaves scipy.optimize out,
-        # and run_benchmark loads it before the first replicate's timer
-        # starts, so rep 0's runtime_seconds does not include that import
+        # a fresh interpreter: importing birkdag leaves scipy.optimize and
+        # multiprocessing out, and run_benchmark loads scipy.optimize before
+        # the first replicate's timer starts, so rep 0's runtime_seconds does
+        # not include that import
         code = """
 import sys
 from birkdag import metrics
-print('scipy.optimize' in sys.modules)
+print('scipy.optimize' in sys.modules, 'multiprocessing' in sys.modules)
 seen = []
 def first(spec, si, rep):
     seen.append('scipy.optimize' in sys.modules)
@@ -205,7 +212,7 @@ print(seen)
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False", "[True, True]"]
+        assert proc.stdout.splitlines() == ["False False", "[True, True]"]
 
     def test_mean_row_values(self):
         spec = tiny_spec(reps=3)
@@ -232,3 +239,88 @@ print(seen)
             for col, cell in zip(cols, line.split(",")):
                 if cell and col not in ("rep", "status"):
                     float(cell)
+
+
+class TestWorkerCount:
+    def test_min_of_request_replicates_and_cpus(self):
+        # only the helper runs: a huge request starts no process
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert metrics._worker_count(10**6, 10**6) == cpus
+        assert metrics._worker_count(10**6, 1) == 1
+        assert metrics._worker_count(1, 10**6) == 1
+        assert metrics._worker_count(2, 3) == min(2, cpus)
+        assert metrics._worker_count(8, 2) == min(2, cpus)
+
+    def test_cpu_count_where_affinity_is_missing(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert metrics._worker_count(10**6, 10**6) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert metrics._worker_count(10**6, 10**6) == 1
+
+    def test_one_without_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert metrics._worker_count(10**6, 10**6) == 1
+
+
+@pytest.mark.skipif(metrics._worker_count(2, 2) < 2, reason="needs fork and two usable CPUs")
+class TestWorkerProcesses:
+    def test_same_csv_and_the_caller_runs_every_second_replicate(self, monkeypatch):
+        spec = tiny_spec(settings=((8, 8), (8, 4)), reps=3)
+        serial = benchmark_csv(run_benchmark(spec))
+        original = metrics._run_replicate
+        caller = os.getpid()
+        calls = []
+
+        def recording(spec, si, rep):
+            # in a worker, the append goes to the worker's copy of the list
+            calls.append((si, rep, os.getpid()))
+            return original(spec, si, rep)
+
+        monkeypatch.setattr(metrics, "_run_replicate", recording)
+        assert benchmark_csv(run_benchmark(spec, 2)) == serial
+        assert multiprocessing.active_children() == []
+        # replicates 0, 2 and 4 of the (setting, rep) order
+        assert calls == [(0, 0, caller), (0, 2, caller), (1, 1, caller)]
+
+    def test_an_interrupted_run_leaves_no_worker(self, monkeypatch):
+        caller = os.getpid()
+
+        def stuck(spec, si, rep):
+            if os.getpid() != caller:
+                time.sleep(60)  # a worker still busy when the caller stops
+            elif rep == 2:
+                raise KeyboardInterrupt
+            return fake_replicate(spec, si, rep)
+
+        monkeypatch.setattr(metrics, "_run_replicate", stuck)
+        with pytest.raises(KeyboardInterrupt):
+            run_benchmark(tiny_spec(reps=3), 2)
+        assert multiprocessing.active_children() == []
+
+    # the first and the last replicate of the worker's share
+    @pytest.mark.parametrize("dies", [(0, 1), (1, 2)])
+    def test_a_dying_worker_costs_only_its_replicate(self, monkeypatch, tmp_path, capsys, dies):
+        caller = os.getpid()
+
+        def fragile(spec, si, rep):
+            if (si, rep) == dies and os.getpid() != caller:
+                os._exit(3)
+            return fake_replicate(spec, si, rep)
+
+        # patched before the fork, so the workers inherit it
+        monkeypatch.setattr(metrics, "_run_replicate", fragile)
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"settings": [[8, 8], [8, 4]], "reps": 3}')
+        out = tmp_path / "out.csv"
+        rc = cli.main(["--threads", "2", "benchmark", "--spec", str(spec), "--out", str(out)])
+        assert rc == 4
+        assert multiprocessing.active_children() == []
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        replicates = [(int(r[1]), int(r[2]), r[-1]) for r in rows if r[2] != "mean"]
+        s_of = {0: 8, 1: 4}
+        assert replicates == [(s_of[si], rep, "error" if (si, rep) == dies else "ok")
+                              for si in range(2) for rep in range(3)]
+        err = capsys.readouterr().err
+        assert f"rep {dies[1]} seed" in err and "worker process exited with code 3" in err
+        assert "1 replicate(s) failed" in err
