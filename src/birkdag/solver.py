@@ -51,6 +51,20 @@ sweep counts, convergence flags and supports agree, and factors to
 sweep counts and flags in a path are bit-identical to those of a solve on
 its own.
 
+At p = 200 a column update costs about ten numpy calls and a block step
+a few dozen, on arrays of about a hundred entries, so what those calls
+set up is built once, not once per column or step.  ``_Stack`` holds,
+for each state of the stack (at the start, and after cells leave), every
+view and constant a column update reads, and each entry's pattern code
+(its sign, doubled in the MCP flat region): a sweep computes the codes of
+the new factor only and compares them with those it carried from the
+sweep before.  ``_Batch`` keeps the flat gather indices of a batch, its
+buffer for the forward substitution with that buffer's per-column views,
+and the diagonal at its rows, from one block step to the next; they are
+refreshed when refused rows' patterns are merged in place, and rebuilt
+with the batch.  Every product keeps its shape and every elementwise
+operation its order, so this set-up changes no bit of the iterates.
+
 ``offdiagonal_step`` and ``diagonal_step`` are the one closed form of
 each coordinate update.  The column sweep applies their float operations
 elementwise, so from the same z_j (or diagonal sum) the scalar and array
@@ -172,54 +186,121 @@ def estimate_cholesky_path(
         l[:, np.arange(p), np.arange(p)] = 1.0 / np.sqrt(d)
     else:
         l = np.repeat(np.tril(l0.l)[None], c, axis=0)
-    lam = np.array([params.lam for params in params_seq], dtype=float)[:, None]
-    gamma = np.array([params.gamma for params in params_seq], dtype=float)[:, None]
-    active = np.ones((c, p), dtype=bool)
-    active[:, 0] = False
     l[:, 0, 0] = 1.0 / np.sqrt(d[0])
-    sweeps = np.zeros((c, p), dtype=int)
     m = -2.0 * sp
     np.fill_diagonal(m, 0.0)
+    stack = _Stack(m, d, l, params_seq)
     cov = _BlockCov.of(sp, m)
     out: list[CholeskyEstimate | None] = [None] * c
-    cells = np.arange(c)  # the cell each slab of the stack belongs to
     for sweep in range(1, settings.k_max + 1):
+        active = stack.active
         # each cell in the stack has an active row, unless p is 1
         if not active.any():
             break
-        moved, changed = _column_sweep(m, d, l, active, lam, gamma)
+        moved, changed = _column_sweep(stack)
         # the rule reads each cell's own rows, so that a cell's factor does
         # not depend on which other cells share the stack
         settled = changed <= SETTLED_SHARE * np.count_nonzero(active, axis=1)
         finished = active & (moved < settings.eps)
-        sweeps[finished] = sweep
+        stack.sweeps[finished] = sweep
         active &= ~finished
         leave = settled | ~active.any(axis=1)
         if leave.any():
             for k in np.flatnonzero(leave).tolist():
-                out[cells[k]] = _finish(
-                    cov, l[k], active[k], sweeps[k], lam.item(k), gamma.item(k), sweep, settings
-                )
-            keep = ~leave
-            l, active, sweeps, cells = l[keep], active[keep], sweeps[keep], cells[keep]
-            lam, gamma = lam[keep], gamma[keep]
+                out[stack.cells[k]] = _finish(cov, stack, k, sweep, settings)
+            stack.keep(~leave)
     # cells still in the stack at k_max finish with no block sweep
-    for k, cell in enumerate(cells.tolist()):
-        out[cell] = _finish(
-            cov, l[k], active[k], sweeps[k], lam.item(k), gamma.item(k), settings.k_max, settings
-        )
+    for k, cell in enumerate(stack.cells.tolist()):
+        out[cell] = _finish(cov, stack, k, settings.k_max, settings)
     return out
 
 
-def _finish(cov, slab, active, sweeps, lam, gamma, sweep, settings) -> CholeskyEstimate:
-    """A cell that has left the stack after column sweep ``sweep``, run to its end.
+class _Stack:
+    """The cells still swept by columns, and ``_column_sweep``'s set-up for them.
 
-    Each further sweep advances the active rows of ``slab`` by one
-    ``_block_sweep`` until they stop or ``settings.k_max`` sweeps have
-    run; rows still moving then are flagged unconverged.  ``slab``,
-    ``active`` and ``sweeps`` are the cell's rows of the stack, updated in
-    place.
+    ``l``, ``active`` and ``sweeps`` hold one (p, p) factor, one (p,) row
+    mask and one (p,) sweep count per cell of the stack, and ``cells`` the
+    index of each in the path.  Every view and constant a column update
+    reads (``columns``) stays the same from sweep to sweep, so it is built
+    once per stack state: at the start, and again after cells leave.
+    ``codes`` holds each entry's sign, doubled in the MCP flat region and 0
+    on the diagonal, as of the last sweep; each sweep compares the new
+    codes with these and keeps them for the next.
     """
+
+    def __init__(self, m, d, l, params_seq):
+        c, p = len(l), len(d)
+        self.m, self.d, self.l = m, d, l
+        self.lam = np.array([params.lam for params in params_seq], dtype=float)[:, None]
+        self.gamma = np.array([params.gamma for params in params_seq], dtype=float)[:, None]
+        self.active = np.ones((c, p), dtype=bool)
+        self.active[:, 0] = False
+        self.sweeps = np.zeros((c, p), dtype=int)
+        self.cells = np.arange(c)
+        self.diagonal = np.arange(p)
+        self.zero = np.zeros(())
+        self._views()
+        self.codes = self.code(l)
+
+    def _views(self):
+        l, active, m = self.l, self.active, self.m
+        thresh = self.gamma * self.lam
+        self.thresh3 = thresh[:, :, None]
+        denom = 2.0 * self.d - 1.0 / self.gamma
+        twice_d = 2.0 * self.d
+        one = len(l) == 1
+
+        def per_cell(a, j):
+            # column j of a (cells, k) constant as a (cells, 1) column, or as
+            # a 0-d array when the stack holds one cell: numpy reads a 0-d
+            # operand by its scalar fast path, without the set-up of a
+            # broadcast.  The values are the same.
+            return a[0, j, ...] if one else a[:, j : j + 1]
+
+        self.lam_op, self.thresh_op = per_cell(self.lam, 0), per_cell(thresh, 0)
+        # column j: all rows below it, active or not, since a shorter
+        # product rounds differently
+        self.columns = [
+            (
+                l[:, j + 1 :, :],
+                m[j],
+                twice_d[j, ...],
+                per_cell(denom, j),
+                l[:, j + 1 :, j],
+                active[:, j + 1 :],
+            )
+            for j in range(len(m) - 1)
+        ]
+
+    def code(self, l):
+        """Each entry's sign, doubled in the flat region; 0 on the diagonal."""
+        codes = np.sign(l)
+        codes *= 1.0 + (np.abs(l) >= self.thresh3)
+        codes[:, self.diagonal, self.diagonal] = 0.0
+        return codes
+
+    def keep(self, keep):
+        """Keep only the cells of the mask ``keep``, in new arrays, so that
+        the factors ``_finish`` returned for the others, views of the old
+        arrays, stay as they are."""
+        self.l, self.active, self.sweeps = self.l[keep], self.active[keep], self.sweeps[keep]
+        self.cells, self.lam, self.gamma = self.cells[keep], self.lam[keep], self.gamma[keep]
+        self.codes = self.codes[keep]
+        if len(self.l):  # an empty stack is never swept again
+            self._views()
+
+
+def _finish(cov, stack, k, sweep, settings) -> CholeskyEstimate:
+    """Cell ``k`` of ``stack``, leaving it after column sweep ``sweep``, run to its end.
+
+    Each further sweep advances the cell's active rows by one
+    ``_block_sweep`` until they stop or ``settings.k_max`` sweeps have
+    run; rows still moving then are flagged unconverged.  The cell's
+    factor, row mask and sweep counts are its slabs of the stack, updated
+    in place.
+    """
+    slab, active, sweeps = stack.l[k], stack.active[k], stack.sweeps[k]
+    lam, gamma = stack.lam.item(k), stack.gamma.item(k)
     batch = None
     for sweep in range(sweep + 1, settings.k_max + 1):
         if not active.any():
@@ -232,49 +313,47 @@ def _finish(cov, slab, active, sweeps, lam, gamma, sweep, settings) -> CholeskyE
     return CholeskyEstimate(CholeskyFactor(slab), sweeps, ~active)
 
 
-def _column_sweep(m, d, l, active, lam, gamma) -> tuple[np.ndarray, np.ndarray]:
+def _column_sweep(stack) -> tuple[np.ndarray, np.ndarray]:
     """One cyclic sweep of all active rows of all cells at once, column by column.
 
-    ``m`` is -2 S^P with a zero diagonal, so that z_j of every row below
-    column j is one product with its row ``m[j]``.  Each column writes the
-    off-diagonal steps of the active rows below it; the diagonals follow
-    after the last column, all at once.  A row's diagonal comes last in its
-    cyclic order and no other coordinate reads it, so the iterate is the
-    cyclic one.  Updates the (cells, p, p) stack ``l`` in place and returns
-    how far each row moved, in Euclidean norm, and for each cell the count
-    of its rows whose pattern changed: an off-diagonal changed sign or
-    MCP region.
+    ``stack.m`` is -2 S^P with a zero diagonal, so that z_j of every row
+    below column j is one product with its row ``m[j]``.  Each column
+    writes the off-diagonal steps of the active rows below it; the
+    diagonals follow after the last column, all at once.  A row's diagonal
+    comes last in its cyclic order and no other coordinate reads it, so
+    the iterate is the cyclic one.  Updates the (cells, p, p) factors
+    ``stack.l`` in place, replaces ``stack.codes`` by the new codes, and
+    returns how far each row moved, in Euclidean norm, and for each cell
+    the count of its rows whose pattern changed: an off-diagonal changed
+    sign or MCP region.
     """
-    thresh = gamma * lam
-    denom = 2.0 * d - 1.0 / gamma
-    twice_d = (2.0 * d).tolist()
+    m, d, l, active = stack.m, stack.d, stack.l, stack.active
+    lam, thresh, zero = stack.lam_op, stack.thresh_op, stack.zero
     # past the last active row no column update touches an active row
     last = int(np.flatnonzero(active.any(axis=0))[-1])
     l_old = l.copy()
-    for j in range(last):
-        # all rows below j, active or not: a shorter product rounds differently
-        rows = slice(j + 1, None)
-        z = l[:, rows, :] @ m[j]
+    for below, m_j, twice_d_j, denom_j, l_j, active_j in stack.columns[:last]:
+        z = below @ m_j
         # offdiagonal_step, elementwise: |z| / (2 A_jj) is |z / (2 A_jj)| exactly
-        q = z / twice_d[j]
+        q = z / twice_d_j
         inner = np.abs(z)
         inner -= lam
-        np.maximum(inner, 0.0, out=inner)
+        np.maximum(inner, zero, out=inner)
         np.copysign(inner, z, out=inner)
-        np.divide(inner, denom[:, j : j + 1], out=q, where=np.abs(q) < thresh)
-        np.copyto(l[:, rows, j], q, where=active[:, rows])
+        # every entry's inner value, taken where |q| < gamma lambda: a
+        # masked divide costs more than a whole one and a masked copy
+        inner /= denom_j
+        np.copyto(q, inner, where=np.abs(q) < thresh)
+        np.copyto(l_j, q, where=active_j)
     on_cells, on_rows = np.nonzero(active)
     # sum_{k<i} S^P_ik L_ik, each summed along its own row of length p, so
     # that its rounding does not depend on the stack
     ssum = -0.5 * (l[on_cells, on_rows] * m[on_rows]).sum(axis=1)
     l[on_cells, on_rows, on_rows] = diagonal_step(ssum, d[on_rows])
     moved = np.sqrt(((l - l_old) ** 2).sum(axis=2))
-    # each entry's sign, doubled in the flat region
-    thresh = thresh[:, :, None]
-    changed = np.sign(l) * (1.0 + (np.abs(l) >= thresh))
-    changed = changed != np.sign(l_old) * (1.0 + (np.abs(l_old) >= thresh))
-    diagonal = np.arange(l.shape[1])
-    changed[:, diagonal, diagonal] = False
+    codes = stack.code(l)
+    changed = codes != stack.codes
+    stack.codes = codes
     return moved, np.count_nonzero(changed.any(axis=2), axis=1)
 
 
@@ -290,6 +369,7 @@ class _BlockCov:
     sp: np.ndarray
     dl: list  # the diagonal of S^P, as floats for the scalar pass
     dz: np.ndarray  # the diagonal of S^P, then 1/2
+    twice_dz: np.ndarray  # 2 dz
     # M = -2 S^P with a zero diagonal, split: row t of ``older`` is the
     # weight of x_t in each z_j before it (j < t), row t of ``newer`` in
     # each z_j after it (j > t)
@@ -302,7 +382,8 @@ class _BlockCov:
         mz = np.zeros((p + 1, p + 1))
         mz[:p, :p] = m
         d = np.diag(sp)
-        return cls(sp, d.tolist(), np.append(d, 0.5), np.tril(mz, -1), np.triu(mz, 1))
+        dz = np.append(d, 0.5)
+        return cls(sp, d.tolist(), dz, 2.0 * dz, np.tril(mz, -1), np.triu(mz, 1))
 
 
 def _block_sweep(cov, slab, active, lam, gamma, batch) -> tuple[np.ndarray, _Batch]:
@@ -342,12 +423,11 @@ def _block_sweep(cov, slab, active, lam, gamma, batch) -> tuple[np.ndarray, _Bat
         fresh = _batch(cov, slab, rows[refused], lam, gamma, width)
         if fresh.s.shape[1] > width:
             return moved, _batch(cov, slab, on, lam, gamma)
-        for f in fields(_Batch):
-            getattr(batch, f.name)[refused] = getattr(fresh, f.name)
+        batch.merge(refused, fresh)
     return moved, batch
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Batch:
     """The patterns of a cell's rows, stacked for one batched block step.
 
@@ -360,6 +440,13 @@ class _Batch:
     which those at or past the row's diagonal are ignored: ``upper`` is
     -2 A[j, S + [i]] kept where the column lies after j, ``lower`` is
     -2 A[j, S] kept where it lies before j.
+
+    The fields are read off the rows' values and replaced row by row
+    (``merge``).  The rest is ``_batch_step``'s set-up, which stays the
+    same from step to step: the flat indices of [r, s[r]] and
+    [r, cols[r]] in an (R, p + 1) array, refreshed on each merge, and the
+    buffer of the new support values with its views for each column of
+    the forward substitution.
     """
 
     rows: np.ndarray
@@ -378,6 +465,29 @@ class _Batch:
     hi: np.ndarray
     past: np.ndarray  # (R, p + 1): the coordinates at or past the row's diagonal
     diag_col: np.ndarray  # (R, w): A[i, S], 0 on padding
+    d_rows: np.ndarray  # (R,): A_ii
+
+    def __post_init__(self):
+        n, w = self.s.shape
+        self.base = np.arange(n)[:, None] * self.flat.shape[1]
+        self.at_s = self.base + self.s
+        self.at_cols = self.base + self.cols
+        self.new = np.empty((n, w))
+        self.new_row = self.new[:, None, :]
+        new, c, sub = self.new, self.c, self.sub
+        # forward substitution: column q of T moves into the right-hand
+        # sides after it once x_q' is known
+        self.substitution = [
+            (new[:, q], c[:, q], sub[:, q, q + 1 :], new[:, q + 1 :], new[:, q, None])
+            for q in range(w)
+        ]
+
+    def merge(self, at, fresh):
+        """Take ``fresh``'s patterns for the batch rows ``at``, in place."""
+        for f in fields(self):
+            getattr(self, f.name)[at] = getattr(fresh, f.name)
+        np.add(self.base, self.s, out=self.at_s)
+        np.add(self.base, self.cols, out=self.at_cols)
 
 
 def _batch(cov, slab, rows, lam, gamma, width=0) -> _Batch:
@@ -419,6 +529,7 @@ def _batch(cov, slab, rows, lam, gamma, width=0) -> _Batch:
         hi=hi,
         past=past,
         diag_col=-0.5 * cov.older[rows[:, None], s],
+        d_rows=cov.dz[rows],
     )
 
 
@@ -442,27 +553,24 @@ def _batch_step(cov, x, batch: _Batch, lam, gamma) -> np.ndarray:
     is refused that count is the row index i and the diagonal is written
     too.
     """
-    rows, s = batch.rows, batch.s
-    at = np.arange(len(rows))[:, None]
-    old = x[at, batch.cols]
+    rows, new = batch.rows, batch.new
+    old = x.take(batch.at_cols)
     b = np.matmul(old[:, None, :], batch.upper)[:, 0]
-    new = b[at, s]
+    b.take(batch.at_s, out=new)
     new -= batch.lam_sign
-    # forward substitution: column q of T moves into the right-hand sides
-    # below it once x_q' is known
-    for q in range(s.shape[1]):
-        new[:, q] /= batch.c[:, q]
-        new[:, q + 1 :] += batch.sub[:, q, q + 1 :] * new[:, q, None]
-    z = np.matmul(new[:, None, :], batch.lower)[:, 0]
+    for new_q, c_q, sub_q, after_q, new_q1 in batch.substitution:
+        new_q /= c_q
+        after_q += sub_q * new_q1
+    z = np.matmul(batch.new_row, batch.lower)[:, 0]
     z += b
-    held = (np.abs(z) / (2.0 * cov.dz) >= gamma * lam) == batch.flat
+    held = (np.abs(z) / cov.twice_dz >= gamma * lam) == batch.flat
     held &= batch.lo < z
     held &= z < batch.hi
     held |= batch.past
     kept = np.where(held.all(axis=1), rows, held.argmin(axis=1))
-    x[at, s] = np.where(s < kept[:, None], new, old[:, :-1])
-    diag = diagonal_step((batch.diag_col * new).sum(axis=1), cov.dz[rows])
-    x[at[:, 0], rows] = np.where(kept == rows, diag, old[:, -1])
+    x.put(batch.at_s, np.where(batch.s < kept[:, None], new, old[:, :-1]))
+    diag = diagonal_step((batch.diag_col * new).sum(axis=1), batch.d_rows)
+    x.put(batch.at_cols[:, -1], np.where(kept == rows, diag, old[:, -1]))
     return kept
 
 
@@ -470,10 +578,11 @@ def _cyclic_row(sp, dl, x, lam, gamma, start=0) -> None:
     """The cyclic pass over row ``x`` by the scalar closed forms, in place,
     from off-diagonal ``start`` on."""
     i = len(x) - 1
-    for j in range(start, i):
-        z = -2.0 * (float(sp[j, : i + 1] @ x) - dl[j] * x.item(j))
+    # ndarray.dot and @ reach the same BLAS dot product; dot costs less to call
+    for j, a_j in enumerate(sp[start:i, : i + 1], start):
+        z = -2.0 * (float(a_j.dot(x)) - dl[j] * x.item(j))
         x[j] = offdiagonal_step(z, dl[j], lam, gamma)
-    x[i] = diagonal_step(float(sp[i, :i] @ x[:i]), dl[i])
+    x[i] = diagonal_step(float(sp[i, :i].dot(x[:i])), dl[i])
 
 
 def estimate_cholesky(

@@ -408,9 +408,9 @@ class TestBlockTail:
         column_counts, events = [], []
         column_sweep, block_sweep = solver._column_sweep, solver._block_sweep
 
-        def column_counted(m, d, l, active, lam, gamma):
-            moved, changed = column_sweep(m, d, l, active, lam, gamma)
-            column_counts.append((active.sum(axis=1).tolist(), changed.tolist()))
+        def column_counted(stack):
+            moved, changed = column_sweep(stack)
+            column_counts.append((stack.active.sum(axis=1).tolist(), changed.tolist()))
             events.append("column")
             return moved, changed
 
@@ -540,9 +540,9 @@ class TestCellLifecycle:
         events = []
         column_sweep, block_sweep = solver._column_sweep, solver._block_sweep
 
-        def column_logged(m, d, l, active, lam, gamma):
-            events.append(("column", list(zip(lam[:, 0].tolist(), gamma[:, 0].tolist()))))
-            return column_sweep(m, d, l, active, lam, gamma)
+        def column_logged(stack):
+            events.append(("column", list(zip(stack.lam[:, 0].tolist(), stack.gamma[:, 0].tolist()))))
+            return column_sweep(stack)
 
         def block_logged(cov, slab, active, lam, gamma, batch):
             events.append(("block", (lam, gamma)))
