@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
+from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance, _check_counts
 
 # Entrywise negativity / marginal-sum slack a doubly stochastic matrix is
 # allowed; projection iterates must clear these before they are returned.
@@ -46,6 +46,9 @@ NEWTON_SHIFT = 1e-8
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
 _EPS_MACH = float(np.finfo(float).eps)
+
+# Rank-matching draws per ordering step whose relaxed solution is no vertex.
+N_SAMPLES = 150
 
 
 @dataclass(frozen=True)
@@ -82,21 +85,14 @@ class DoublyStochastic:
 
 @dataclass(frozen=True)
 class DualVariables:
-    """Dual variables (u, v, U) for the polytope projection problem."""
+    """Marginal duals (u, v) of the projection; ``dual_objective`` derives U."""
 
     u: np.ndarray
     v: np.ndarray
-    bigu: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        bigu = np.asarray(self.bigu, dtype=float)
-        if bigu.min(initial=0.0) < 0:
-            raise ValueError("U must be entrywise nonnegative")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "bigu", bigu)
+        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
+        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -114,24 +110,21 @@ class RelaxationConfig:
 
     mu is the Frobenius-pull weight, a nonnegative real; it has no
     default (``pipeline.fit`` picks it per ordering step).  eps and k_max
-    stop the gradient projection; n_samples is the number of rounding
-    candidates drawn when the relaxed solution is not already a vertex.
-    The step size and the inner projection tolerances are not settable:
-    see ``gradient_projection``.
+    stop the gradient projection.  The step size, the inner projection
+    tolerances and the number of rounding candidates (``N_SAMPLES``) are
+    not settable: see ``gradient_projection`` and ``estimate_permutation``.
     """
 
     mu: float
     eps: float = 1e-7
     k_max: int = 500
-    n_samples: int = 150
 
     def __post_init__(self):
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise ValueError(f"mu must be a nonnegative real, got {self.mu}")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.k_max < 1 or self.n_samples < 1:
-            raise ValueError("k_max and n_samples must be at least 1")
+        _check_counts(self, k_max=1)
 
 
 def project_to_birkhoff(
@@ -164,13 +157,14 @@ def project_to_birkhoff(
     {P 1 = 1, P^t 1 = 1}, whose rows and columns all have a positive
     entry; a warm start is first shifted along (1, -1) to sum(u) = sum(v).
 
-    Iteration stops when the duality gap |f(P) - f*(u, v, U)|, with
-    U = max(0, u 1^t + 1 v^t - P0), falls below eps and the marginals are
-    within eps, or within the doubly stochastic tolerance once no step
-    can shrink them further (their float64 noise floor at large scales).
-    At P = max(W, 0) the gap equals |u^t r + v^t c|.  The effective gap
-    tolerance is floored at 4 eps_mach (1 + ||P0||_F^2), so large-scale
-    inputs terminate once the gap is at machine precision.
+    ``converged`` means the marginal sums are within the absolute
+    ``MARGIN_TOL`` = 1e-8 of 1 (and within eps unless no step can shrink
+    them) and the duality gap, |u^t r + v^t c| at P = max(W, 0), is below
+    max(eps, 4 eps_mach (1 + ||P0||_F^2)).  MARGIN_TOL does not scale with
+    P0, so once P's float64 noise nears it the marginals cannot be
+    certified: on 8 x 8 inputs s N(0, 1) (seed 0), 20 of 20 converge at
+    s = 1e6, 8 of 20 at 1e8 and none at 1e16.  Such inputs come back
+    through ``_force_feasible`` with ``converged=False``.
 
     Parameters
     ----------
@@ -304,14 +298,12 @@ def project_to_birkhoff(
     if not converged:
         gap = cur.gap()
     P = cur.P
-    bigu = np.subtract(cur.outer, p0, out=cur.outer)
-    np.maximum(bigu, 0.0, out=bigu)
     # A converged P = max(W, 0) is exactly nonnegative, and the test above
-    # bounded its marginal sums by MARGIN_TOL; U = max(., 0) is nonnegative.
+    # bounded its marginal sums by MARGIN_TOL; u and v are float arrays.
     # Both results are built without re-running those checks.
     return ProjectionResult(
         ds=_unchecked(DoublyStochastic, m=P) if converged else _force_feasible(P),
-        duals=_unchecked(DualVariables, u=cur.u, v=cur.v, bigu=bigu),
+        duals=_unchecked(DualVariables, u=cur.u, v=cur.v),
         gap=gap,
         converged=converged,
         n_iter=n_iter,
@@ -362,7 +354,7 @@ class _NewtonState:
         return self._theta
 
     def gap(self) -> float:
-        """|f(P) - f*(u, v, U)| with U = max(0, u 1^t + 1 v^t - P0).
+        """|f(P) - f*(u, v)|, the dual at U = max(0, u 1^t + 1 v^t - P0).
 
         P0 = P - U + u 1^t + 1 v^t and <P, U> = 0 turn the gap into
         |u^t r + v^t c|, which is evaluated without the cancellation of
@@ -391,16 +383,18 @@ def _force_feasible(P: np.ndarray) -> DoublyStochastic:
 
 
 def dual_objective(dv: DualVariables, p0: np.ndarray) -> float:
-    """Dual objective of the projection problem at (u, v, U).
+    """Dual objective of the projection problem at (u, v).
 
     -1/2 ||u 1^t + 1 v^t - U||_F^2 - tr(U^t P0)
-    + u^t (P0 1 - 1) + v^t (P0^t 1 - 1)
+    + u^t (P0 1 - 1) + v^t (P0^t 1 - 1), at its maximizer U = max(0, u 1^t + 1 v^t - P0).
     """
     p0 = np.asarray(p0, dtype=float)
-    M = np.add.outer(dv.u, dv.v) - dv.bigu
+    outer = np.add.outer(dv.u, dv.v)
+    bigu = np.maximum(outer - p0, 0.0)
+    M = outer - bigu
     return float(
         -0.5 * (M * M).sum()
-        - (dv.bigu * p0).sum()
+        - (bigu * p0).sum()
         + dv.u @ (p0.sum(axis=1) - 1.0)
         + dv.v @ (p0.sum(axis=0) - 1.0)
     )
@@ -477,7 +471,6 @@ class GradientProjectionResult:
     ds: DoublyStochastic
     converged: bool
     n_iter: int
-    objective: float
     objective_trace: tuple = ()
 
 
@@ -519,7 +512,7 @@ def gradient_projection(
     for k in range(cfg.k_max):
         n_iter = k + 1
         start = duals if prev is None else _unchecked(
-            DualVariables, u=2.0 * duals.u - prev.u, v=2.0 * duals.v - prev.v, bigu=duals.bigu)
+            DualVariables, u=2.0 * duals.u - prev.u, v=2.0 * duals.v - prev.v)
         proj = project_to_birkhoff(P - eta * g, duals0=start)
         prev, duals = duals, proj.duals
         # ||P+ - P||_F as np.linalg.norm evaluates it, without its dispatch
@@ -538,7 +531,6 @@ def gradient_projection(
         ds=proj.ds,
         converged=converged,
         n_iter=n_iter,
-        objective=fP,
         objective_trace=tuple(trace),
     )
 
@@ -623,17 +615,16 @@ def estimate_permutation(
     s: SampleCovariance,
     cfg: RelaxationConfig,
     rng: np.random.Generator,
-    p_init: DoublyStochastic | None = None,
+    p_init: DoublyStochastic,
     incumbent: Permutation | None = None,
 ) -> PermutationEstimate:
     """Solve the relaxed ordering problem and round to a permutation.
 
-    Runs gradient projection from p_init (default: the polytope center).
-    If the relaxed solution is already a vertex to within 1e-6, that
-    vertex is the only candidate.  Otherwise the candidates are
-    cfg.n_samples rank-matching draws followed by the linear-assignment
-    rounding.  The candidate with the smallest 1/2 tr(L P S P^t L^t)
-    wins; ties keep the earliest candidate.
+    Runs gradient projection from p_init.  If the relaxed solution is
+    already a vertex to within 1e-6, that vertex is the only candidate.
+    Otherwise the candidates are ``N_SAMPLES`` rank-matching draws
+    followed by the linear-assignment rounding.  The candidate with the
+    smallest 1/2 tr(L P S P^t L^t) wins; ties keep the earliest one.
 
     When an ``incumbent`` ordering is supplied (the alternating loop
     passes its current one) it goes first in the comparison, so the
@@ -641,14 +632,12 @@ def estimate_permutation(
     ordering step is monotone in the trace objective, and a tie keeps
     the incumbent.
     """
-    if p_init is None:
-        p_init = DoublyStochastic.center(s.p)
     gp = gradient_projection(l, s, cfg, p_init)
     snapped = _snap_to_permutation(gp.ds.m)
     if snapped is not None:
         candidates = [snapped]
     else:
-        candidates = sample_permutations(gp.ds, cfg.n_samples, rng)
+        candidates = sample_permutations(gp.ds, N_SAMPLES, rng)
         candidates.append(round_hungarian(gp.ds))
     if incumbent is not None:
         candidates.insert(0, incumbent)

@@ -100,6 +100,7 @@ def cmd_fit(args) -> int:
 
 def cmd_tune(args) -> int:
     from birkdag import io as bio
+    from birkdag.metrics import csv_cell
     from birkdag.pipeline import tune
     from birkdag.scoring import ConvexityGuardError
     from birkdag.sem import DataMatrix
@@ -113,13 +114,9 @@ def cmd_tune(args) -> int:
     x = _load_matrix(args.data)
     best, table = tune(DataMatrix(x), grid, init=args.init)
     out = Path(args.out)
-    header = "lambda,gamma,support,ebic"
-    lines = [header]
+    lines = ["lambda,gamma,support,ebic"]
     for row in table:
-        lines.append(",".join(
-            repr(float(row[k])) if isinstance(row[k], float) else str(row[k])
-            for k in ("lam", "gamma", "support", "ebic")
-        ))
+        lines.append(",".join(csv_cell(row[k]) for k in ("lam", "gamma", "support", "ebic")))
     _write_text(str(out / "tuning_table.csv"), "\n".join(lines) + "\n")
     _write_text(str(out / "best_params.json"), json.dumps(
         {"lambda": best["lam"], "gamma": best["gamma"],

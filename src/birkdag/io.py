@@ -72,14 +72,13 @@ def instance_from_json(text: str) -> SemInstance:
     )
 
 
-def _lower_triplets(a: np.ndarray) -> list:
-    """Nonzeros of the lower triangle as 1-based [row, col, value] triplets."""
-    out = []
-    for i in range(a.shape[0]):
-        for j in range(i + 1):
-            if a[i, j] != 0.0:
-                out.append([i + 1, j + 1, float(a[i, j])])
-    return out
+def _triplets(a: np.ndarray) -> list:
+    """Nonzeros of a, row-major, as 1-based [row, col, value] triplets.
+
+    Exact zeros, -0.0 among them, are left out.
+    """
+    rows, cols = np.nonzero(a)
+    return [[int(i) + 1, int(j) + 1, float(x)] for i, j, x in zip(rows, cols, a[rows, cols])]
 
 
 def fit_result_to_json(res: FitResult, n: int, cfg: RrcfConfig) -> str:
@@ -96,9 +95,9 @@ def fit_result_to_json(res: FitResult, n: int, cfg: RrcfConfig) -> str:
             "init": cfg.init,
         },
         "permutation": [int(i) + 1 for i in res.perm_hat.pi],
-        "l_hat": _lower_triplets(res.l_hat.l),
-        "b_hat": [[int(j + 1), int(k + 1), float(res.b_hat.b[j, k])]
-                  for j, k in zip(*np.nonzero(res.b_hat.b))],
+        # the factor's upper triangle is exactly zero
+        "l_hat": _triplets(res.l_hat.l),
+        "b_hat": _triplets(res.b_hat.b),
         "omega_hat": res.omega_hat.omega2.tolist(),
         "score_trace": [
             {"nll": b.nll, "penalty": b.penalty, "total": b.total} for b in res.score_trace

@@ -10,7 +10,7 @@ import numpy as np
 
 from birkdag.pipeline import RrcfConfig, TuningGrid, fit, tune
 from birkdag.scoring import McpParams
-from birkdag.sem import WeightedAdjacency, generate_dag, sample_data
+from birkdag.sem import WeightedAdjacency, _check_counts, generate_dag, sample_data
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,7 @@ class BenchmarkSpec:
     measure_runtime: bool = False
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.outer_k_max < 1:
-            raise ValueError("outer_k_max must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _check_counts(self, n=1, reps=1, seed=0, outer_k_max=1)
         settings = tuple((int(p), int(s)) for p, s in self.settings)
         if len(set(settings)) != len(settings):
             raise ValueError(f"settings must be distinct, got {settings}")
@@ -66,11 +59,9 @@ class BenchmarkSpec:
         object.__setattr__(self, "settings", settings)
 
 
-def extract_edges(b: WeightedAdjacency, threshold: float = 0.0) -> EdgeSet:
-    """Edges with |weight| > threshold; the default keeps exact nonzeros."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    rows, cols = np.nonzero(np.abs(b.b) > threshold)
+def extract_edges(b: WeightedAdjacency) -> EdgeSet:
+    """Edges with a nonzero weight; MCP estimates have exact zeros."""
+    rows, cols = np.nonzero(b.b)
     return EdgeSet(edges=frozenset((int(k), int(j)) for j, k in zip(rows, cols)), p=b.p)
 
 
@@ -276,11 +267,12 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> list[dict]:
     return out
 
 
-def _fmt(value) -> str:
+def csv_cell(value) -> str:
+    """A CSV cell of every table written: floats (numpy's too) by repr(float), None empty."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -289,5 +281,5 @@ def benchmark_csv(rows: list[dict]) -> str:
     lines = [CSV_HEADER]
     cols = CSV_HEADER.split(",")
     for r in rows:
-        lines.append(",".join(_fmt(r.get(c)) for c in cols))
+        lines.append(",".join(csv_cell(r.get(c)) for c in cols))
     return "\n".join(lines) + "\n"

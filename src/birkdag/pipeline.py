@@ -36,6 +36,7 @@ from birkdag.sem import (
     Permutation,
     SampleCovariance,
     WeightedAdjacency,
+    _check_counts,
     cholesky_to_adjacency,
     sample_covariance,
 )
@@ -79,8 +80,7 @@ class RrcfConfig:
     def __post_init__(self):
         if self.mu is not None:
             RelaxationConfig(mu=self.mu)  # its check, so mu has one error text
-        if self.outer_k_max < 1:
-            raise ValueError("outer_k_max must be at least 1")
+        _check_counts(self, outer_k_max=1, seed=0)
         _check_init(self.init)
         if not 0.0 <= self.gamma_bic <= 1.0:
             raise ValueError("gamma_bic must lie in [0, 1]")

@@ -5,6 +5,7 @@ S, the negative log-likelihood (up to constants, per observation) is
 
     nll(L, P, S) = 1/2 tr(P S P^t L^t L) - sum_j log L_jj
 
+(its trace term is the ordering step's ``birkhoff.trace_objective``),
 and the penalized score adds the minimax concave penalty over the
 strict lower triangle of L.  Diagonal entries are never penalized: the
 row-decoupled solver subproblems penalize only the regression
@@ -17,6 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# bound at import, so that rebinding ``birkhoff.trace_objective`` (as a
+# profiler counting rounding candidates does) leaves the likelihood alone
+from birkdag.birkhoff import trace_objective
 from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
 
 
@@ -80,13 +84,10 @@ def _permuted_cov(perm: Permutation, s: SampleCovariance) -> np.ndarray:
 
 
 def neg_log_likelihood(l: CholeskyFactor, perm: Permutation, s: SampleCovariance) -> float:
-    """1/2 tr(P S P^t L^t L) - sum_j log L_jj."""
-    if l.p != s.p:
-        raise ValueError("factor and covariance dimensions disagree")
-    sp = _permuted_cov(perm, s)
-    # tr(Sp L^t L) = <L Sp, L>
-    quad = float(np.einsum("ij,ij->", l.l @ sp, l.l))
-    return 0.5 * quad - float(np.log(np.diag(l.l)).sum())
+    """1/2 tr(P S P^t L^t L) - sum_j log L_jj: ``trace_objective`` less the log-diagonal."""
+    if not l.p == perm.p == s.p:
+        raise ValueError("factor, permutation and covariance dimensions disagree")
+    return trace_objective(l, perm, s) - float(np.log(np.diag(l.l)).sum())
 
 
 def penalized_score(

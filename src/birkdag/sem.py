@@ -27,6 +27,19 @@ def _as_float_matrix(a, name):
     return a
 
 
+def _check_counts(obj, **minimum) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as an int of at
+    least its minimum; a bool, a float or anything but an integer (numpy's
+    too) is a ValueError naming the field."""
+    for name, low in minimum.items():
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A variable ordering pi, stored as a 0-based index array.

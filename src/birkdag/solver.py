@@ -83,7 +83,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from birkdag.scoring import ConvexityGuardError, McpParams, _permuted_cov, mcp
-from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
+from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance, _check_counts
 
 
 # A cell leaves the stack of column sweeps for good after a column sweep
@@ -106,8 +106,7 @@ class SolverSettings:
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
+        _check_counts(self, k_max=1)
 
 
 def offdiagonal_step(z: float, a_jj: float, lam: float, gamma: float) -> float:

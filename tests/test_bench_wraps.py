@@ -4,13 +4,17 @@ The tracer patches program functions by (module, attribute) name, and
 the workloads and the benchmark's self-test call program names through
 module attributes.  A refactor that renames or removes one of them would
 silently drop a traced layer or fail only inside a benchmark run, so
-every such name must still resolve in ``birkdag``.  The benchmark files
-are only read, never modified.
+every such name must still resolve in ``birkdag``.  The tracer also reads
+fields of what the wrapped functions take and return (a config's k_max,
+an estimate's perm, the incumbent argument, iteration counts, sweeps,
+diagnostics), so a small traced benchmark run must fill every count
+derived from them.  The benchmark files are only read, never modified.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -94,3 +98,25 @@ def test_reference_walk_sees_a_missing_name():
     refs = birkdag_references(source)
     assert refs == {"birkdag.solver", "birkdag.solver.no_such_name"}
     assert resolves("birkdag.solver") and not resolves("birkdag.solver.no_such_name")
+
+
+def test_traced_benchmark_fills_the_counts_read_from_fields(tmp_path):
+    from birkdag import cli
+
+    tracing = load_tracing()
+    spec = {"settings": [[8, 8]], "n": 100, "reps": 1, "seed": 3, "outer_k_max": 3,
+            "grid": {"lambdas": [0.3, 0.5], "gammas": [2.0]}}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        rc = cli.main(["--threads", "1", "benchmark", "--spec", str(spec_path),
+                       "--out", str(tmp_path / "out.csv")])
+    # an attrs function that reads a missing field raises inside the
+    # replicate, which turns into an error row and exit code 4
+    assert rc == 0
+    metrics = tracing.pass_metrics(tracer.spans)
+    counts = ("birkhoff.gp.iters", "birkhoff.project.iters", "birkhoff.order.steps",
+              "birkhoff.round.candidates", "solver.lstep.sweeps", "pipeline.fit.outer_iters",
+              "pipeline.tune.cells")
+    assert {k: metrics[k] for k in counts if not metrics[k] > 0} == {}

@@ -45,7 +45,7 @@ class TestProjection:
         assert res.gap <= 1e-12
         assert np.abs(res.ds.m - pm).max() <= 1e-12
         assert np.abs(res.duals.u).max() == 0.0 and np.abs(res.duals.v).max() == 0.0
-        assert np.abs(res.duals.bigu).max() == 0.0
+        assert dual_objective(res.duals, pm) == 0.0
 
     def test_center_fixed_point(self):
         c = np.full((4, 4), 0.25)
@@ -82,7 +82,7 @@ class TestProjection:
                 assert res.converged
                 assert res.ds.m.min() >= 0.0
                 DoublyStochastic(res.ds.m)
-                DualVariables(res.duals.u, res.duals.v, res.duals.bigu)
+                DualVariables(res.duals.u, res.duals.v)
 
     def test_idempotent_on_feasible(self, rng):
         for _ in range(20):
@@ -116,7 +116,7 @@ class TestProjection:
     @pytest.mark.parametrize("name", ["u", "v"])
     @pytest.mark.parametrize("shape", [(3,), (4, 1)])
     def test_rejects_misshapen_warm_duals(self, name, shape):
-        duals = {"u": np.zeros(4), "v": np.zeros(4), "bigu": np.zeros((4, 4))}
+        duals = {"u": np.zeros(4), "v": np.zeros(4)}
         duals[name] = np.zeros(shape)
         with pytest.raises(ValueError, match=rf"duals0\.{name} must have shape \(4,\)"):
             project_to_birkhoff(np.eye(4), duals0=DualVariables(**duals))
@@ -124,7 +124,7 @@ class TestProjection:
     @pytest.mark.parametrize("name", ["u", "v"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_warm_duals(self, name, bad):
-        duals = {"u": np.zeros(5), "v": np.zeros(5), "bigu": np.zeros((5, 5))}
+        duals = {"u": np.zeros(5), "v": np.zeros(5)}
         duals[name] = np.full(5, bad) if np.isnan(bad) else np.r_[bad, np.zeros(4)]
         with pytest.raises(ValueError, match=rf"duals0\.{name} contains non-finite entries"):
             project_to_birkhoff(np.eye(5), duals0=DualVariables(**duals))
@@ -132,7 +132,7 @@ class TestProjection:
     def test_rejects_warm_duals_whose_sums_overflow(self):
         big = np.full(5, 1e308)
         with pytest.raises(ValueError, match="their sums overflow"), np.errstate(over="ignore"):
-            project_to_birkhoff(np.eye(5), duals0=DualVariables(big, -big, np.zeros((5, 5))))
+            project_to_birkhoff(np.eye(5), duals0=DualVariables(big, -big))
 
     def test_selftest_assumptions(self):
         # the benchmark's self-test feeds its projection checker a result
@@ -150,7 +150,10 @@ class TestNewtonKernel:
         u, v = res.duals.u, res.duals.v
         outer = u[:, None] + v[None, :]
         assert np.array_equal(res.ds.m, np.maximum(p0 - outer, 0.0))
-        assert np.array_equal(res.duals.bigu, np.maximum(0.0, outer - p0))
+        # strong duality at the multiplier U = max(0, outer - p0) that
+        # dual_objective derives
+        primal = 0.5 * float(((res.ds.m - p0) ** 2).sum())
+        assert abs(primal - dual_objective(res.duals, p0)) <= 1e-9 * (1.0 + primal)
         assert np.abs(res.ds.m.sum(axis=1) - 1.0).max() <= tol
         assert np.abs(res.ds.m.sum(axis=0) - 1.0).max() <= tol
 
@@ -191,7 +194,6 @@ class TestNewtonKernel:
         warm = DualVariables(
             cold.duals.u + 1e-10 * rng.standard_normal(p),
             cold.duals.v + 1e-10 * rng.standard_normal(p),
-            cold.duals.bigu,
         )
         res = project_to_birkhoff(p0, eps=1e-12, duals0=warm)
         assert res.converged and res.n_iter <= 3
@@ -217,7 +219,7 @@ class TestNewtonKernel:
         p0 = rng.standard_normal((p, p))
         u, v = np.zeros(p), np.zeros(p)
         u[1], v[4] = 1e3, 1e3
-        res = project_to_birkhoff(p0, eps=1e-12, duals0=DualVariables(u, v, np.zeros((p, p))))
+        res = project_to_birkhoff(p0, eps=1e-12, duals0=DualVariables(u, v))
         assert res.converged
         self.assert_kkt(p0, res)
         assert np.abs(res.ds.m - project_to_birkhoff(p0).ds.m).max() <= 1e-12
@@ -227,7 +229,7 @@ class TestNewtonKernel:
         # the cold start is already exact; the warm one needs Newton steps
         # with nothing left to solve for once dv[-1] is pinned
         p0 = np.array([[x]])
-        off = DualVariables(np.array([5.0]), np.array([-2.0]), np.zeros((1, 1)))
+        off = DualVariables(np.array([5.0]), np.array([-2.0]))
         for res in (project_to_birkhoff(p0), project_to_birkhoff(p0, duals0=off)):
             assert res.converged
             self.assert_kkt(p0, res)
@@ -235,8 +237,11 @@ class TestNewtonKernel:
 
 class TestDualObjective:
     def test_zero_duals(self, rng):
-        dv = DualVariables(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
-        assert dual_objective(dv, rng.standard_normal((3, 3))) == 0.0
+        # U = max(0, -P0): zero on a nonnegative P0, else 1/2 ||U||_F^2
+        dv = DualVariables(np.zeros(3), np.zeros(3))
+        p0 = rng.standard_normal((3, 3))
+        assert dual_objective(dv, np.abs(p0)) == 0.0
+        assert dual_objective(dv, p0) == pytest.approx(0.5 * (np.maximum(-p0, 0.0) ** 2).sum())
 
     def test_optimal_for_permutation_input(self, rng):
         pm = Permutation(rng.permutation(4)).matrix()
@@ -244,15 +249,30 @@ class TestDualObjective:
         assert abs(dual_objective(res.duals, pm)) <= 1e-12
 
     def test_weak_duality(self, rng):
-        # any dual point with U >= 0 lower-bounds the primal at any feasible P
+        # any dual point lower-bounds the primal at any feasible P
         for _ in range(100):
             p0 = rng.standard_normal((3, 3))
-            dv = DualVariables(
-                rng.standard_normal(3), rng.standard_normal(3), np.abs(rng.standard_normal((3, 3)))
-            )
+            dv = DualVariables(rng.standard_normal(3), rng.standard_normal(3))
             feas = random_ds(3, rng)
             primal = 0.5 * ((feas.m - p0) ** 2).sum()
             assert dual_objective(dv, p0) <= primal + 1e-12
+
+    def test_derived_multiplier_maximizes_over_u(self, rng):
+        # ``at`` is the dual at (u, v, U) for an explicit U >= 0: at
+        # U = max(0, u 1^t + 1 v^t - P0) it gives dual_objective's bits, and
+        # no other U >= 0 gives more
+        def at(dv, bigu, p0):
+            M = np.add.outer(dv.u, dv.v) - bigu
+            return float(-0.5 * (M * M).sum() - (bigu * p0).sum()
+                         + dv.u @ (p0.sum(axis=1) - 1.0) + dv.v @ (p0.sum(axis=0) - 1.0))
+
+        for _ in range(50):
+            p = int(rng.integers(1, 9))
+            p0 = rng.standard_normal((p, p))
+            dv = DualVariables(rng.standard_normal(p), rng.standard_normal(p))
+            best = np.maximum(np.add.outer(dv.u, dv.v) - p0, 0.0)
+            assert dual_objective(dv, p0) == at(dv, best, p0)
+            assert at(dv, np.abs(rng.standard_normal((p, p))), p0) <= dual_objective(dv, p0)
 
 
 class TestRelaxedObjective:
@@ -363,7 +383,7 @@ def direct_objective_gp(l, s, cfg, p_init):
     for _ in range(cfg.k_max):
         # warm start at the dual path extrapolated one step, 2 d_k - d_{k-1}
         start = duals if prev is None else DualVariables(
-            2.0 * duals.u - prev.u, 2.0 * duals.v - prev.v, duals.bigu)
+            2.0 * duals.u - prev.u, 2.0 * duals.v - prev.v)
         proj = project_to_birkhoff(P - eta * relaxed_gradient(P, l, s, cfg), duals0=start)
         prev, duals = duals, proj.duals
         moved = float(np.linalg.norm(proj.ds.m - P))
@@ -428,7 +448,8 @@ class TestGradientProjection:
         ref = direct_objective_gp(l, s, cfg, DoublyStochastic.center(p))
         assert not res.converged and res.n_iter == len(ref) == 40
         assert np.array_equal(res.ds.m, ref[-1])
-        assert res.objective == pytest.approx(relaxed_objective(res.ds, l, s, cfg), rel=1e-12)
+        assert res.objective_trace[-1] == pytest.approx(
+            relaxed_objective(res.ds, l, s, cfg), rel=1e-12)
 
 
     def test_center_is_solution_for_scaled_identity_factor(self, rng):
@@ -484,6 +505,12 @@ class TestGradientProjection:
     def test_relaxation_config_requires_mu(self):
         with pytest.raises(TypeError):
             RelaxationConfig()
+
+    def test_relaxation_config_k_max_must_be_an_integer(self):
+        for bad in (500.0, 2.5, True, np.bool_(True)):
+            with pytest.raises(ValueError, match="k_max must be an integer"):
+                RelaxationConfig(mu=0.0, k_max=bad)
+        assert type(RelaxationConfig(mu=0.0, k_max=np.int64(5)).k_max) is int
 
     def test_output_feasible(self, rng):
         p = 6
@@ -598,9 +625,10 @@ class TestEstimatePermutation:
         p = 4
         s = SampleCovariance(np.eye(p))
         l = CholeskyFactor(np.eye(p))
-        cfg = RelaxationConfig(mu=0.0, eps=1e-9, k_max=500, n_samples=10)
+        cfg = RelaxationConfig(mu=0.0, eps=1e-9, k_max=500)
         seed = 5
-        est = estimate_permutation(l, s, cfg, np.random.default_rng(seed))
+        est = estimate_permutation(
+            l, s, cfg, np.random.default_rng(seed), DoublyStochastic.center(p))
         gp = gradient_projection(l, s, cfg, DoublyStochastic.center(p))
         expected = sample_permutations(gp.ds, 1, np.random.default_rng(seed))[0]
         assert np.array_equal(est.perm.pi, expected.pi)
@@ -631,8 +659,9 @@ class TestEstimatePermutation:
         p = 3
         s = SampleCovariance(np.diag([3.0, 1.0, 2.0]))
         l = CholeskyFactor(np.array([[1.0, 0.0, 0.0], [-0.8, 1.3, 0.0], [0.4, -0.2, 0.7]]))
-        cfg = RelaxationConfig(mu=0.0, eps=1e-9, k_max=1000, n_samples=50)
-        est = estimate_permutation(l, s, cfg, np.random.default_rng(0))
+        cfg = RelaxationConfig(mu=0.0, eps=1e-9, k_max=1000)
+        est = estimate_permutation(
+            l, s, cfg, np.random.default_rng(0), DoublyStochastic.center(p))
         best = min(trace_objective(l, Permutation(np.array(o)), s) for o in iperm(range(p)))
         assert trace_objective(l, est.perm, s) == pytest.approx(best)
 
@@ -640,9 +669,9 @@ class TestEstimatePermutation:
         p = 6
         s = random_covariance(p, 40, rng)
         l = random_cholesky(p, rng)
-        cfg = RelaxationConfig(mu=0.0, eps=1e-7, k_max=200, n_samples=5)
+        cfg = RelaxationConfig(mu=0.0, eps=1e-7, k_max=200)
         incumbent = Permutation(rng.permutation(p))
-        est = estimate_permutation(l, s, cfg, rng, incumbent=incumbent)
+        est = estimate_permutation(l, s, cfg, rng, DoublyStochastic.center(p), incumbent=incumbent)
         assert trace_objective(l, est.perm, s) <= trace_objective(l, incumbent, s) + 1e-12
 
 

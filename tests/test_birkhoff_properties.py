@@ -67,9 +67,7 @@ def test_warm_start_from_random_duals_gives_cold_projection(case, spread):
     p, seed, scale = case
     rng, x = draw(p, seed, scale)
     spread *= max(scale, 1.0)
-    duals = DualVariables(
-        spread * rng.standard_normal(p), spread * rng.standard_normal(p), np.zeros((p, p))
-    )
+    duals = DualVariables(spread * rng.standard_normal(p), spread * rng.standard_normal(p))
     warm = project_to_birkhoff(x, duals0=duals)
     assert warm.converged
     assert np.abs(warm.ds.m - project(x)).max() <= TOL

@@ -82,6 +82,15 @@ class TestCliGenerate:
         assert not list(tmp_path.iterdir())
 
 
+class TestTriplets:
+    def test_row_major_nonzeros_without_signed_zeros(self):
+        a = np.array([[1.5, 0.0, -0.0], [0.0, -0.0, 2.0], [-3.0, 1e-300, 0.0]])
+        got = bio._triplets(a)
+        assert got == [[1, 1, 1.5], [2, 3, 2.0], [3, 1, -3.0], [3, 2, 1e-300]]
+        assert all(type(i) is int and type(j) is int and type(x) is float for i, j, x in got)
+        assert bio._triplets(np.zeros((2, 2))) == []
+
+
 class TestCliFit:
     def test_fit_writes_json(self, workdir, tmp_path):
         out = tmp_path / "fit.json"

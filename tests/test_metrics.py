@@ -15,6 +15,7 @@ from birkdag.metrics import (
     BenchmarkSpec,
     EdgeSet,
     benchmark_csv,
+    csv_cell,
     extract_edges,
     run_benchmark,
     scaled_frobenius,
@@ -44,14 +45,10 @@ class TestExtractEdges:
         es = extract_edges(adj(3, {(1, 0): 0.5}))
         assert es.edges == frozenset({(0, 1)})
 
-    def test_threshold(self):
-        a = adj(3, {(1, 0): 0.5})
-        assert extract_edges(a, threshold=0.6).edges == frozenset()
-        assert extract_edges(a, threshold=0.4).edges == frozenset({(0, 1)})
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            extract_edges(adj(2, {}), threshold=-1.0)
+    def test_keeps_every_exact_nonzero(self):
+        # no threshold: a weight of 1e-300 is an edge, -0.0 is not
+        a = adj(3, {(1, 0): 1e-300, (2, 1): -0.0, (2, 0): -0.5})
+        assert extract_edges(a).edges == frozenset({(0, 1), (0, 2)})
 
 
 class TestStructureMetrics:
@@ -230,6 +227,26 @@ print(seen)
             BenchmarkSpec(reps=0)
         with pytest.raises(ValueError, match="distinct"):
             BenchmarkSpec(settings=((6, 4), (6, 4)))
+
+    def test_counts_must_be_integers(self):
+        # a float count used to pass here and fail every replicate later
+        for field in ("n", "reps", "seed", "outer_k_max"):
+            for bad in (30.5, 30.0, True, np.bool_(False)):
+                with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                    BenchmarkSpec(**{field: bad})
+        spec = BenchmarkSpec(n=np.int64(30), reps=np.uint8(2), seed=np.int32(0),
+                             outer_k_max=np.int16(3))
+        assert all(type(getattr(spec, f)) is int for f in ("n", "reps", "seed", "outer_k_max"))
+
+    def test_float_cells_are_written_as_plain_floats(self):
+        # numpy 2 reprs np.float64(0.5) as "np.float64(0.5)"; the cell is "0.5"
+        row = {c: None for c in CSV_HEADER.split(",")}
+        row.update(setting_p=np.int64(5), rep="mean", tpr=np.float64(0.5), ebic=0.1 + 0.2,
+                   status="ok")
+        line = benchmark_csv([row]).splitlines()[1]
+        assert line == "5,,mean,,0.5,,,,0.30000000000000004,,ok"
+        assert [csv_cell(v) for v in (np.float64(-0.0), 1e-300, 3, None)] == [
+            "-0.0", "1e-300", "3", ""]
 
     def test_csv_numeric_cells_parse_as_floats(self):
         text = benchmark_csv(run_benchmark(tiny_spec(reps=2)))

@@ -216,6 +216,14 @@ class TestFit:
         with pytest.raises(ValueError, match="mu must be a nonnegative real"):
             RrcfConfig(mu=mu)
 
+    def test_counts_must_be_integers(self):
+        for field in ("outer_k_max", "seed"):
+            for bad in (3.0, 2.5, True, np.bool_(True), "3"):
+                with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                    RrcfConfig(**{field: bad})
+        cfg = RrcfConfig(outer_k_max=np.int64(3), seed=np.int32(7))
+        assert type(cfg.outer_k_max) is int and type(cfg.seed) is int
+
     def test_unconverged_solver_rows_reported(self, monkeypatch):
         rng = np.random.default_rng(8)
         x = sample_data(generate_dag(6, 6, rng), 200, rng)

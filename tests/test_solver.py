@@ -200,6 +200,14 @@ class TestMinimizeRow:
             solve_block(np.eye(2), McpParams(0.1, 2.0), l0=CholeskyFactor(np.diag([1.0, -1.0])))
 
 
+class TestSolverSettings:
+    def test_k_max_must_be_an_integer(self):
+        for bad in (20000.0, 2.5, True, np.bool_(True)):
+            with pytest.raises(ValueError, match="k_max must be an integer"):
+                SolverSettings(k_max=bad)
+        assert type(SolverSettings(k_max=np.int64(3)).k_max) is int
+
+
 class TestEstimateCholesky:
     def test_identity_covariance_lambda_zero(self):
         s = SampleCovariance(np.eye(5))
