@@ -48,6 +48,9 @@ class BenchmarkSpec:
 
     def __post_init__(self):
         _check_counts(self, n=1, reps=1, seed=0, outer_k_max=1)
+        for value in (v for pair in self.settings for v in pair):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"settings must hold integer (p, s) pairs, got {value!r}")
         settings = tuple((int(p), int(s)) for p, s in self.settings)
         if len(set(settings)) != len(settings):
             raise ValueError(f"settings must be distinct, got {settings}")

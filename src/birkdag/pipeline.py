@@ -140,7 +140,8 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
 
     ``diagnostics`` holds one entry per ordering step under "mu",
     "thresholds", "gp_converged" and "snapped", and one per L-step under
-    "solver_sweeps_max" and "solver_unconverged_rows", matching
+    "solver_sweeps_max", "solver_unconverged_rows" and
+    "solver_exact_rows" (rows stopped at an exact step), matching
     ``score_trace``; "n_outer" counts ordering steps.  A converged fit
     has n_outer L-steps; a capped one has outer_k_max = n_outer + 1.
     """
@@ -158,6 +159,7 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
         "snapped": [],
         "solver_sweeps_max": [],
         "solver_unconverged_rows": [],
+        "solver_exact_rows": [],
         "thresholds": [],
         "n_outer": 0,
     }
@@ -168,6 +170,7 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
         l = ch.l
         diag["solver_sweeps_max"].append(int(ch.sweeps.max()))
         diag["solver_unconverged_rows"].append(int((~ch.converged).sum()))
+        diag["solver_exact_rows"].append(int(ch.exact.sum()))
 
         breakdown = penalized_score(l, order, s, sp_params)
         score_trace.append(breakdown)

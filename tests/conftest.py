@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from birkdag import solver
 from birkdag.sem import CholeskyFactor, SampleCovariance
 from birkdag.solver import diagonal_step, offdiagonal_step, row_objectives
 
@@ -49,19 +50,70 @@ def coordinate_update(a, x, j, params):
     return offdiagonal_step(-2.0 * rest, a_jj, params.lam, params.gamma)
 
 
+def region(x, params):
+    """Each off-diagonal's pattern as ``solver._batch_step`` tests it: 0
+    zero, +-1 inner with its sign, 2 flat (either sign)."""
+    flat = np.abs(x) >= params.gamma * params.lam
+    return np.where(flat & (x != 0.0), 2, np.sign(x)).astype(int)
+
+
+def cyclic_pass(a, params, x):
+    """One cyclic pass over x in place, off-diagonals ascending then the diagonal."""
+    for j in range(len(x)):
+        x[j] = coordinate_update(a, x, j, params)
+
+
+def exact_row(a, params, x, eps):
+    """``solver._exact_step`` on one row, by plain scalar linear algebra.
+
+    The row is jumped to the fixed point of its pattern (support S, signs,
+    inner or flat), read off x, and advanced by one cyclic pass.  Returns
+    that pass's result, or None where the solver refuses the jump: the
+    pattern's K fails Cholesky or the solve, the diagonal's quadratic is
+    not convex, or the pass leaves the pattern or moves the row eps or
+    more.
+    """
+    i = len(x) - 1
+    s = np.flatnonzero(x[:i])
+    inner = np.abs(x[s]) < params.gamma * params.lam
+    k = 2.0 * a[np.ix_(s, s)] - np.diag(inner / params.gamma)
+    try:
+        np.linalg.cholesky(k)
+        alpha = np.linalg.solve(k, -params.lam * np.sign(x[s]) * inner)
+        beta = np.linalg.solve(k, -2.0 * a[s, i])
+    except np.linalg.LinAlgError:
+        return None
+    quad = a[i, i] + a[i, s] @ beta
+    if not quad > 0.0:
+        return None
+    jump = np.zeros_like(x)
+    jump[i] = diagonal_step(a[i, s] @ alpha, quad)
+    jump[s] = alpha + beta * jump[i]
+    y = jump.copy()
+    cyclic_pass(a, params, y)
+    same = np.array_equal(region(y[:i], params), region(x[:i], params))
+    return y if same and np.linalg.norm(y - jump) < eps else None
+
+
 def descend_row(a, params, x, settings):
     """Serial reference: cyclic coordinate descent on one row subproblem.
 
     Updates x in place, off-diagonals ascending then the diagonal, until a
-    sweep moves it less than settings.eps.  Returns (x, converged, sweeps).
+    sweep moves it less than settings.eps.  Every ``solver.EXACT_EVERY``-th
+    sweep first tries the exact step (``exact_row``); a row it accepts
+    stops there.  Returns (x, converged, sweeps, exact).
     """
     for sweep in range(1, settings.k_max + 1):
+        if sweep % solver.EXACT_EVERY == 0:
+            y = exact_row(a, params, x, settings.eps)
+            if y is not None:
+                x[:] = y
+                return x, True, sweep, True
         x_old = x.copy()
-        for j in range(len(x)):
-            x[j] = coordinate_update(a, x, j, params)
+        cyclic_pass(a, params, x)
         if np.linalg.norm(x - x_old) < settings.eps:
-            return x, True, sweep
-    return x, False, settings.k_max
+            return x, True, sweep, False
+    return x, False, settings.k_max, False
 
 
 def row_objective(a, x, params):

@@ -208,7 +208,7 @@ def test_criterion_06_coordinate_descent_properties():
             dvals = np.linspace(0.1, span, 4)
             best = np.inf
             for combo in itertools.product(*([vals] * (k - 1) + [dvals])):
-                xo, _, _ = descend_row(a, params, np.array(combo), SolverSettings(k_max=400))
+                xo, *_ = descend_row(a, params, np.array(combo), SolverSettings(k_max=400))
                 best = min(best, row_objective(a, xo, params))
             if h <= best + 1e-6:
                 oracle_hits += 1

@@ -7,7 +7,9 @@ the old factor are recomputed from it each sweep.  The shipped kernels
 build that set-up once per stack state or batch and carry the codes from
 sweep to sweep; they must make the same steps, bit for bit: the factors,
 the moves, the pattern-change counts, the kept indices of each batched
-step, the sweep counts and the convergence flags.
+step, the sweep counts and the convergence flags.  The reference path
+calls the solver's own exact step (``solver._exact_step``) at the same
+sweeps, so whole paths, exact flags included, stay pinned too.
 """
 
 from dataclasses import dataclass, fields
@@ -42,7 +44,7 @@ def reference_column_sweep(m, d, l, active, lam, gamma):
     thresh = gamma * lam
     denom = 2.0 * d - 1.0 / gamma
     twice_d = (2.0 * d).tolist()
-    last = int(np.flatnonzero(active.any(axis=0))[-1])
+    last = max(np.flatnonzero(active.any(axis=0)).tolist(), default=0)
     l_old = l.copy()
     for j in range(last):
         rows = slice(j + 1, None)
@@ -214,7 +216,8 @@ def reference_block_sweep(cov, slab, active, lam, gamma, batch, events=None):
 
 
 def reference_path(perm, s, params_seq, settings=SolverSettings(), l0=None):
-    """``estimate_cholesky_path`` with the reference kernels."""
+    """``estimate_cholesky_path`` with the reference kernels and the
+    solver's own exact step (``solver._exact_step``)."""
     sp = _permuted_cov(perm, s)
     p = sp.shape[0]
     d = np.diag(sp).copy()
@@ -230,16 +233,25 @@ def reference_path(perm, s, params_seq, settings=SolverSettings(), l0=None):
     active[:, 0] = False
     l[:, 0, 0] = 1.0 / np.sqrt(d[0])
     sweeps = np.zeros((c, p), dtype=int)
+    exact = np.zeros((c, p), dtype=bool)
     m = -2.0 * sp
     np.fill_diagonal(m, 0.0)
     cov = reference_cov(sp, m)
+    block_cov = solver._BlockCov.of(sp, m)
     out = [None] * c
     cells = np.arange(c)
 
+    def jump(slab, act, swp, exa, lam, gamma, sweep):
+        on = solver._exact_step(block_cov, slab, act, lam, gamma, settings.eps)
+        swp[on] = sweep
+        exa[on] = True
+
     def finish(k, sweep):
-        slab, act, swp = l[k], active[k], sweeps[k]
+        slab, act, swp, exa = l[k], active[k], sweeps[k], exact[k]
         batch = None
         for sweep in range(sweep + 1, settings.k_max + 1):
+            if sweep % solver.EXACT_EVERY == 0 and act.any():
+                jump(slab, act, swp, exa, lam.item(k), gamma.item(k), sweep)
             if not act.any():
                 break
             moved, batch = reference_block_sweep(cov, slab, act, lam.item(k), gamma.item(k), batch)
@@ -247,13 +259,17 @@ def reference_path(perm, s, params_seq, settings=SolverSettings(), l0=None):
             swp[finished] = sweep
             act &= ~finished
         swp[act] = settings.k_max
-        return CholeskyEstimate(CholeskyFactor(slab), swp, ~act)
+        return CholeskyEstimate(CholeskyFactor(slab), swp, ~act, exa)
 
     for sweep in range(1, settings.k_max + 1):
         if not active.any():
             break
+        counted = np.count_nonzero(active, axis=1)
+        if sweep % solver.EXACT_EVERY == 0:
+            for k in range(len(cells)):
+                jump(l[k], active[k], sweeps[k], exact[k], lam.item(k), gamma.item(k), sweep)
         moved, changed = reference_column_sweep(m, d, l, active, lam, gamma)
-        settled = changed <= SETTLED_SHARE * np.count_nonzero(active, axis=1)
+        settled = changed <= SETTLED_SHARE * counted
         finished = active & (moved < settings.eps)
         sweeps[finished] = sweep
         active &= ~finished
@@ -262,8 +278,8 @@ def reference_path(perm, s, params_seq, settings=SolverSettings(), l0=None):
             for k in np.flatnonzero(leave).tolist():
                 out[cells[k]] = finish(k, sweep)
             keep = ~leave
-            l, active, sweeps, cells = l[keep], active[keep], sweeps[keep], cells[keep]
-            lam, gamma = lam[keep], gamma[keep]
+            l, active, sweeps, exact = l[keep], active[keep], sweeps[keep], exact[keep]
+            cells, lam, gamma = cells[keep], lam[keep], gamma[keep]
     for k, cell in enumerate(cells.tolist()):
         out[cell] = finish(k, settings.k_max)
     return out
@@ -404,3 +420,4 @@ def test_paths_equal_the_reference_path(p):
                 assert same_bits(g.l.l, w.l.l)
                 assert np.array_equal(g.sweeps, w.sweeps)
                 assert np.array_equal(g.converged, w.converged)
+                assert np.array_equal(g.exact, w.exact)

@@ -238,6 +238,15 @@ print(seen)
                              outer_k_max=np.int16(3))
         assert all(type(getattr(spec, f)) is int for f in ("n", "reps", "seed", "outer_k_max"))
 
+    def test_settings_must_be_integers(self):
+        # int() used to truncate these: (8.7, 3.9) ran as (8, 3)
+        for bad in (((8.7, 3.9),), ((8, 3.0),), ((True, 1),), ((8, np.bool_(False)),), ((8, "3"),)):
+            with pytest.raises(ValueError, match="settings must hold integer"):
+                BenchmarkSpec(settings=bad)
+        spec = BenchmarkSpec(settings=((np.int64(8), np.uint8(3)),))
+        assert spec.settings == ((8, 3),)
+        assert all(type(v) is int for v in spec.settings[0])
+
     def test_float_cells_are_written_as_plain_floats(self):
         # numpy 2 reprs np.float64(0.5) as "np.float64(0.5)"; the cell is "0.5"
         row = {c: None for c in CSV_HEADER.split(",")}

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from birkdag import pipeline
+from birkdag import pipeline, solver
 from birkdag.birkhoff import trace_objective
 from birkdag.pipeline import RrcfConfig, TuningGrid, fit, score_params, tune
 from birkdag.scoring import (
@@ -64,7 +64,7 @@ class TestFit:
         diag = res.diagnostics
         assert res.converged
         assert len(res.score_trace) == diag["n_outer"] >= 1
-        for key in ("solver_sweeps_max", "solver_unconverged_rows"):
+        for key in ("solver_sweeps_max", "solver_unconverged_rows", "solver_exact_rows"):
             assert len(diag[key]) == len(res.score_trace)
         for key in ("mu", "thresholds", "gp_converged", "snapped"):
             assert len(diag[key]) == diag["n_outer"]
@@ -82,7 +82,7 @@ class TestFit:
         diag = capped.diagnostics
         assert not capped.converged
         assert len(capped.score_trace) == 4 == diag["n_outer"] + 1
-        for key in ("solver_sweeps_max", "solver_unconverged_rows"):
+        for key in ("solver_sweeps_max", "solver_unconverged_rows", "solver_exact_rows"):
             assert len(diag[key]) == 4
         for key in ("mu", "thresholds", "gp_converged", "snapped"):
             assert len(diag[key]) == 3
@@ -236,6 +236,32 @@ class TestFit:
         assert all(0 < k <= 5 for k in rows)
         default = fit(x, RrcfConfig(outer_k_max=3))
         assert default.diagnostics["solver_unconverged_rows"] == [0] * len(default.score_trace)
+
+    def test_exact_rows_reported(self, monkeypatch):
+        # each L-step reports how many rows its exact steps stopped
+        accepted = []
+        exact_step, lstep = solver._exact_step, pipeline.estimate_cholesky
+
+        def exact_counted(*args):
+            on = exact_step(*args)
+            accepted[-1] += len(on)
+            return on
+
+        def lstep_counted(*args):
+            accepted.append(0)
+            est = lstep(*args)
+            assert np.count_nonzero(est.exact) == accepted[-1]
+            assert est.converged[est.exact].all()
+            assert (est.sweeps[est.exact] % solver.EXACT_EVERY == 0).all()
+            return est
+
+        monkeypatch.setattr(solver, "_exact_step", exact_counted)
+        monkeypatch.setattr(pipeline, "estimate_cholesky", lstep_counted)
+        rng = np.random.default_rng(9)
+        x = sample_data(generate_dag(40, 40, rng), 80, rng)
+        res = fit(x, RrcfConfig(mcp=McpParams(0.2, 2.0), outer_k_max=3))
+        assert res.diagnostics["solver_exact_rows"] == accepted
+        assert len(accepted) == len(res.score_trace) and sum(accepted) > 0
 
     def test_rejects_single_variable(self):
         with pytest.raises(ValueError):

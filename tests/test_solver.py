@@ -28,8 +28,11 @@ from birkdag.solver import (
 from conftest import (
     assert_same_cyclic_iterates,
     coordinate_update,
+    cyclic_pass,
     descend_row,
+    exact_row,
     random_covariance,
+    region,
     row_objective,
 )
 
@@ -47,9 +50,11 @@ def serial_cholesky(perm, s, params, settings=SolverSettings(), l0=None):
     l[0, 0] = 1.0 / np.sqrt(sp[0, 0])
     sweeps = np.zeros(p, dtype=int)
     converged = np.ones(p, dtype=bool)
+    exact = np.zeros(p, dtype=bool)
     for i in range(1, p):
-        _, converged[i], sweeps[i] = descend_row(sp[: i + 1, : i + 1], params, l[i, : i + 1], settings)
-    return CholeskyEstimate(CholeskyFactor(l), sweeps, converged)
+        block, row = sp[: i + 1, : i + 1], l[i, : i + 1]
+        _, converged[i], sweeps[i], exact[i] = descend_row(block, params, row, settings)
+    return CholeskyEstimate(CholeskyFactor(l), sweeps, converged, exact)
 
 
 def random_block(k, rng, lam=0.1, gamma=2.0):
@@ -74,7 +79,7 @@ def grid_polish_oracle(a, params, span):
     dvals = np.linspace(0.1, span, 4)
     best = np.inf
     for combo in itertools.product(*([vals] * (k - 1) + [dvals])):
-        x, _, _ = descend_row(a, params, np.array(combo), SolverSettings(k_max=300))
+        x, *_ = descend_row(a, params, np.array(combo), SolverSettings(k_max=300))
         best = min(best, row_objective(a, x, params))
     return best
 
@@ -249,15 +254,16 @@ class TestEstimateCholesky:
 
     def test_default_sweep_cap_covers_slow_rows(self):
         # the 12th (p=200, s=200, n=300) instance drawn from seed 2000 has
-        # a row that needs 734 sweeps at lambda 0.2, gamma 2 and its true
-        # ordering; the default cap must not leave it unconverged
+        # a row that needs 734 cyclic sweeps at lambda 0.2, gamma 2 and its
+        # true ordering, and 152 with the exact steps; the default cap must
+        # not leave it unconverged
         rng = np.random.default_rng(2000)
         for _ in range(12):
             inst = generate_dag(200, 200, rng)
             x = sample_data(inst, 300, rng)
         est = estimate_cholesky(inst.ordering, sample_covariance(x), McpParams(0.2, 2.0))
         assert est.all_converged
-        assert est.sweeps.max() == 734
+        assert est.sweeps.max() == 152
 
     def test_deterministic(self, rng):
         s = random_covariance(7, 40, rng)
@@ -390,13 +396,6 @@ class TestEstimateCholeskyPath:
 COLUMN_ONLY, BLOCK_FROM_SWEEP_2 = -1, 1
 
 
-def region(x, params):
-    """Each off-diagonal's pattern as ``_batch_step`` tests it: 0 zero,
-    +-1 inner with its sign, 2 flat (either sign)."""
-    flat = np.abs(x) >= params.gamma * params.lam
-    return np.where(flat & (x != 0.0), 2, np.sign(x)).astype(int)
-
-
 class TestBlockTail:
     @pytest.mark.parametrize("p", [2, 3, 8, 30, 100, 200])
     def test_block_and_column_sweeps_agree(self, p, monkeypatch):
@@ -413,12 +412,16 @@ class TestBlockTail:
 
     def test_straggler_rows_take_the_block_path(self, monkeypatch):
         p = 30
-        column_counts, events = [], []
-        column_sweep, block_sweep = solver._column_sweep, solver._block_sweep
+        column_counts, events, jumped = [], [], []
+        column_sweep, block_sweep, exact_step = solver._column_sweep, solver._block_sweep, solver._exact_step
 
         def column_counted(stack):
+            # the leaving rule counts the rows active before the sweep's
+            # exact step, if it had one
+            before = (stack.active.sum(axis=1) + sum(jumped)).tolist()
+            jumped.clear()
             moved, changed = column_sweep(stack)
-            column_counts.append((stack.active.sum(axis=1).tolist(), changed.tolist()))
+            column_counts.append((before, changed.tolist()))
             events.append("column")
             return moved, changed
 
@@ -426,20 +429,32 @@ class TestBlockTail:
             events.append("block")
             return block_sweep(*args)
 
+        def exact_counted(*args):
+            on = exact_step(*args)
+            jumped.append(len(on))
+            events.append("exact")
+            return on
+
         monkeypatch.setattr(solver, "_column_sweep", column_counted)
         monkeypatch.setattr(solver, "_block_sweep", block_counted)
+        monkeypatch.setattr(solver, "_exact_step", exact_counted)
         perm, s = path_problem(p, p)
         est = estimate_cholesky(perm, s, McpParams(0.2, 2.0))
         assert est.all_converged
         # the cell sweeps by columns until the pattern of at most the
-        # settled share of its active rows changed, then by blocks for good
+        # settled share of its active rows changed, then by blocks for good;
+        # every EXACT_EVERY-th sweep starts with an exact step, and a sweep
+        # whose exact step stops every row left ends there
         share = solver.SETTLED_SHARE
         *before, (last_active, last_changed) = column_counts
         assert all(changed[0] > share * active[0] for active, changed in before)
         assert last_changed[0] <= share * last_active[0]
-        assert events == ["column"] * len(column_counts) + ["block"] * (len(events) - len(column_counts))
-        assert "block" in events
-        assert len(events) == est.sweeps.max()
+        want = []
+        for sweep in range(1, est.sweeps.max() + 1):
+            want += ["exact"] * (sweep % solver.EXACT_EVERY == 0)
+            want.append("column" if sweep <= len(column_counts) else "block")
+        assert events == want or (want[-2] == "exact" and events == want[:-1])
+        assert "block" in events and "exact" in events
         # in a path each cell switches on its own rows: block sweeps of the
         # settled cells run while the others still sweep by columns
         column_counts.clear()
@@ -452,17 +467,27 @@ class TestBlockTail:
         # from sweep 2 on the supports still change, so some batched row
         # steps must be refused; each keeps the coordinates before the first
         # one refused and the scalar cyclic pass goes on from there
-        steps, fallbacks = [], []
+        steps, fallbacks, verified = [], [], []
         block_sweep, batch_step, cyclic_row = solver._block_sweep, solver._batch_step, solver._cyclic_row
+        exact_step = solver._exact_step
         live = []
 
         def block_logged(cov, slab, active, *rest):
             live[:] = [active]
             return block_sweep(cov, slab, active, *rest)
 
+        def exact_logged(*args):
+            # the exact step's verification is a batched step too, and its
+            # refused rows keep their values: no cyclic pass follows
+            live[:] = [None]
+            return exact_step(*args)
+
         def step_logged(cov, x, batch, lam, gamma):
             before = x.copy()
             kept = batch_step(cov, x, batch, lam, gamma)
+            if live[0] is None:
+                verified.append(kept)
+                return kept
             for r, (row, held) in enumerate(zip(batch.rows.tolist(), kept.tolist())):
                 if live[0][row]:
                     steps.append((row, held, before[r, : row + 1]))
@@ -481,6 +506,7 @@ class TestBlockTail:
         monkeypatch.setattr(solver, "_block_sweep", block_logged)
         monkeypatch.setattr(solver, "_batch_step", step_logged)
         monkeypatch.setattr(solver, "_cyclic_row", cyclic_checked)
+        monkeypatch.setattr(solver, "_exact_step", exact_logged)
         perm, s = path_problem(30, 30)
         params = McpParams(0.2, 2.0)
         monkeypatch.setattr(solver, "SETTLED_SHARE", BLOCK_FROM_SWEEP_2)
@@ -489,6 +515,7 @@ class TestBlockTail:
         assert fallbacks == refused and len(refused) > 0
         assert any(start > 0 for _, start in fallbacks)
         assert len(steps) > len(refused)
+        assert verified
         monkeypatch.setattr(solver, "SETTLED_SHARE", COLUMN_ONLY)
         column = estimate_cholesky(perm, s, params)
         assert_same_cyclic_iterates(column, block)
@@ -539,6 +566,113 @@ class TestBlockTail:
             assert np.abs(out[i, : i + 1] - x).max() <= 1e-12
             assert starts.get(i) == refused
             assert moved[i] == pytest.approx(np.linalg.norm(x - slab[i, : i + 1]), rel=1e-9, abs=1e-14)
+
+
+class TestExactStep:
+    """Every ``solver.EXACT_EVERY``-th sweep first jumps each active row to
+    the fixed point of its pattern, kept only where verified."""
+
+    def test_exact_rows_are_fixed_points(self):
+        settings = SolverSettings()
+        found = 0
+        for p, params in ((100, McpParams(0.2, 2.0)), (100, McpParams(0.5, 3.0)), (200, McpParams(0.3, 2.0))):
+            perm, s = path_problem(p, p + 7, n=p + 100)
+            sp = perm.apply_to_matrix(s.s)
+            est = estimate_cholesky(perm, s, params, settings)
+            assert (est.sweeps[est.exact] % solver.EXACT_EVERY == 0).all()
+            for i in np.flatnonzero(est.exact).tolist():
+                x = est.l.l[i, : i + 1].copy()
+                y, converged, _, _ = descend_row(sp[: i + 1, : i + 1], params, x.copy(), SolverSettings(k_max=1))
+                assert converged and np.linalg.norm(y - x) < settings.eps
+                assert np.array_equal(y != 0.0, x != 0.0)
+                found += 1
+        assert found > 100
+
+    def test_exact_step_does_not_raise_h(self):
+        # sweep 8 starts with the exact step: no row ends it higher than
+        # sweep 7 left it
+        jumped = 0
+        for seed in range(50):
+            p = 10 + seed % 5 * 10
+            perm, s = path_problem(p, 500 + seed, n=p + 20 + seed)
+            sp = perm.apply_to_matrix(s.s)
+            params = McpParams((0.1, 0.2, 0.4)[seed % 3], 2.0 + seed % 2)
+            before = estimate_cholesky(perm, s, params, SolverSettings(k_max=7))
+            after = estimate_cholesky(perm, s, params, SolverSettings(k_max=8))
+            h7, h8 = row_objectives(before.l, sp, params), row_objectives(after.l, sp, params)
+            assert (h8 <= h7 + 1e-13 * np.abs(h7)).all()
+            jumped += np.count_nonzero(after.exact)
+        assert jumped > 100
+
+    def test_indefinite_pattern_is_refused(self):
+        # row 2 with both off-diagonals inner and negative: K = 2 A_SS - I/gamma
+        # is indefinite, yet the pattern's stationary point lies in the
+        # pattern and one cyclic pass keeps it; only the definiteness test
+        # stops the jump to a saddle
+        a = np.array([[1.0, 0.9, 0.78], [0.9, 1.0, 0.87], [0.78, 0.87, 1.7]])
+        params = McpParams(0.5, 2.0)
+        k = 2.0 * a[:2, :2] - np.eye(2) / params.gamma
+        assert np.linalg.eigvalsh(k)[0] < 0.0 < np.linalg.eigvalsh(a)[0]
+        alpha = np.linalg.solve(k, [params.lam, params.lam])
+        beta = np.linalg.solve(k, -2.0 * a[:2, 2])
+        t = diagonal_step(a[2, :2] @ alpha, a[2, 2] + a[2, :2] @ beta)
+        saddle = np.append(alpha + beta * t, t)
+        x = np.array([-0.5, -0.1, 1.0])
+        assert np.array_equal(region(saddle[:2], params), region(x[:2], params))
+        y = saddle.copy()
+        cyclic_pass(a, params, y)
+        assert np.linalg.norm(y - saddle) < 1e-12
+        assert exact_row(a, params, x.copy(), 1e-8) is None
+        m = -2.0 * a
+        np.fill_diagonal(m, 0.0)
+        slab = np.diag(1.0 / np.sqrt(np.diag(a)))
+        slab[2] = x
+        active = np.array([False, False, True])
+        on = solver._exact_step(solver._BlockCov.of(a, m), slab, active, params.lam, params.gamma, 1e-8)
+        assert on.size == 0 and active[2] and np.array_equal(slab[2], x)
+
+    def test_singular_pattern_that_passes_cholesky_is_refused(self):
+        # n < p, standardized, gamma near the guard: at some sweep past 100
+        # a K of rank-deficient A_SS factors in rounding but is singular to
+        # the solve; its row is refused, and the rest of the batch goes on
+        rng = np.random.default_rng(77)
+        for _ in range(6):
+            inst = generate_dag(60, 60, rng)
+            x = sample_data(inst, 40, rng)
+        s = sample_covariance(x).s
+        scale = 1.0 / np.sqrt(np.diag(s))
+        s = SampleCovariance(s * scale[:, None] * scale[None, :])
+        params = McpParams(0.1, 1.05)
+        est = estimate_cholesky(inst.ordering, s, params, SolverSettings(k_max=400))
+        assert est.exact.any() and est.converged[est.exact].all()
+
+    @pytest.mark.parametrize("p", [30, 100])
+    def test_refused_steps_change_no_bit(self, p, monkeypatch):
+        # every attempt runs and is refused (eps 0: no step moves a row
+        # less); the solves must equal those without attempts, bit for bit,
+        # over 40 sweeps of five attempts in the stack and in ``_finish``
+        settings = SolverSettings(k_max=40)
+        perm, s = path_problem(p, p + 3)
+        warm = estimate_cholesky(perm, s, McpParams(0.4, 2.0)).l
+        exact_step, attempts = solver._exact_step, []
+
+        def refused(cov, slab, active, lam, gamma, eps):
+            attempts.append(np.count_nonzero(active))
+            on = exact_step(cov, slab, active, lam, gamma, 0.0)
+            assert on.size == 0
+            return on
+
+        for l0 in (None, warm):
+            monkeypatch.setattr(solver, "_exact_step", refused)
+            tried = estimate_cholesky_path(perm, s, PATH_CELLS, settings, l0)
+            monkeypatch.setattr(solver, "_exact_step", exact_step)
+            monkeypatch.setattr(solver, "EXACT_EVERY", 10**9)
+            off = estimate_cholesky_path(perm, s, PATH_CELLS, settings, l0)
+            monkeypatch.undo()
+            for a, b in zip(tried, off, strict=True):
+                assert_same_estimate(a, b)
+                assert not a.exact.any()
+        assert sum(attempts) > 0
 
 
 class TestCellLifecycle:
