@@ -6,15 +6,20 @@ This module provides the four pieces of that pipeline:
 
 * Euclidean projection onto the polytope, computed by semismooth Newton
   ascent on its dual, which converges in a few steps from a cold start
-  and in one or two from the previous dual solution;
-* gradient projection for the relaxed quadratic objective
+  and in about two (2.2 on average at p = 100, 1.5 at p = 30) from the
+  dual solutions of the previous projections;
+* accelerated gradient projection (FISTA with function-value restart)
+  for the relaxed quadratic objective
   1/2 tr(L P S P^t L^t) - mu/2 ||T P||_F^2 with T = I - (1/p) 1 1^t.
   On the polytope ||T P||_F^2 = ||P||_F^2 - 1, so this is the paper's
   plain penalty -mu/2 ||P||_F^2 up to the constant mu/2, and both forms
-  give the same iterates.  Its fixed step 1/(curvature bound + mu)
-  guarantees descent, and it stops on the gradient-mapping norm.  Its
-  inner projections warm start at the dual solutions extrapolated one
-  step along their path;
+  give the same iterates.  It takes the fixed step 1/(curvature bound +
+  mu) from an extrapolated point, restarts the momentum with a plain,
+  descending step whenever the extrapolated step would raise the
+  objective, and forms one gradient per accepted step.  It stops when
+  an accepted step moves P by at most eps, or at its cap of 100
+  iterations.  Its inner projections warm start at the dual solutions
+  extrapolated one step along their path;
 * convexity/concavity thresholds for mu from the spectra of S and L^t L;
 * rounding back to permutations, either by rank-matching against random
   Gaussian vectors or by solving a linear assignment problem.
@@ -110,14 +115,21 @@ class RelaxationConfig:
 
     mu is the Frobenius-pull weight, a nonnegative real; it has no
     default (``pipeline.fit`` picks it per ordering step).  eps and k_max
-    stop the gradient projection.  The step size, the inner projection
+    stop the gradient projection: eps bounds the Frobenius step between
+    accepted iterates, and k_max caps the iterations.  The cap of 100 is
+    about where the accelerated iteration passes the objective that plain
+    gradient projection reaches in 500 iterations.  On the first ordering
+    steps of 45 fits (p = 4 to 200, n = 150, lambda 0.3) it got there in
+    47 to 105 iterations: 60 to 64 at p = 100 and 52 to 56 at p = 200.  At
+    the cap it ended no higher in 44 of the 45; the other, at p = 30,
+    ended 1.6e-5 (relative) above.  The step size, the inner projection
     tolerances and the number of rounding candidates (``N_SAMPLES``) are
     not settable: see ``gradient_projection`` and ``estimate_permutation``.
     """
 
     mu: float
     eps: float = 1e-7
-    k_max: int = 500
+    k_max: int = 100
 
     def __post_init__(self):
         if not (np.isfinite(self.mu) and self.mu >= 0):
@@ -482,19 +494,34 @@ def gradient_projection(
 ) -> GradientProjectionResult:
     """Minimize the relaxed ordering objective over the Birkhoff polytope.
 
-    Iterates P <- proj(P - eta grad f(P)) with eta = 1/(M + mu), where
-    M = lambda_max(S) lambda_max(L^t L), the concave threshold, bounds
-    the curvature of f (the -mu/2 ||T P||^2 term only lowers it).  So
-    eta <= 1/M for every mu >= 0, and the descent lemma with the
-    projection inequality gives f(P+) <= f(P) - ||P+ - P||_F^2 / (2 eta):
-    every full step descends, and no line search is needed.  Stops when
-    the step ||P+ - P||_F = eta ||G_eta(P)||_F, the scaled gradient
-    mapping, falls to cfg.eps, or after cfg.k_max iterations.  Inner
-    projections run at the defaults of ``project_to_birkhoff``.  The
-    first starts cold and the second from the first's dual solution;
-    from then on each warm starts at the dual path extrapolated one step,
-    2 (u, v)_k - (u, v)_{k-1}, which keeps them to one or two Newton
-    steps each, about a tenth fewer than a start at (u, v)_k.
+    Accelerated gradient projection (FISTA; Beck & Teboulle 2009) with
+    function-value restart (O'Donoghue & Candes 2015).  Each iteration
+    projects a gradient step from the extrapolated point
+    Y = P + beta (P - P_prev), Z = proj(Y - eta grad f(Y)), with
+    beta = (t_k - 1) / t_{k+1} and t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2
+    from t = 1.  The step is eta = 1/(M + mu), where
+    M = lambda_max(S) lambda_max(L^t L), the concave threshold, bounds the
+    curvature of f (the -mu/2 ||T P||^2 term only lowers it), so eta <= 1/M
+    for every mu >= 0.  A step with beta = 0 starts at P and is always
+    accepted.  If an extrapolated step gives f(Z) > f(P), Z is discarded,
+    t is reset to 1 and the plain step proj(P - eta grad f(P)) is taken
+    instead; by the descent lemma its result P+ lowers f by at least
+    ||P+ - P||_F^2 / (2 eta), so ``objective_trace``, the objective at the
+    start and at each accepted iterate, never rises.  The gradient is
+    linear in P, so grad f(Y) = (1 + beta) grad f(P) - beta grad f(P_prev)
+    costs no product: one gradient per accepted step, plus one for each
+    discarded one.  f(P) = 1/2 <grad f(P), P> comes with it.
+
+    Stops when an accepted step moves P by at most cfg.eps in Frobenius
+    norm, or after cfg.k_max iterations, and returns the last accepted
+    iterate.  Under momentum ||P+ - P||_F is the step between accepted
+    iterates, not the scaled gradient-mapping norm of plain gradient
+    projection.  Inner projections run at the defaults of
+    ``project_to_birkhoff``.  The first starts cold and the second from
+    the first's dual solution; from then on each warm starts at the dual
+    path of the accepted projections extrapolated one step,
+    2 (u, v)_k - (u, v)_{k-1}, which keeps them to about 2.2 Newton steps
+    each at p = 100.
     """
     if not (l.p == s.p == p_init.p):
         raise ValueError("dimension mismatch between l, s and p_init")
@@ -505,6 +532,9 @@ def gradient_projection(
     fP = _objective_from_gradient(g, P)
     if not np.isfinite(fP):
         raise FloatingPointError("relaxed objective is not finite at the initial point")
+    # the next step starts at Y with gradient gY; beta > 0 marks Y as extrapolated
+    Y, gY, beta = P, g, 0.0
+    t = 1.0
     duals = prev = None
     converged = False
     n_iter = 0
@@ -513,17 +543,33 @@ def gradient_projection(
         n_iter = k + 1
         start = duals if prev is None else _unchecked(
             DualVariables, u=2.0 * duals.u - prev.u, v=2.0 * duals.v - prev.v)
-        proj = project_to_birkhoff(P - eta * g, duals0=start)
-        prev, duals = duals, proj.duals
-        # ||P+ - P||_F as np.linalg.norm evaluates it, without its dispatch
-        diff = (proj.ds.m - P).ravel()
-        moved = float(np.sqrt(np.dot(diff, diff)))
-        P = proj.ds.m
-        g = relaxed_gradient(P, l, s, cfg)
-        fP = _objective_from_gradient(g, P)
-        trace.append(fP)
-        if not np.isfinite(fP):
+        proj = project_to_birkhoff(Y - eta * gY, duals0=start)
+        gZ = relaxed_gradient(proj.ds.m, l, s, cfg)
+        fZ = _objective_from_gradient(gZ, proj.ds.m)
+        if beta > 0.0 and fZ > fP:
+            # restart: discard Z and take the plain step from P
+            t = 1.0
+            proj = project_to_birkhoff(P - eta * g, duals0=start)
+            gZ = relaxed_gradient(proj.ds.m, l, s, cfg)
+            fZ = _objective_from_gradient(gZ, proj.ds.m)
+        if not np.isfinite(fZ):
             raise FloatingPointError("relaxed objective became non-finite")
+        prev, duals = duals, proj.duals
+        Z = proj.ds.m
+        step = Z - P
+        # ||Z - P||_F as np.linalg.norm evaluates it, without its dispatch
+        flat = step.ravel()
+        moved = float(np.sqrt(np.dot(flat, flat)))
+        t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t) ** 0.5)
+        beta = (t - 1.0) / t_next
+        t = t_next
+        if beta > 0.0:
+            Y = Z + beta * step
+            gY = (1.0 + beta) * gZ - beta * g
+        else:
+            Y, gY = Z, gZ
+        P, g, fP = Z, gZ, fZ
+        trace.append(fP)
         if moved <= cfg.eps:
             converged = True
             break
@@ -607,6 +653,7 @@ class PermutationEstimate:
     perm: Permutation
     relaxed: DoublyStochastic
     gp_converged: bool
+    gp_iters: int
     snapped: bool
 
 
@@ -643,5 +690,9 @@ def estimate_permutation(
         candidates.insert(0, incumbent)
     perm = min(candidates, key=lambda cand: trace_objective(l, cand, s))
     return PermutationEstimate(
-        perm=perm, relaxed=gp.ds, gp_converged=gp.converged, snapped=snapped is not None
+        perm=perm,
+        relaxed=gp.ds,
+        gp_converged=gp.converged,
+        gp_iters=gp.n_iter,
+        snapped=snapped is not None,
     )

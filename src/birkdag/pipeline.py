@@ -139,7 +139,8 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
     (the second value of ``convexity_thresholds``).
 
     ``diagnostics`` holds one entry per ordering step under "mu",
-    "thresholds", "gp_converged" and "snapped", and one per L-step under
+    "thresholds", "gp_converged", "gp_iters" (gradient projection
+    iterations) and "snapped", and one per L-step under
     "solver_sweeps_max", "solver_unconverged_rows" and
     "solver_exact_rows" (rows stopped at an exact step), matching
     ``score_trace``; "n_outer" counts ordering steps.  A converged fit
@@ -156,6 +157,7 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
     diag: dict = {
         "mu": [],
         "gp_converged": [],
+        "gp_iters": [],
         "snapped": [],
         "solver_sweeps_max": [],
         "solver_unconverged_rows": [],
@@ -189,6 +191,7 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
         p_init = DoublyStochastic(ANCHOR * order.matrix() + (1.0 - ANCHOR) * center)
         est = estimate_permutation(l, s, relax, rng, p_init=p_init, incumbent=order)
         diag["gp_converged"].append(est.gp_converged)
+        diag["gp_iters"].append(est.gp_iters)
         diag["snapped"].append(est.snapped)
         if np.array_equal(est.perm.pi, order.pi):
             converged = True

@@ -23,7 +23,15 @@ from birkdag.birkhoff import (
     sample_permutations,
     trace_objective,
 )
-from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
+from birkdag.pipeline import RrcfConfig, fit
+from birkdag.scoring import McpParams
+from birkdag.sem import (
+    CholeskyFactor,
+    Permutation,
+    SampleCovariance,
+    generate_dag,
+    sample_data,
+)
 
 from conftest import random_cholesky, random_covariance
 
@@ -371,9 +379,10 @@ class TestConvexityThresholds:
             assert abs(concave - ev[-1]) <= 1e-8 * max(1, abs(ev[-1]))
 
 
-def direct_objective_gp(l, s, cfg, p_init):
-    """Reference gradient projection: P <- proj(P - eta grad f(P)), full steps.
+def plain_gp(l, s, cfg, p_init):
+    """Plain gradient projection: P <- proj(P - eta grad f(P)), full steps.
 
+    No momentum: the baseline the accelerated loop is measured against.
     Returns the iterate after each iteration.
     """
     eta = 1.0 / (convexity_thresholds(l, s)[2] + cfg.mu + 1e-15)
@@ -394,11 +403,57 @@ def direct_objective_gp(l, s, cfg, p_init):
     return iterates
 
 
+def direct_objective_gp(l, s, cfg, p_init):
+    """Reference restarted FISTA, in plain numpy with the float operations
+    of ``gradient_projection``.
+
+    Returns (points, accepted, restarts): every point whose gradient is
+    formed after the start, in order; the iterate accepted at each
+    iteration; and the iterations whose extrapolated step was discarded.
+    """
+    eta = 1.0 / (convexity_thresholds(l, s)[2] + cfg.mu + 1e-15)
+    P = p_init.m.copy()
+    gP = relaxed_gradient(P, l, s, cfg)
+    fP = 0.5 * float(np.vdot(gP, P))
+    Y, gY, beta, t = P, gP, 0.0, 1.0
+    duals = prev = None
+    points, accepted, restarts = [], [], []
+    for k in range(cfg.k_max):
+        start = duals if prev is None else DualVariables(
+            2.0 * duals.u - prev.u, 2.0 * duals.v - prev.v)
+        proj = project_to_birkhoff(Y - eta * gY, duals0=start)
+        Z = proj.ds.m
+        gZ = relaxed_gradient(Z, l, s, cfg)
+        fZ = 0.5 * float(np.vdot(gZ, Z))
+        points.append(Z)
+        if beta > 0.0 and fZ > fP:
+            restarts.append(k)
+            t = 1.0
+            proj = project_to_birkhoff(P - eta * gP, duals0=start)
+            Z = proj.ds.m
+            gZ = relaxed_gradient(Z, l, s, cfg)
+            fZ = 0.5 * float(np.vdot(gZ, Z))
+            points.append(Z)
+        prev, duals = duals, proj.duals
+        moved = float(np.linalg.norm(Z - P))
+        t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t) ** 0.5)
+        beta = (t - 1.0) / t_next
+        t = t_next
+        Y = Z + beta * (Z - P) if beta > 0.0 else Z
+        gY = (1.0 + beta) * gZ - beta * gP if beta > 0.0 else gZ
+        P, gP, fP = Z, gZ, fZ
+        accepted.append(P)
+        if moved <= cfg.eps:
+            break
+    return points, accepted, restarts
+
+
 class TestGradientProjection:
     @pytest.mark.parametrize("p", [3, 5, 8, 12, 20, 30])
     def test_same_iterates_as_direct_objective_loop(self, p, monkeypatch):
-        # gradient_projection evaluates the gradient once at each iterate, so
-        # recording its arguments yields every iterate, the start first
+        # gradient_projection evaluates the gradient once at each projected
+        # point, accepted or discarded, so recording its arguments yields
+        # every such point, the start first
         seen = []
 
         def recording_gradient(P, *args):
@@ -413,13 +468,15 @@ class TestGradientProjection:
         start = DoublyStochastic.center(p)
         for mu in (max(centered, 0.0), 1.1 * concave):
             cfg = RelaxationConfig(mu=mu)
-            ref = direct_objective_gp(l, s, cfg, start)
+            points, accepted, _ = direct_objective_gp(l, s, cfg, start)
             seen.clear()
             res = gradient_projection(l, s, cfg, start)
-            assert res.n_iter == len(ref) == len(seen) - 1
-            assert res.converged == (np.linalg.norm(seen[-1] - seen[-2]) <= cfg.eps)
-            assert all(np.array_equal(got, want) for got, want in zip(seen[1:], ref))
-            assert np.array_equal(res.ds.m, ref[-1])
+            assert res.n_iter == len(accepted) == len(res.objective_trace) - 1
+            assert len(seen) - 1 == len(points)
+            moved = np.linalg.norm(accepted[-1] - (accepted[-2] if len(accepted) > 1 else start.m))
+            assert res.converged == (moved <= cfg.eps)
+            assert all(np.array_equal(got, want) for got, want in zip(seen[1:], points))
+            assert np.array_equal(res.ds.m, accepted[-1])
 
     @pytest.mark.parametrize("p", [3, 8, 20])
     def test_descent_lemma_holds_at_full_step(self, p):
@@ -433,11 +490,38 @@ class TestGradientProjection:
         for mu in (0.0, max(centered, 0.0), 1.1 * concave):
             cfg = RelaxationConfig(mu=mu)
             eta = 1.0 / (concave + mu + 1e-15)
-            iterates = [start.m] + direct_objective_gp(l, s, cfg, start)
+            iterates = [start.m] + plain_gp(l, s, cfg, start)
             f = [relaxed_objective(P, l, s, cfg) for P in iterates]
             for k in range(len(iterates) - 1):
                 step = float(((iterates[k + 1] - iterates[k]) ** 2).sum())
                 assert f[k + 1] <= f[k] - step / (2 * eta) + 1e-12 * (1 + abs(f[k]))
+
+    def test_accepted_iterates_descend_and_restarts_meet_the_descent_lemma(self):
+        # an accepted extrapolated step lowers f by the restart test; a
+        # restart takes the plain step from the last accepted iterate, which
+        # descends by ||P+ - P||^2 / (2 eta)
+        n_restarts = 0
+        for p in (3, 8, 20):
+            rng = np.random.default_rng(2000 + p)
+            s = random_covariance(p, 3 * p, rng)
+            l = random_cholesky(p, rng)
+            _, centered, concave = convexity_thresholds(l, s)
+            start = DoublyStochastic.center(p)
+            for mu in (0.0, max(centered, 0.0), 1.1 * concave):
+                cfg = RelaxationConfig(mu=mu, eps=1e-9, k_max=300)
+                eta = 1.0 / (concave + mu + 1e-15)
+                _, accepted, restarts = direct_objective_gp(l, s, cfg, start)
+                iterates = [start.m] + accepted
+                f = [relaxed_objective(P, l, s, cfg) for P in iterates]
+                tol = [1e-12 * (1 + abs(v)) for v in f]
+                assert all(f[k + 1] <= f[k] + tol[k] for k in range(len(accepted)))
+                for k in restarts:
+                    step = float(((iterates[k + 1] - iterates[k]) ** 2).sum())
+                    assert f[k + 1] <= f[k] - step / (2 * eta) + tol[k]
+                n_restarts += len(restarts)
+                tr = gradient_projection(l, s, cfg, start).objective_trace
+                assert all(tr[i + 1] <= tr[i] + 1e-12 * (1 + abs(tr[i])) for i in range(len(tr) - 1))
+        assert n_restarts > 0
 
     def test_capped_run_matches_direct_objective_loop(self, rng):
         p = 30
@@ -445,12 +529,50 @@ class TestGradientProjection:
         l = random_cholesky(p, rng)
         cfg = RelaxationConfig(mu=max(convexity_thresholds(l, s)[1], 0.0), k_max=40)
         res = gradient_projection(l, s, cfg, DoublyStochastic.center(p))
-        ref = direct_objective_gp(l, s, cfg, DoublyStochastic.center(p))
-        assert not res.converged and res.n_iter == len(ref) == 40
-        assert np.array_equal(res.ds.m, ref[-1])
+        _, accepted, _ = direct_objective_gp(l, s, cfg, DoublyStochastic.center(p))
+        assert not res.converged and res.n_iter == len(accepted) == 40
+        assert np.array_equal(res.ds.m, accepted[-1])
         assert res.objective_trace[-1] == pytest.approx(
             relaxed_objective(res.ds, l, s, cfg), rel=1e-12)
 
+    @pytest.mark.parametrize("p, slack", [(10, 0.0), (30, 2e-5), (100, 0.0)])
+    def test_default_cap_matches_plain_gp_at_500(self, p, slack, monkeypatch):
+        # the first ordering step of a fit, with its automatic mu and its
+        # p_init: at the default cap of 100 the accelerated run ends no
+        # higher than plain gradient projection does after 500 iterations,
+        # and none of its projections falls back to _force_feasible.  At
+        # p=30 this instance needs a relative slack: the accelerated run
+        # ends 1.6e-5 above (plain gradient projection reaches its value
+        # only at iteration 479), and it passes plain's 500th iterate
+        # between iterations 100 and 150.
+        steps, projections = [], []
+        real_gp, real_project = birkhoff.gradient_projection, birkhoff.project_to_birkhoff
+
+        def recording_gp(*args):
+            steps.append(args)
+            return real_gp(*args)
+
+        def recording_project(*args, **kwargs):
+            res = real_project(*args, **kwargs)
+            projections.append(res)
+            return res
+
+        monkeypatch.setattr(birkhoff, "gradient_projection", recording_gp)
+        rng = np.random.default_rng(p)
+        x = sample_data(generate_dag(p, p, rng), 150, rng)
+        fit(x, RrcfConfig(mcp=McpParams(0.3, 2.0), outer_k_max=2))
+        l, s, cfg, p_init = steps[0]
+        assert cfg.k_max == RelaxationConfig(mu=0.0).k_max == 100
+
+        monkeypatch.setattr(birkhoff, "project_to_birkhoff", recording_project)
+        res = real_gp(l, s, cfg, p_init)
+        assert len(projections) >= res.n_iter
+        assert all(r.converged for r in projections)
+        monkeypatch.setattr(birkhoff, "project_to_birkhoff", real_project)
+
+        plain = plain_gp(l, s, RelaxationConfig(mu=cfg.mu, k_max=500), p_init)[-1]
+        f_plain = relaxed_objective(plain, l, s, cfg)
+        assert relaxed_objective(res.ds, l, s, cfg) <= f_plain + slack * abs(f_plain)
 
     def test_center_is_solution_for_scaled_identity_factor(self, rng):
         # with mu = 0 and L proportional to I the relaxed problem collapses

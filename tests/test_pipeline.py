@@ -66,7 +66,7 @@ class TestFit:
         assert len(res.score_trace) == diag["n_outer"] >= 1
         for key in ("solver_sweeps_max", "solver_unconverged_rows", "solver_exact_rows"):
             assert len(diag[key]) == len(res.score_trace)
-        for key in ("mu", "thresholds", "gp_converged", "snapped"):
+        for key in ("mu", "thresholds", "gp_converged", "gp_iters", "snapped"):
             assert len(diag[key]) == diag["n_outer"]
 
         # an ordering step that always moves runs the fit into its cap:
@@ -84,7 +84,7 @@ class TestFit:
         assert len(capped.score_trace) == 4 == diag["n_outer"] + 1
         for key in ("solver_sweeps_max", "solver_unconverged_rows", "solver_exact_rows"):
             assert len(diag[key]) == 4
-        for key in ("mu", "thresholds", "gp_converged", "snapped"):
+        for key in ("mu", "thresholds", "gp_converged", "gp_iters", "snapped"):
             assert len(diag[key]) == 3
 
     def test_diagonal_seed_factor_cannot_move_the_ordering(self):
