@@ -22,7 +22,13 @@ This module provides the four pieces of that pipeline:
   extrapolated one step along their path;
 * convexity/concavity thresholds for mu from the spectra of S and L^t L;
 * rounding back to permutations, either by rank-matching against random
-  Gaussian vectors or by solving a linear assignment problem.
+  Gaussian vectors or by solving a linear assignment problem.  An
+  ordering step collects its candidates in one (K, p) int array, the
+  incumbent first and each ordering once (``rounding_candidates``), and
+  ranks them in one pass (``best_candidate``): a screen by the inner
+  product of the cached L^t L with the permuted S rules out every row
+  that provably cannot win, so the exact trace is evaluated only for
+  the first row and the rows the screen leaves in.
 """
 
 from __future__ import annotations
@@ -465,12 +471,16 @@ def convexity_thresholds(
     its minimum sits at a vertex (a permutation matrix).  Eigenvalues
     are taken in ascending order; lambda_2 is the second smallest, not
     the second smallest distinct.  ``s`` may be a plain symmetric PSD
-    array; this is pure spectral analysis, not a solver input.
+    array; this is pure spectral analysis, not a solver input.  The
+    spectra of a ``SampleCovariance`` and of a factor are computed once
+    and cached on them.
     """
-    sm = s.s if isinstance(s, SampleCovariance) else np.asarray(s, dtype=float)
-    ev_s = np.linalg.eigvalsh(sm)
-    ev_l = np.linalg.eigvalsh(l.gram)
-    second = ev_s[1] if sm.shape[0] > 1 else ev_s[0]
+    if isinstance(s, SampleCovariance):
+        ev_s = s.spectrum
+    else:
+        ev_s = np.linalg.eigvalsh(np.asarray(s, dtype=float))
+    ev_l = l.spectrum
+    second = ev_s[1] if ev_s.shape[0] > 1 else ev_s[0]
     return (
         float(ev_s[0] * ev_l[0]),
         float(second * ev_l[0]),
@@ -596,14 +606,22 @@ def rank_vector(x) -> np.ndarray:
     return ranks
 
 
-def _match_ranks(ds_m: np.ndarray, x: np.ndarray) -> Permutation:
-    # permutation P with P r(x) = r(ds x): the position of the kth
-    # smallest entry of ds x maps to the position of the kth smallest of x
-    rx = np.argsort(x, kind="stable")
-    rdx = np.argsort(ds_m @ x, kind="stable")
-    pi = np.empty(x.shape[0], dtype=int)
-    pi[rdx] = rx
-    return Permutation(pi)
+def _match_ranks(ds_m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One permutation per row x_k of x, as the rows of an int array.
+
+    Row k is the permutation P with P r(x_k) = r(ds x_k): the position of
+    the jth smallest entry of ds x_k maps to the position of the jth
+    smallest of x_k.  ds x_k is one matrix-vector product per draw,
+    because one matrix product for all draws rounds differently, and a
+    changed last bit could reorder a near-tie.
+    """
+    dx = np.empty_like(x)
+    for k in range(x.shape[0]):
+        np.dot(ds_m, x[k], out=dx[k])
+    pi = np.empty(x.shape, dtype=int)
+    np.put_along_axis(
+        pi, np.argsort(dx, axis=1, kind="stable"), np.argsort(x, axis=1, kind="stable"), axis=1)
+    return pi
 
 
 def sample_permutations(
@@ -612,11 +630,12 @@ def sample_permutations(
     """Round ds to permutations by matching ranks against Gaussian draws.
 
     Each sample draws x ~ N(0, I) and returns the permutation that acts
-    on the ranks of x the way ds does: P r(x) = r(ds x).
+    on the ranks of x the way ds does: P r(x) = r(ds x).  The draws are
+    taken in one call, the same stream as one call per sample.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    return [_match_ranks(ds.m, rng.standard_normal(ds.p)) for _ in range(n_samples)]
+    return [Permutation(pi) for pi in _match_ranks(ds.m, rng.standard_normal((n_samples, ds.p)))]
 
 
 def round_hungarian(ds: DoublyStochastic) -> Permutation:
@@ -648,6 +667,79 @@ def trace_objective(l: CholeskyFactor, perm: Permutation, s: SampleCovariance) -
     return 0.5 * float(np.einsum("ij,ij->", l.l @ sp, l.l))
 
 
+def rounding_candidates(
+    relaxed: DoublyStochastic,
+    rng: np.random.Generator,
+    incumbent: Permutation | None = None,
+) -> tuple[np.ndarray, bool]:
+    """The ordering step's candidates for a relaxed solution, one per row.
+
+    If ``relaxed`` is a vertex to within 1e-6, that vertex is the only
+    candidate and no draw is made.  Otherwise the candidates are
+    ``N_SAMPLES`` rank-matching draws, taken as ``sample_permutations``
+    takes them, followed by the linear-assignment rounding.  An
+    ``incumbent`` goes first.  Only the first occurrence of each
+    ordering is kept, in order.  Returns the (K, p) int array of
+    candidates and whether ``relaxed`` snapped to a vertex.
+    """
+    snapped = _snap_to_permutation(relaxed.m)
+    if snapped is not None:
+        rows = [snapped.pi[None, :]]
+    else:
+        draws = rng.standard_normal((N_SAMPLES, relaxed.p))
+        rows = [_match_ranks(relaxed.m, draws), round_hungarian(relaxed).pi[None, :]]
+    if incumbent is not None:
+        rows.insert(0, incumbent.pi[None, :])
+    rows = np.concatenate(rows)
+    first: dict[bytes, int] = {}
+    keep = [first.setdefault(row.tobytes(), i) == i for i, row in enumerate(rows)]
+    return rows[keep], snapped is not None
+
+
+def best_candidate(l: CholeskyFactor, s: SampleCovariance, candidates: np.ndarray) -> int:
+    """Index of the first row of ``candidates`` with the least ``trace_objective``.
+
+    The winner of ``min`` over the rows keyed by ``trace_objective``, for
+    fewer evaluations of it: it is evaluated for the first row and for
+    each row that a cheaper screen cannot rule out.  For a row pi with
+    permutation matrix P and A = P S P^t, the screen is
+
+        screen(pi) = 1/2 <L^t L, A>,
+
+    a permuted copy of S and one inner product with the factor's cached
+    ``gram``, where ``trace_objective`` computes T(pi) = 1/2 <L A, L>
+    with a p^3 product.  In exact arithmetic both are T.
+
+    Rounding bound.  With unit roundoff u and gamma_n = n u / (1 - n u),
+    the computed L A is within gamma_p |L| |A| of the exact product,
+    entrywise, and summing its p^2 products with L adds at most
+    gamma_{p^2} <|L| |A|, |L|>.  The computed L^t L and its inner product
+    with A err in the same way.  So each form is within
+    B = 1/2 gamma_{p^2+p} <|L|^t |L|, |A|> of T, and
+    <|L|^t |L|, |A|> <= || |L|^t |L| ||_F ||A||_F <= ||L||_F^2 ||S||_F by
+    Cauchy-Schwarz, as permuting leaves ||S||_F unchanged.  A row whose
+    screen exceeds the best exact value so far by more than 2 B has an
+    exact value above it and cannot win.  The slack used,
+    2 gamma_{p^2+p} ||L||_F^2 ||S||_F, is twice that bound on 2 B, which
+    covers the rounding of the bound itself.
+    """
+    p = l.p
+    n = p * p + p
+    u = 0.5 * _EPS_MACH
+    gamma = n * u / (1.0 - n * u)
+    slack = 2.0 * gamma * float(np.vdot(l.l, l.l)) * float(np.sqrt(np.vdot(s.s, s.s)))
+    gram, sm = l.gram, s.s
+    best_i, best = 0, trace_objective(l, Permutation(candidates[0]), s)
+    for i in range(1, candidates.shape[0]):
+        pi = candidates[i]
+        # not (a > b) rather than a <= b: a NaN screen is evaluated exactly
+        if not 0.5 * float(np.vdot(gram, sm.take(pi, 0).take(pi, 1))) - slack > best:
+            value = trace_objective(l, Permutation(pi), s)
+            if value < best:
+                best_i, best = i, value
+    return best_i
+
+
 @dataclass(frozen=True)
 class PermutationEstimate:
     perm: Permutation
@@ -667,11 +759,11 @@ def estimate_permutation(
 ) -> PermutationEstimate:
     """Solve the relaxed ordering problem and round to a permutation.
 
-    Runs gradient projection from p_init.  If the relaxed solution is
-    already a vertex to within 1e-6, that vertex is the only candidate.
-    Otherwise the candidates are ``N_SAMPLES`` rank-matching draws
-    followed by the linear-assignment rounding.  The candidate with the
-    smallest 1/2 tr(L P S P^t L^t) wins; ties keep the earliest one.
+    Runs gradient projection from p_init, rounds its solution to the
+    candidate array of ``rounding_candidates`` (the snapped vertex alone,
+    or ``N_SAMPLES`` rank-matching draws then the linear-assignment
+    rounding, without repeats) and returns the one ``best_candidate``
+    picks: the smallest 1/2 tr(L P S P^t L^t), ties keeping the earliest.
 
     When an ``incumbent`` ordering is supplied (the alternating loop
     passes its current one) it goes first in the comparison, so the
@@ -680,19 +772,11 @@ def estimate_permutation(
     the incumbent.
     """
     gp = gradient_projection(l, s, cfg, p_init)
-    snapped = _snap_to_permutation(gp.ds.m)
-    if snapped is not None:
-        candidates = [snapped]
-    else:
-        candidates = sample_permutations(gp.ds, N_SAMPLES, rng)
-        candidates.append(round_hungarian(gp.ds))
-    if incumbent is not None:
-        candidates.insert(0, incumbent)
-    perm = min(candidates, key=lambda cand: trace_objective(l, cand, s))
+    candidates, snapped = rounding_candidates(gp.ds, rng, incumbent)
     return PermutationEstimate(
-        perm=perm,
+        perm=Permutation(candidates[best_candidate(l, s, candidates)]),
         relaxed=gp.ds,
         gp_converged=gp.converged,
         gp_iters=gp.n_iter,
-        snapped=snapped is not None,
+        snapped=snapped,
     )

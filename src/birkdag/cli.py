@@ -93,7 +93,12 @@ def cmd_fit(args) -> int:
     _write_text(args.out, bio.fit_result_to_json(res, x.shape[0], cfg))
     print(f"fit written to {args.out}; ebic={res.ebic_value:.6g}; "
           f"support={res.l_hat.support_size()}; converged={res.converged}")
-    if not res.converged:
+    unconverged = res.diagnostics["solver_unconverged_rows"]
+    for step, rows in enumerate(unconverged, 1):
+        if rows:
+            print(f"warning: L-step {step} of {len(unconverged)} left {rows} row(s) "
+                  f"unconverged at the sweep cap", file=sys.stderr)
+    if not res.converged or any(unconverged):
         return EXIT_PARTIAL
     return EXIT_OK
 
@@ -123,7 +128,12 @@ def cmd_tune(args) -> int:
          "ebic": best["ebic"], "gamma_bic": grid.gamma_bic},
         indent=2) + "\n")
     print(f"best: lambda={best['lam']} gamma={best['gamma']} ebic={best['ebic']:.6g}")
-    return EXIT_OK
+    capped = [row for row in table if row["unconverged_rows"]]
+    for row in capped:
+        print(f"warning: cell lambda={row['lam']} gamma={row['gamma']} left "
+              f"{row['unconverged_rows']} L-step row(s) unconverged at the sweep cap",
+              file=sys.stderr)
+    return EXIT_PARTIAL if capped else EXIT_OK
 
 
 def cmd_project(args) -> int:

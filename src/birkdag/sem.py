@@ -79,8 +79,14 @@ class Permutation:
         return Permutation(np.arange(p))
 
     def apply_to_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Conjugate a p x p matrix into the permuted frame: P A P^t."""
-        return a[np.ix_(self.pi, self.pi)]
+        """Conjugate a p x p matrix into the permuted frame: P A P^t.
+
+        Two ``take`` gathers give the values and the C memory order of
+        ``a[np.ix_(pi, pi)]`` in about a third of its time at p = 100.
+        ``a[pi][:, pi]`` is faster still, but comes out in Fortran order,
+        which changes the rounding of sums over the result.
+        """
+        return a.take(self.pi, 0).take(self.pi, 1)
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,11 @@ class CholeskyFactor:
     def gram(self) -> np.ndarray:
         """L^t L, computed once per factor."""
         return self.l.T @ self.l
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of L^t L in ascending order, computed once per factor."""
+        return np.linalg.eigvalsh(self.gram)
 
     def support_size(self) -> int:
         """Number of nonzeros in the strict lower triangle."""
@@ -226,6 +237,8 @@ class SampleCovariance:
         if w[0] < -1e-10 * max(w[-1], 1.0):
             raise ValueError("sample covariance is not positive semi-definite")
         object.__setattr__(self, "s", s)
+        # the eigenvalues of the test are the spectrum's cached value
+        object.__setattr__(self, "spectrum", w)
 
     @classmethod
     def _of_gram(cls, s: np.ndarray) -> SampleCovariance:
@@ -238,6 +251,11 @@ class SampleCovariance:
     @property
     def p(self) -> int:
         return self.s.shape[0]
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of S in ascending order, computed once per covariance."""
+        return np.linalg.eigvalsh(self.s)
 
 
 def generate_dag(p: int, s: int, rng: np.random.Generator) -> SemInstance:

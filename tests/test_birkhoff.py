@@ -11,6 +11,7 @@ from birkdag.birkhoff import (
     DoublyStochastic,
     DualVariables,
     RelaxationConfig,
+    best_candidate,
     convexity_thresholds,
     dual_objective,
     estimate_permutation,
@@ -20,6 +21,7 @@ from birkdag.birkhoff import (
     relaxed_gradient,
     relaxed_objective,
     round_hungarian,
+    rounding_candidates,
     sample_permutations,
     trace_objective,
 )
@@ -367,6 +369,23 @@ class TestConvexityThresholds:
         assert centered == pytest.approx(1.0)
         assert concave == pytest.approx(1.0)
 
+    def test_spectra_computed_once_per_factor_and_covariance(self, rng, monkeypatch):
+        # a SampleCovariance and a factor cache their spectra, so repeated
+        # thresholds (fit's, then gradient projection's) cost no eigvalsh;
+        # a plain array is decomposed on every call
+        s = random_covariance(5, 40, rng)
+        l = random_cholesky(5, rng)
+        want = convexity_thresholds(CholeskyFactor(l.l), SampleCovariance(s.s))
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        for _ in range(3):
+            assert convexity_thresholds(l, s) == want
+        assert len(calls) == 1
+        for _ in range(3):
+            assert convexity_thresholds(l, s.s) == want
+        assert len(calls) == 4
+
     def test_kronecker_oracle(self, rng):
         # extreme eigenvalues of kron(L^t L, S) factor into products
         for p in (2, 3, 5):
@@ -689,6 +708,161 @@ class TestSamplePermutations:
         perms = sample_permutations(ds, 3, np.random.default_rng(seed))
         for x, cand in zip(draws, perms):
             assert np.array_equal(cand.pi, np.argsort(x, kind="stable"))
+
+
+def per_draw_samples(ds, n, rng):
+    """Rank-matching rounding with one draw and one argsort pair per sample."""
+    rows = []
+    for _ in range(n):
+        x = rng.standard_normal(ds.p)
+        pi = np.empty(ds.p, dtype=int)
+        pi[np.argsort(ds.m @ x, kind="stable")] = np.argsort(x, kind="stable")
+        rows.append(pi)
+    return np.array(rows)
+
+
+class TestBulkDraws:
+    @pytest.mark.parametrize("p", [3, 4, 5, 7, 10, 20, 30, 50, 100, 200])
+    def test_equal_to_per_draw_reference(self, p):
+        rng = np.random.default_rng(p)
+        for ds in (random_ds(p, rng), project_to_birkhoff(rng.random((p, p))).ds):
+            seed = int(rng.integers(1 << 30))
+            got = sample_permutations(ds, 150, np.random.default_rng(seed))
+            want = per_draw_samples(ds, 150, np.random.default_rng(seed))
+            assert np.array_equal(np.array([c.pi for c in got]), want)
+
+    def test_candidates_continue_the_same_stream(self):
+        # the draws of one step leave the generator where 150 single
+        # draws would, so the next step's draws are unchanged too
+        p = 12
+        ds = project_to_birkhoff(np.random.default_rng(1).random((p, p))).ds
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        rounding_candidates(ds, a)
+        per_draw_samples(ds, birkhoff.N_SAMPLES, b)
+        assert a.standard_normal() == b.standard_normal()
+
+
+def first_occurrences(rows):
+    seen, out = set(), []
+    for row in rows:
+        if tuple(row) not in seen:
+            seen.add(tuple(row))
+            out.append(row)
+    return np.array(out)
+
+
+class TestRoundingCandidates:
+    @pytest.mark.parametrize("with_incumbent", [False, True])
+    def test_draws_then_assignment_without_repeats(self, with_incumbent):
+        # p = 4 has 24 orderings, so most of the 151 rows repeat
+        p = 4
+        rng = np.random.default_rng(2)
+        ds = project_to_birkhoff(rng.random((p, p))).ds
+        incumbent = Permutation(rng.permutation(p))
+        rows, snapped = rounding_candidates(
+            ds, np.random.default_rng(4), incumbent if with_incumbent else None)
+        full = list(per_draw_samples(ds, birkhoff.N_SAMPLES, np.random.default_rng(4)))
+        full.append(round_hungarian(ds).pi)
+        if with_incumbent:
+            full.insert(0, incumbent.pi)
+        assert not snapped
+        assert rows.dtype.kind == "i" and rows.shape[1] == p
+        assert np.array_equal(rows, first_occurrences(full))
+        assert rows.shape[0] < len(full)
+
+    def test_duplicates_keep_their_first_position(self):
+        # the incumbent equals the fourth draw: it stays first, and the
+        # draw's later copy is dropped
+        p = 6
+        ds = project_to_birkhoff(np.random.default_rng(3).random((p, p))).ds
+        draws = per_draw_samples(ds, birkhoff.N_SAMPLES, np.random.default_rng(8))
+        rows, _ = rounding_candidates(ds, np.random.default_rng(8), Permutation(draws[3]))
+        assert np.array_equal(rows[0], draws[3])
+        assert np.array_equal(rows[1:4], first_occurrences(draws[:3]))
+        assert sum(np.array_equal(row, draws[3]) for row in rows) == 1
+
+    def test_vertex_is_the_only_candidate_and_draws_nothing(self):
+        perm = Permutation(np.array([2, 0, 3, 1]))
+        ds = DoublyStochastic.from_permutation(perm)
+        rng = np.random.default_rng(0)
+        rows, snapped = rounding_candidates(ds, rng, Permutation.identity(4))
+        assert snapped
+        assert np.array_equal(rows, [np.arange(4), perm.pi])
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+        rows, _ = rounding_candidates(ds, rng, perm)
+        assert np.array_equal(rows, [perm.pi])
+
+
+def exhaustive_winner(l, s, rows):
+    return min(range(rows.shape[0]), key=lambda i: trace_objective(l, Permutation(rows[i]), s))
+
+
+class TestBestCandidate:
+    @pytest.mark.parametrize("p", [3, 4, 6, 10, 20, 30])
+    @pytest.mark.parametrize("with_incumbent", [False, True])
+    def test_winner_of_the_exhaustive_minimum(self, p, with_incumbent):
+        rng = np.random.default_rng(100 * p + with_incumbent)
+        for _ in range(4):
+            s = random_covariance(p, 3 * p, rng)
+            l = random_cholesky(p, rng)
+            incumbent = Permutation(rng.permutation(p)) if with_incumbent else None
+            rows, _ = rounding_candidates(random_ds(p, rng), rng, incumbent)
+            assert best_candidate(l, s, rows) == exhaustive_winner(l, s, rows)
+
+    def test_ranks_the_relaxed_solution_candidates(self):
+        # candidates from a solved relaxation crowd near its optimum
+        rng = np.random.default_rng(7)
+        for p in (5, 12, 25):
+            s = random_covariance(p, 2 * p, rng)
+            l = random_cholesky(p, rng)
+            cfg = RelaxationConfig(mu=max(convexity_thresholds(l, s)[1], 0.0))
+            gp = gradient_projection(l, s, cfg, DoublyStochastic.center(p))
+            rows, _ = rounding_candidates(gp.ds, rng, Permutation(rng.permutation(p)))
+            assert best_candidate(l, s, rows) == exhaustive_winner(l, s, rows)
+
+    def test_all_ties_keep_the_first_row(self):
+        # L = I and S = I give every ordering the trace p/2
+        p = 5
+        rows = np.array([np.random.default_rng(i).permutation(p) for i in range(30)])
+        assert best_candidate(CholeskyFactor(np.eye(p)), SampleCovariance(np.eye(p)), rows) == 0
+
+    def test_partial_ties_keep_the_first_minimizer(self):
+        # diagonal L and S: the trace is 1/2 sum_i l_ii^2 s_pi(i), which
+        # repeated variances tie between orderings
+        p = 6
+        l = CholeskyFactor(np.diag([3.0, 2.0, 2.0, 1.0, 1.0, 0.5]))
+        s = SampleCovariance(np.diag([1.0, 1.0, 2.0, 2.0, 4.0, 4.0]))
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            rows = np.array([rng.permutation(p) for _ in range(40)])
+            assert best_candidate(l, s, rows) == exhaustive_winner(l, s, rows)
+
+    @pytest.mark.parametrize("p", [5, 10, 20, 30, 60])
+    def test_rounding_level_ties_keep_the_exact_winner(self, p):
+        # L = c I gives every ordering the trace c^2 tr(S) / 2, so the
+        # exact values differ only in rounding, and the screen rounds
+        # differently again; without its slack the screen drops the
+        # winner in 22 of these 150 cases
+        rng = np.random.default_rng(p)
+        for _ in range(30):
+            s = random_covariance(p, 3 * p, rng)
+            l = CholeskyFactor(np.eye(p) * rng.uniform(0.5, 2.0))
+            rows = np.array([rng.permutation(p) for _ in range(40)])
+            assert best_candidate(l, s, rows) == exhaustive_winner(l, s, rows)
+
+    def test_clear_winner_first_costs_one_exact_evaluation(self, monkeypatch):
+        # l_ii descending against s ascending is the unique minimizer
+        # (rearrangement), ahead of every other ordering by at least 1/2
+        p = 7
+        l = CholeskyFactor(np.diag(np.arange(p, 0, -1.0)))
+        s = SampleCovariance(np.diag(np.arange(1.0, p + 1)))
+        rng = np.random.default_rng(0)
+        rows = np.array([np.arange(p)] + [rng.permutation(p) for _ in range(60)])
+        calls = []
+        real = birkhoff.trace_objective
+        monkeypatch.setattr(birkhoff, "trace_objective", lambda *a: calls.append(1) or real(*a))
+        assert best_candidate(l, s, rows) == 0
+        assert len(calls) == 1
 
 
 class TestRoundHungarian:

@@ -183,6 +183,63 @@ class TestCliFit:
                     assert got_lhat[(i + 1, j + 1)] == res.l_hat.l[i, j]
 
 
+def capped_solver(monkeypatch, name):
+    """Run the pipeline's L-step entry ``name`` at a one-sweep cap."""
+    from birkdag import pipeline
+    from birkdag.solver import SolverSettings
+
+    real = getattr(pipeline, name)
+    monkeypatch.setattr(pipeline, name,
+                        lambda *args: real(*args, settings=SolverSettings(k_max=1)))
+
+
+class TestCliUnconvergedRows:
+    def test_fit_exits_4_and_names_the_l_steps(self, workdir, tmp_path, capsys, monkeypatch):
+        from birkdag.pipeline import RrcfConfig, fit
+        from birkdag.scoring import McpParams
+        from birkdag.sem import DataMatrix
+
+        capped_solver(monkeypatch, "estimate_cholesky")
+        data = workdir / "gen" / "data.csv"
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--data", str(data), "--lambda", "0.2", "--gamma", "2.0",
+                   "--outer-k-max", "3", "--out", str(out)])
+        assert rc == 4 and out.exists()
+        x = bio.matrix_from_csv(data.read_text())
+        res = fit(DataMatrix(x), RrcfConfig(mcp=McpParams(0.2, 2.0), outer_k_max=3))
+        rows = res.diagnostics["solver_unconverged_rows"]
+        assert rows[0] > 0
+        want = [f"warning: L-step {k} of {len(rows)} left {r} row(s) unconverged at the sweep cap"
+                for k, r in enumerate(rows, 1) if r]
+        assert capsys.readouterr().err.splitlines() == want
+
+    def test_tune_exits_4_and_names_the_cells(self, workdir, tmp_path, capsys, monkeypatch):
+        from birkdag.pipeline import TuningGrid, tune
+        from birkdag.sem import DataMatrix
+
+        capped_solver(monkeypatch, "estimate_cholesky_path")
+        data = workdir / "gen" / "data.csv"
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lambdas": [0.2, 0.4], "gammas": [2.0, 3.0]}))
+        out = tmp_path / "tune"
+        rc = main(["tune", "--data", str(data), "--grid", str(grid), "--out", str(out)])
+        assert rc == 4 and (out / "tuning_table.csv").exists()
+        x = bio.matrix_from_csv(data.read_text())
+        _, table = tune(DataMatrix(x), TuningGrid(lambdas=(0.2, 0.4), gammas=(2.0, 3.0)))
+        assert all(row["unconverged_rows"] > 0 for row in table)
+        want = [f"warning: cell lambda={row['lam']} gamma={row['gamma']} left "
+                f"{row['unconverged_rows']} L-step row(s) unconverged at the sweep cap"
+                for row in table]
+        assert capsys.readouterr().err.splitlines() == want
+
+    def test_uncapped_tune_exits_0_without_warnings(self, workdir, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lambdas": [0.2, 0.4], "gammas": [2.0]}))
+        rc = main(["tune", "--data", str(workdir / "gen" / "data.csv"), "--grid", str(grid),
+                   "--out", str(tmp_path / "tune")])
+        assert rc == 0 and capsys.readouterr().err == ""
+
+
 class TestCliTune:
     def test_single_point_grid(self, workdir, tmp_path):
         grid = tmp_path / "grid.json"
@@ -326,6 +383,18 @@ class TestCliSamplePerms:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 5
         assert all(line == "3,1,4,2" for line in lines)
+
+    def test_output_bytes(self, tmp_path):
+        # rank matching on 0.5 P1 + 0.25 P2 + 0.25 P3, pinned from the
+        # one-draw-per-sample form of the sampler
+        m = tmp_path / "ds.csv"
+        m.write_text("0.25,0.0,0.5,0.0,0.25\n0.5,0.25,0.0,0.25,0.0\n0.0,0.0,0.5,0.0,0.5\n"
+                     "0.0,0.75,0.0,0.25,0.0\n0.25,0.0,0.0,0.5,0.25\n")
+        out = tmp_path / "perms.csv"
+        assert main(["sample-perms", "--matrix", str(m), "--n-samples", "8",
+                     "--seed", "11", "--out", str(out)]) == 0
+        assert out.read_text() == ("3,5,1,2,4\n1,2,5,4,3\n3,1,4,5,2\n3,5,1,2,4\n"
+                                   "3,1,4,5,2\n1,3,5,2,4\n4,5,2,3,1\n2,1,4,3,5\n")
 
     def test_non_ds_input_exits_2(self, tmp_path):
         m = tmp_path / "m.csv"

@@ -50,6 +50,17 @@ class TestTypes:
         x = np.array([10.0, 20.0, 30.0])
         assert np.array_equal(perm.matrix() @ x, x[perm.pi])
 
+    def test_apply_to_matrix_matches_ix_gather_in_c_order(self):
+        # the C order keeps the rounding of sums over the permuted matrix
+        rng = np.random.default_rng(4)
+        for p in (1, 2, 7, 100):
+            a = rng.standard_normal((p, p))
+            perm = Permutation(rng.permutation(p))
+            got = perm.apply_to_matrix(a)
+            assert np.array_equal(got, a[np.ix_(perm.pi, perm.pi)])
+            assert np.array_equal(got, perm.matrix() @ a @ perm.matrix().T)
+            assert got.flags["C_CONTIGUOUS"]
+
     def test_permutation_inverse(self):
         perm = Permutation(np.array([2, 0, 3, 1]))
         assert np.array_equal(perm.inverse().pi[perm.pi], np.arange(4))
@@ -240,6 +251,21 @@ class TestSampleCovariance:
             for j in range(5):
                 brute[i, j] = sum(x[t, i] * x[t, j] for t in range(100)) / 100
         assert np.abs(s - brute).max() <= 1e-12
+
+    def test_spectrum_computed_once(self, monkeypatch):
+        # the constructor's PSD test supplies the cached spectrum; a
+        # covariance built from data computes it at the first read only
+        x = np.random.default_rng(13).standard_normal((40, 5))
+        checked = SampleCovariance(x.T @ x / 40)
+        from_data = sample_covariance(DataMatrix(x))
+        want = np.linalg.eigvalsh(from_data.s)
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        for _ in range(3):
+            assert np.array_equal(checked.spectrum, real(checked.s))
+            assert np.array_equal(from_data.spectrum, want)
+        assert len(calls) == 1
 
     def test_constructor_rejects_non_psd(self):
         with pytest.raises(ValueError, match="positive semi-definite"):
