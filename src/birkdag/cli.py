@@ -42,6 +42,19 @@ class _IoError(Exception):
     pass
 
 
+def _read_doc(path: str, parse, what: str):
+    """parse(the text of path); a malformed document is a ValueError prefixed
+    by ``what``, but a ``ConvexityGuardError`` (gamma <= 1) passes through."""
+    from birkdag.scoring import ConvexityGuardError
+
+    try:
+        return parse(_read_text(path))
+    except ConvexityGuardError:
+        raise
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
 def _load_matrix(path: str) -> np.ndarray:
     from birkdag import io as bio
 
@@ -105,35 +118,31 @@ def cmd_fit(args) -> int:
 
 def cmd_tune(args) -> int:
     from birkdag import io as bio
-    from birkdag.metrics import csv_cell
+    from birkdag.metrics import csv_table
     from birkdag.pipeline import tune
-    from birkdag.scoring import ConvexityGuardError
     from birkdag.sem import DataMatrix
 
-    try:
-        grid = bio.grid_from_json(_read_text(args.grid))
-    except ConvexityGuardError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"invalid grid JSON: {exc}") from exc
+    grid = _read_doc(args.grid, bio.grid_from_json, "invalid grid JSON")
     x = _load_matrix(args.data)
     best, table = tune(DataMatrix(x), grid, init=args.init)
     out = Path(args.out)
-    lines = ["lambda,gamma,support,ebic"]
-    for row in table:
-        lines.append(",".join(csv_cell(row[k]) for k in ("lam", "gamma", "support", "ebic")))
-    _write_text(str(out / "tuning_table.csv"), "\n".join(lines) + "\n")
+    columns = (("lambda", "lam"), *((k, k) for k in (
+        "gamma", "support", "ebic", "sweeps_max", "unconverged_rows", "status")))
+    _write_text(str(out / "tuning_table.csv"), csv_table(table, columns))
     _write_text(str(out / "best_params.json"), json.dumps(
         {"lambda": best["lam"], "gamma": best["gamma"],
          "ebic": best["ebic"], "gamma_bic": grid.gamma_bic},
         indent=2) + "\n")
     print(f"best: lambda={best['lam']} gamma={best['gamma']} ebic={best['ebic']:.6g}")
-    capped = [row for row in table if row["unconverged_rows"]]
-    for row in capped:
-        print(f"warning: cell lambda={row['lam']} gamma={row['gamma']} left "
-              f"{row['unconverged_rows']} L-step row(s) unconverged at the sweep cap",
-              file=sys.stderr)
-    return EXIT_PARTIAL if capped else EXIT_OK
+    partial = [row for row in table if row["status"] != "ok" or row["unconverged_rows"]]
+    for row in partial:
+        cell = f"warning: cell lambda={row['lam']} gamma={row['gamma']}"
+        if row["status"] != "ok":
+            print(f"{cell} was not solved: {row['error']}", file=sys.stderr)
+        else:
+            print(f"{cell} left {row['unconverged_rows']} L-step row(s) unconverged at the "
+                  f"sweep cap", file=sys.stderr)
+    return EXIT_PARTIAL if partial else EXIT_OK
 
 
 def cmd_project(args) -> int:
@@ -169,14 +178,8 @@ def cmd_sample_perms(args) -> int:
 def cmd_benchmark(args) -> int:
     from birkdag import io as bio
     from birkdag.metrics import benchmark_csv, run_benchmark
-    from birkdag.scoring import ConvexityGuardError
 
-    try:
-        spec = bio.spec_from_json(_read_text(args.spec))
-    except ConvexityGuardError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ValueError(f"invalid benchmark spec: {exc}") from exc
+    spec = _read_doc(args.spec, bio.spec_from_json, "invalid benchmark spec")
     rows = run_benchmark(spec, args.threads)
     _write_text(args.out, benchmark_csv(rows))
     n_err = 0

@@ -16,7 +16,7 @@ import numpy as np
 from birkdag.metrics import BenchmarkSpec
 from birkdag.pipeline import FitResult, RrcfConfig, TuningGrid
 from birkdag.scoring import ConvexityGuardError
-from birkdag.sem import NoiseVariances, Permutation, SemInstance, WeightedAdjacency
+from birkdag.sem import NoiseVariances, Permutation, SemInstance, WeightedAdjacency, _as_int
 
 
 def matrix_to_csv(a: np.ndarray) -> str:
@@ -104,23 +104,17 @@ def fit_result_to_json(res: FitResult, n: int, cfg: RrcfConfig) -> str:
         ],
         "ebic": res.ebic_value,
         "converged": res.converged,
-        "diagnostics": _jsonable(res.diagnostics),
+        "diagnostics": res.diagnostics,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, default=_numpy_value) + "\n"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+def _numpy_value(obj):
+    """json's fallback for what it cannot encode itself: numpy scalars and
+    arrays as Python values (np.float64 is a float, which json encodes)."""
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _from_doc(cls, fields: dict, doc: dict, what: str):
@@ -155,11 +149,9 @@ def _floats(values) -> tuple:
 
 def _int(value) -> int:
     """A JSON integer, or a float with no fractional part; never a bool."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
+    return _as_int(value, "expected an integer")
 
 
 def _bool(value) -> bool:

@@ -10,7 +10,7 @@ import numpy as np
 
 from birkdag.pipeline import RrcfConfig, TuningGrid, fit, tune
 from birkdag.scoring import McpParams
-from birkdag.sem import WeightedAdjacency, _check_counts, generate_dag, sample_data
+from birkdag.sem import WeightedAdjacency, _as_int, _check_counts, generate_dag, sample_data
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,8 @@ class BenchmarkSpec:
 
     def __post_init__(self):
         _check_counts(self, n=1, reps=1, seed=0, outer_k_max=1)
-        for value in (v for pair in self.settings for v in pair):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"settings must hold integer (p, s) pairs, got {value!r}")
-        settings = tuple((int(p), int(s)) for p, s in self.settings)
+        must = "settings must hold integer (p, s) pairs"
+        settings = tuple((_as_int(p, must), _as_int(s, must)) for p, s in self.settings)
         if len(set(settings)) != len(settings):
             raise ValueError(f"settings must be distinct, got {settings}")
         for p, s in settings:
@@ -173,24 +171,24 @@ def _worker(conn, spec: BenchmarkSpec, jobs: list) -> None:
         conn.send(_run_replicate(spec, si, rep))
 
 
-def _run_forked(spec: BenchmarkSpec, jobs: list, n: int) -> list[dict]:
+def _run_replicates(spec: BenchmarkSpec, jobs: list, n: int) -> list[dict]:
     """Rows of ``jobs``, run by the caller and n - 1 forked workers.
 
-    The caller runs jobs 0, n, 2n, ...; worker w runs jobs w, w + n, ...
-    in order.  A worker that dies costs only the job it was running: that
+    The caller runs jobs 0, n, 2n, ... and worker w runs jobs w, w + n,
+    ... in order, so with n = 1 the caller runs them all and no process
+    starts.  A worker that dies costs only the job it was running: that
     job gets an error row naming the exit code, and a new worker takes
     over the jobs it had left.  No worker outlives the call.
     """
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    # fork, not spawn: a worker starts with the caller's loaded modules and
-    # module globals, and this function starts no thread a fork could split.
-    ctx = multiprocessing.get_context("fork")
     rows = {}
     running = {}  # read end of a worker's pipe -> (process, jobs not yet received)
 
     def start(share):
+        import multiprocessing
+
+        # fork, not spawn: a worker starts with the caller's loaded modules and
+        # module globals, and this function starts no thread a fork could split.
+        ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_worker, args=(send, spec, share), daemon=True)
         proc.start()
@@ -198,6 +196,8 @@ def _run_forked(spec: BenchmarkSpec, jobs: list, n: int) -> list[dict]:
         running[recv] = (proc, share)
 
     def receive(timeout):
+        from multiprocessing.connection import wait
+
         for conn in wait(list(running), timeout):
             proc, share = running.pop(conn)
             try:
@@ -220,7 +220,8 @@ def _run_forked(spec: BenchmarkSpec, jobs: list, n: int) -> list[dict]:
             start(jobs[w::n])
         for si, rep in jobs[::n]:
             rows[si, rep] = _run_replicate(spec, si, rep)
-            receive(0)  # keep the workers' pipes from filling up
+            if running:
+                receive(0)  # keep the workers' pipes from filling up
         while running:
             receive(None)
     finally:
@@ -235,13 +236,12 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> list[dict]:
     """Run every (setting, replicate) cell and append per-setting means.
 
     Replicates are independent jobs with derived per-replicate seeds, so
-    no row depends on where or when its replicate ran.  With ``workers``
-    1 they run one at a time, in (setting, rep) order, on the caller's
-    thread.  Otherwise n = min(workers, replicates, usable CPUs)
-    processes share them (see ``_worker_count``): the caller runs
-    replicates 0, n, 2n, ... of the (setting, rep) order itself, through
-    the module-global ``_run_replicate``, and n - 1 workers forked for
-    this call run the rest.  Processes, not threads, because replicates
+    no row depends on where or when its replicate ran.  n = min(workers,
+    replicates, usable CPUs) processes share them (see ``_worker_count``
+    and ``_run_replicates``): the caller runs replicates 0, n, 2n, ... of
+    the (setting, rep) order itself, on its own thread, through the
+    module-global ``_run_replicate``, and n - 1 workers forked for this
+    call run the rest.  Processes, not threads, because replicates
     are CPU-bound numpy work that holds the GIL.  A worker process that
     dies turns only the replicate it was running into an error row.
     """
@@ -253,11 +253,7 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> list[dict]:
     # Workers inherit it.
     importlib.import_module("scipy.optimize")
     jobs = [(si, rep) for si in range(len(spec.settings)) for rep in range(spec.reps)]
-    n = _worker_count(workers, len(jobs))
-    if n == 1:
-        rows = [_run_replicate(spec, si, rep) for si, rep in jobs]
-    else:
-        rows = _run_forked(spec, jobs, n)
+    rows = _run_replicates(spec, jobs, _worker_count(workers, len(jobs)))
     out = []
     for si, (p, s) in enumerate(spec.settings):
         block = rows[si * spec.reps:(si + 1) * spec.reps]
@@ -279,10 +275,14 @@ def csv_cell(value) -> str:
     return str(value)
 
 
+def csv_table(rows: list[dict], columns: tuple) -> str:
+    """Rows as a CSV table: one column per (header, row key) pair, in order,
+    each cell by ``csv_cell``; a key the row lacks is an empty cell."""
+    lines = [",".join(header for header, _ in columns)]
+    lines.extend(",".join(csv_cell(r.get(key)) for _, key in columns) for r in rows)
+    return "\n".join(lines) + "\n"
+
+
 def benchmark_csv(rows: list[dict]) -> str:
     """Render benchmark rows in the fixed column order, full precision."""
-    lines = [CSV_HEADER]
-    cols = CSV_HEADER.split(",")
-    for r in rows:
-        lines.append(",".join(csv_cell(r.get(c)) for c in cols))
-    return "\n".join(lines) + "\n"
+    return csv_table(rows, tuple((c, c) for c in CSV_HEADER.split(",")))

@@ -40,7 +40,7 @@ from birkdag.sem import (
     cholesky_to_adjacency,
     sample_covariance,
 )
-from birkdag.solver import estimate_cholesky, estimate_cholesky_path
+from birkdag.solver import estimate_cholesky, estimate_cholesky_path, gamma_guard, guard_error
 
 # Each ordering step starts gradient projection from
 # ANCHOR * (incumbent vertex) + (1 - ANCHOR) * (polytope center): an
@@ -257,24 +257,41 @@ def tune(
     cell is scored by the eBIC of its factor on the full-data
     log-likelihood scale, 2 n nll + s log n + 4 s grid.gamma_bic log p.
     Each table row holds the cell's "lam" and "gamma", "ebic",
-    "support", and the cell's L-step "sweeps_max" and
-    "unconverged_rows".  Returns (best row, table); the best row is the
-    eBIC argmin with ties resolved by grid order.
+    "support", the cell's L-step "sweeps_max" and "unconverged_rows",
+    and "status" "ok".  A cell whose gamma does not exceed the data's
+    ``gamma_guard`` is not solved, and the other cells keep their bits:
+    its row has "status" "guard", None for the four numbers, and the
+    guard's message under "error".  Returns (best row, table); the best
+    row is the eBIC argmin over the solved cells, with ties resolved by
+    grid order.  Raises the first cell's ``ConvexityGuardError`` when no
+    cell passes the guard.
     """
     _check_init(init)
     x, s = _data_and_covariance(x, "tune")
     cells = grid.cells()
+    guard = gamma_guard(s)
+    passed = [cell for cell in cells if cell.gamma > guard]
+    if not passed:
+        raise guard_error(cells[0], guard)
     order = _initial_order(s, init)
+    solved = iter(estimate_cholesky_path(order, s, passed))
     table = []
-    for cell, ch in zip(cells, estimate_cholesky_path(order, s, cells)):
-        support = ch.l.support_size()
-        nll = neg_log_likelihood(ch.l, order, s)
-        table.append({
-            "lam": cell.lam,
-            "gamma": cell.gamma,
-            "ebic": ebic(x.n * nll, support, x.n, x.p, grid.gamma_bic),
-            "support": support,
-            "sweeps_max": int(ch.sweeps.max()),
-            "unconverged_rows": int((~ch.converged).sum()),
-        })
-    return min(table, key=lambda row: row["ebic"]), table
+    for cell in cells:
+        row = {"lam": cell.lam, "gamma": cell.gamma}
+        if cell.gamma <= guard:
+            row.update(ebic=None, support=None, sweeps_max=None, unconverged_rows=None,
+                       status="guard", error=str(guard_error(cell, guard)))
+        else:
+            ch = next(solved)
+            support = ch.l.support_size()
+            nll = neg_log_likelihood(ch.l, order, s)
+            row.update(
+                ebic=ebic(x.n * nll, support, x.n, x.p, grid.gamma_bic),
+                support=support,
+                sweeps_max=int(ch.sweeps.max()),
+                unconverged_rows=int((~ch.converged).sum()),
+                status="ok",
+            )
+        table.append(row)
+    best = min((row for row in table if row["status"] == "ok"), key=lambda row: row["ebic"])
+    return best, table

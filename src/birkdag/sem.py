@@ -27,17 +27,22 @@ def _as_float_matrix(a, name):
     return a
 
 
+def _as_int(value, must: str) -> int:
+    """An integer (numpy's too) as an int; anything else, a bool or a float
+    among them, is ValueError(f"{must}, got {value!r}")."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{must}, got {value!r}")
+    return int(value)
+
+
 def _check_counts(obj, **minimum) -> None:
     """Store each named field of the frozen dataclass ``obj`` as an int of at
-    least its minimum; a bool, a float or anything but an integer (numpy's
-    too) is a ValueError naming the field."""
+    least its minimum (see ``_as_int``)."""
     for name, low in minimum.items():
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = _as_int(getattr(obj, name), f"{name} must be an integer")
         if value < low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
-        object.__setattr__(obj, name, int(value))
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)

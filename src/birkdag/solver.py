@@ -166,6 +166,18 @@ class CholeskyEstimate:
         return bool(self.converged.all())
 
 
+def gamma_guard(s: SampleCovariance) -> float:
+    """max(1/(2 min S_ii), 1): at every ordering, the L-step's coordinate
+    subproblems are strictly convex exactly for gamma above it."""
+    return max(float(1.0 / (2.0 * np.diag(s.s).min())), 1.0)
+
+
+def guard_error(params: McpParams, guard: float) -> ConvexityGuardError:
+    """The error of a cell whose gamma does not exceed ``gamma_guard``."""
+    return ConvexityGuardError(
+        f"gamma={params.gamma} must exceed max(1/(2 min S^P_ii), 1) = {guard}")
+
+
 def estimate_cholesky_path(
     perm: Permutation,
     s: SampleCovariance,
@@ -195,12 +207,10 @@ def estimate_cholesky_path(
     sp = _permuted_cov(perm, s)
     p = sp.shape[0]
     d = np.diag(sp).copy()  # positive: SampleCovariance enforces it
-    guard = max(float(1.0 / (2.0 * d.min())), 1.0)
+    guard = gamma_guard(s)
     for params in params_seq:
         if params.gamma <= guard:
-            raise ConvexityGuardError(
-                f"gamma={params.gamma} must exceed max(1/(2 min S^P_ii), 1) = {guard}"
-            )
+            raise guard_error(params, guard)
 
     if l0 is not None and l0.p != p:
         raise ValueError("l0 dimension disagrees with the covariance")

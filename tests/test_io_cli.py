@@ -251,8 +251,9 @@ class TestCliTune:
         best = json.loads((out / "best_params.json").read_text())
         assert best["lambda"] == 0.3
         table = (out / "tuning_table.csv").read_text().splitlines()
-        assert table[0] == "lambda,gamma,support,ebic"
+        assert table[0] == "lambda,gamma,support,ebic,sweeps_max,unconverged_rows,status"
         assert len(table) == 2
+        assert table[1].startswith("0.3,2.0,") and table[1].endswith(",0,ok")
 
     def test_seed_is_not_an_option(self, workdir, tmp_path):
         # tune is deterministic without one: no step of it draws at random
@@ -295,7 +296,7 @@ class TestCliTune:
             assert main(["tune", "--data", str(workdir / "gen" / "data.csv"),
                          "--grid", str(grid), "--out", str(out)]) == 0
             rows = (out / "tuning_table.csv").read_text().splitlines()[1:]
-            tables[name] = [row.split(",")[-1] for row in rows]
+            tables[name] = [row.split(",")[3] for row in rows]  # the ebic column
         assert tables["one"] != tables["default"]
         best = json.loads((tmp_path / "one" / "best_params.json").read_text())
         assert best["gamma_bic"] == 1.0
@@ -325,6 +326,30 @@ class TestCliGuard:
         err = capsys.readouterr().err
         assert err == f"error: gamma=1.5 must exceed max(1/(2 min S^P_ii), 1) = {guard}\n"
         assert not out.exists()
+
+    def test_tune_writes_every_cell_and_exits_4_when_one_fails(self, workdir, tmp_path, capsys):
+        from birkdag.pipeline import TuningGrid, tune
+        from birkdag.sem import DataMatrix, sample_covariance
+
+        x = 0.1 * bio.matrix_from_csv((workdir / "gen" / "data.csv").read_text())
+        data = tmp_path / "scaled.csv"
+        data.write_text(bio.matrix_to_csv(x))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lambdas": [0.2], "gammas": [1.5, 500.0]}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["tune", "--data", str(data), "--grid", str(grid), "--out", str(out)]) == 4
+        _, table = tune(DataMatrix(x), TuningGrid(lambdas=(0.2,), gammas=(500.0,)))
+        assert (out / "tuning_table.csv").read_text().splitlines()[1:] == [
+            "0.2,1.5,,,,,guard",
+            ",".join(str(table[0][k]) for k in (
+                "lam", "gamma", "support", "ebic", "sweeps_max", "unconverged_rows", "status")),
+        ]
+        assert json.loads((out / "best_params.json").read_text())["gamma"] == 500.0
+        guard = 1.0 / (2.0 * np.diag(sample_covariance(DataMatrix(x)).s).min())
+        assert capsys.readouterr().err == (
+            "warning: cell lambda=0.2 gamma=1.5 was not solved: "
+            f"gamma=1.5 must exceed max(1/(2 min S^P_ii), 1) = {guard}\n")
 
     @pytest.mark.parametrize("command", ["tune", "benchmark"])
     def test_gamma_at_one_in_json_exits_5(self, workdir, tmp_path, capsys, command):

@@ -189,6 +189,17 @@ class TestRunBenchmark:
         assert [r["tpr"] for r in rows if r["rep"] == "mean"] == [1.0, 1.0]
         assert [r["shd"] for r in rows if r["rep"] == "mean"] == [0.0, 1.0]
 
+    def test_runs_where_the_platform_cannot_fork(self, monkeypatch):
+        # the caller runs every replicate, and no fork context is asked for
+        def no_fork(*args):
+            raise ValueError("cannot find context for 'fork'")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(metrics, "_run_replicate", fake_replicate)
+        rows = run_benchmark(tiny_spec(reps=3), 4)
+        assert [r["rep"] for r in rows] == [0, 1, 2, "mean"]
+
     def test_scipy_optimize_loads_before_the_first_replicate(self):
         # a fresh interpreter: importing birkdag leaves scipy.optimize and
         # multiprocessing out, and run_benchmark loads scipy.optimize before

@@ -373,13 +373,64 @@ class TestTune:
             tune(x, TuningGrid(lambdas=(0.2,), gammas=(2.0,)), RrcfConfig())
 
     def test_guard_error_names_the_first_bad_cell(self):
+        # tune raises only when no cell passes the guard (about 50 here)
         x = independent_data(4, 200, 6)
         x = DataMatrix(x.x * np.array([0.1, 1.0, 1.0, 1.0]))
         with pytest.raises(ConvexityGuardError) as one_cell:
             fit(x, RrcfConfig(mcp=McpParams(0.2, 2.0), outer_k_max=1))
         with pytest.raises(ConvexityGuardError) as grid:
-            tune(x, TuningGrid(lambdas=(0.2,), gammas=(100.0, 2.0, 1.5)))
+            tune(x, TuningGrid(lambdas=(0.2,), gammas=(2.0, 1.5)))
         assert str(grid.value) == str(one_cell.value)
+        best, table = tune(x, TuningGrid(lambdas=(0.2,), gammas=(100.0, 2.0, 1.5)))
+        assert best is table[0]
+        assert [row["status"] for row in table] == ["ok", "guard", "guard"]
+        assert table[1]["error"] == str(one_cell.value)
+
+    def test_a_cell_failing_the_guard_leaves_the_others(self, monkeypatch):
+        # gamma 2 is below this data's guard of 5.857; gamma 10 is above it
+        rng = np.random.default_rng(0)
+        x = 0.3 * sample_data(generate_dag(10, 10, rng), 200, rng).x
+        solves = []
+
+        def recording(perm, s, cells, *args, **kwargs):
+            out = estimate_cholesky_path(perm, s, cells, *args, **kwargs)
+            solves.append((list(cells), out))
+            return out
+
+        monkeypatch.setattr(pipeline, "estimate_cholesky_path", recording)
+        best, table = tune(x, TuningGrid(lambdas=(0.2, 0.3), gammas=(2.0, 10.0)))
+        alone, alone_table = tune(x, TuningGrid(lambdas=(0.2, 0.3), gammas=(10.0,)))
+        assert best["gamma"] == 10.0 and best == alone
+        assert [row["status"] for row in table] == ["guard", "ok", "guard", "ok"]
+        assert [table[1], table[3]] == alone_table
+        for row in (table[0], table[2]):
+            assert [row[k] for k in ("ebic", "support", "sweeps_max", "unconverged_rows")] == [
+                None] * 4
+            assert row["error"].startswith("gamma=2.0 must exceed max(1/(2 min S^P_ii), 1) = 5.857")
+        (mixed_cells, mixed), (alone_cells, solo) = solves
+        assert mixed_cells == alone_cells == [McpParams(0.2, 10.0), McpParams(0.3, 10.0)]
+        for a, b in zip(mixed, solo):
+            assert np.array_equal(a.l.l, b.l.l) and np.array_equal(a.sweeps, b.sweeps)
+
+    @pytest.mark.parametrize("p, s, seed", [(30, 30, 11), (100, 100, 12)])
+    def test_the_selected_cell_is_the_first_l_step_of_its_fit(self, monkeypatch, p, s, seed):
+        # a fit at tune's selected cell re-solves, bit for bit, the factor
+        # tune already has: the hand-off of ROADMAP item 14 loses nothing
+        rng = np.random.default_rng(seed)
+        x = sample_data(generate_dag(p, s, rng), 150, rng)
+        solved = []
+
+        def recording(perm, s, cells, *args, **kwargs):
+            out = estimate_cholesky_path(perm, s, cells, *args, **kwargs)
+            solved.extend(zip(cells, out))
+            return out
+
+        monkeypatch.setattr(pipeline, "estimate_cholesky_path", recording)
+        best, _ = tune(x, TuningGrid(lambdas=(0.3, 0.4, 0.5, 0.6, 0.7)))
+        cell = McpParams(best["lam"], best["gamma"])
+        factor = dict(solved)[cell].l.l
+        res = fit(x, RrcfConfig(mcp=cell, outer_k_max=1))
+        assert np.array_equal(res.l_hat.l, factor)
 
 
 def test_public_names_resolve():
