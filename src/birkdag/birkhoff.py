@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance, _check_counts
+from birkdag.scoring import trace_objective
+from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance, _as_int, _as_real
 
 # Entrywise negativity / marginal-sum slack a doubly stochastic matrix is
 # allowed; projection iterates must clear these before they are returned.
@@ -138,11 +139,9 @@ class RelaxationConfig:
     k_max: int = 100
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError(f"mu must be a nonnegative real, got {self.mu}")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        _check_counts(self, k_max=1)
+        object.__setattr__(self, "mu", _as_real(self.mu, "mu must be a nonnegative real", 0.0))
+        object.__setattr__(self, "eps", _as_real(self.eps, "eps must be positive", 0.0, above=True))
+        object.__setattr__(self, "k_max", _as_int(self.k_max, "k_max", 1))
 
 
 def project_to_birkhoff(
@@ -187,13 +186,14 @@ def project_to_birkhoff(
     Parameters
     ----------
     p0 : non-empty square matrix to project.
-    eps : positive duality-gap tolerance; the marginals are held to it
-        too, where float64 allows.
-    k_max : iteration cap; every iteration tests the current point and
-        all but the last take one Newton step, so at most k_max - 1 steps
-        are taken.  On expiry, or earlier when no step can improve the
-        point any more, the iterate is made feasible by
-        ``_force_feasible`` and returned with ``converged=False``.
+    eps : positive, finite duality-gap tolerance; the marginals are held
+        to it too, where float64 allows.
+    k_max : iteration cap, an integer of at least 1; every iteration
+        tests the current point and all but the last take one Newton
+        step, so at most k_max - 1 steps are taken.  On expiry, or
+        earlier when no step can improve the point any more, the iterate
+        is made feasible by ``_force_feasible`` and returned with
+        ``converged=False``.
     duals0 : optional warm start for (u, v), each finite and of shape
         (p,); repeated projections of nearby points converge in one or two
         Newton steps.
@@ -207,10 +207,8 @@ def project_to_birkhoff(
     sq = float(np.add.reduce(p0 * p0, None))
     if not sq < np.inf and not np.isfinite(p0).all():
         raise ValueError("p0 contains non-finite entries")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    eps = _as_real(eps, "eps must be positive", 0.0, above=True)
+    k_max = _as_int(k_max, "k_max", 1)
     p = p0.shape[0]
     if duals0 is not None:
         for name in ("u", "v"):
@@ -633,8 +631,7 @@ def sample_permutations(
     on the ranks of x the way ds does: P r(x) = r(ds x).  The draws are
     taken in one call, the same stream as one call per sample.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    n_samples = _as_int(n_samples, "n_samples", 1)
     return [Permutation(pi) for pi in _match_ranks(ds.m, rng.standard_normal((n_samples, ds.p)))]
 
 
@@ -659,12 +656,6 @@ def _snap_to_permutation(ds_m: np.ndarray, tol: float = 1e-6) -> Permutation | N
     if not ((r.sum(axis=0) == 1.0).all() and (r.sum(axis=1) == 1.0).all() and r.min() == 0.0):
         return None
     return Permutation(np.argmax(r, axis=1))
-
-
-def trace_objective(l: CholeskyFactor, perm: Permutation, s: SampleCovariance) -> float:
-    """1/2 tr(L P S P^t L^t), the ordering part of the score at a vertex."""
-    sp = perm.apply_to_matrix(s.s)
-    return 0.5 * float(np.einsum("ij,ij->", l.l @ sp, l.l))
 
 
 def rounding_candidates(
@@ -743,7 +734,6 @@ def best_candidate(l: CholeskyFactor, s: SampleCovariance, candidates: np.ndarra
 @dataclass(frozen=True)
 class PermutationEstimate:
     perm: Permutation
-    relaxed: DoublyStochastic
     gp_converged: bool
     gp_iters: int
     snapped: bool
@@ -775,7 +765,6 @@ def estimate_permutation(
     candidates, snapped = rounding_candidates(gp.ds, rng, incumbent)
     return PermutationEstimate(
         perm=Permutation(candidates[best_candidate(l, s, candidates)]),
-        relaxed=gp.ds,
         gp_converged=gp.converged,
         gp_iters=gp.n_iter,
         snapped=snapped,

@@ -42,19 +42,6 @@ class _IoError(Exception):
     pass
 
 
-def _read_doc(path: str, parse, what: str):
-    """parse(the text of path); a malformed document is a ValueError prefixed
-    by ``what``, but a ``ConvexityGuardError`` (gamma <= 1) passes through."""
-    from birkdag.scoring import ConvexityGuardError
-
-    try:
-        return parse(_read_text(path))
-    except ConvexityGuardError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ValueError(f"{what}: {exc}") from exc
-
-
 def _load_matrix(path: str) -> np.ndarray:
     from birkdag import io as bio
 
@@ -105,7 +92,7 @@ def cmd_fit(args) -> int:
     res = fit(DataMatrix(x), cfg)
     _write_text(args.out, bio.fit_result_to_json(res, x.shape[0], cfg))
     print(f"fit written to {args.out}; ebic={res.ebic_value:.6g}; "
-          f"support={res.l_hat.support_size()}; converged={res.converged}")
+          f"support={res.l_hat.support_size()}; ordering_fixed_point={res.converged}")
     unconverged = res.diagnostics["solver_unconverged_rows"]
     for step, rows in enumerate(unconverged, 1):
         if rows:
@@ -122,7 +109,7 @@ def cmd_tune(args) -> int:
     from birkdag.pipeline import tune
     from birkdag.sem import DataMatrix
 
-    grid = _read_doc(args.grid, bio.grid_from_json, "invalid grid JSON")
+    grid = bio.grid_from_json(_read_text(args.grid))
     x = _load_matrix(args.data)
     best, table = tune(DataMatrix(x), grid, init=args.init)
     out = Path(args.out)
@@ -179,7 +166,7 @@ def cmd_benchmark(args) -> int:
     from birkdag import io as bio
     from birkdag.metrics import benchmark_csv, run_benchmark
 
-    spec = _read_doc(args.spec, bio.spec_from_json, "invalid benchmark spec")
+    spec = bio.spec_from_json(_read_text(args.spec))
     rows = run_benchmark(spec, args.threads)
     _write_text(args.out, benchmark_csv(rows))
     n_err = 0

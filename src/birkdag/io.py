@@ -16,7 +16,7 @@ import numpy as np
 from birkdag.metrics import BenchmarkSpec
 from birkdag.pipeline import FitResult, RrcfConfig, TuningGrid
 from birkdag.scoring import ConvexityGuardError
-from birkdag.sem import NoiseVariances, Permutation, SemInstance, WeightedAdjacency, _as_int
+from birkdag.sem import NoiseVariances, Permutation, SemInstance, WeightedAdjacency
 
 
 def matrix_to_csv(a: np.ndarray) -> str:
@@ -117,68 +117,60 @@ def _numpy_value(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _from_doc(cls, fields: dict, doc: dict, what: str):
-    """cls built from the keys present in doc, each converted by fields;
-    absent keys take cls's defaults and unknown keys are an error.  A
-    ``ConvexityGuardError`` from a nested document passes through as it is,
-    so a gamma <= 1 anywhere keeps its own error class."""
-    unknown = set(doc) - set(fields)
+def _labelled(label: str, build):
+    """build(), with a KeyError, TypeError or ValueError re-raised as
+    ValueError(f"{label}: {exc}").  A ``ConvexityGuardError`` passes
+    through as it is, so a gamma <= 1 anywhere keeps its own error class."""
+    try:
+        return build()
+    except ConvexityGuardError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{label}: {exc}") from exc
+
+
+def _from_doc(cls, doc, what: str, **shape):
+    """The dataclass cls built from the keys present in the JSON object doc.
+
+    Each value is shaped by its function in ``shape``, if any, and then
+    checked by cls on its own, against cls's defaults for the other
+    fields, so that an error names its key.  Absent keys take cls's
+    defaults; a key that is not a field of cls is an error.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"the {what} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
     values = {}
     for k, v in doc.items():
-        try:
-            values[k] = fields[k](v)
-        except ConvexityGuardError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{what} key {k!r}: {exc}") from exc
+        values[k] = _labelled(f"{what} key {k!r}",
+                              lambda: getattr(cls(**{k: shape[k](v) if k in shape else v}), k))
     return cls(**values)
 
 
-def _float(value) -> float:
-    """A JSON number; never a bool or a string."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"expected a number, got {value!r}")
+def _int(value):
+    """A float with no fractional part, which is how JSON may write a count,
+    as an int; any other value as it is, for the owning type to check."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
-def _floats(values) -> tuple:
-    return tuple(_float(v) for v in values)
+def _grid(doc) -> TuningGrid:
+    return _from_doc(TuningGrid, doc, "grid")
 
 
-def _int(value) -> int:
-    """A JSON integer, or a float with no fractional part; never a bool."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return _as_int(value, "expected an integer")
-
-
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
-_GRID_FIELDS = {"lambdas": _floats, "gammas": _floats, "gamma_bic": _float}
-_SPEC_FIELDS = {
-    "settings": lambda pairs: tuple(tuple(_int(v) for v in pair) for pair in pairs),
-    "n": _int,
-    "reps": _int,
-    "seed": _int,
-    "outer_k_max": _int,
-    "grid": lambda doc: _from_doc(TuningGrid, _GRID_FIELDS, doc, "grid"),
-    "measure_runtime": _bool,
-}
+def _spec(doc) -> BenchmarkSpec:
+    if isinstance(doc, dict) and "settings" not in doc:
+        raise KeyError("settings")
+    counts = dict.fromkeys(("n", "reps", "seed", "outer_k_max"), _int)
+    return _from_doc(BenchmarkSpec, doc, "spec", grid=_grid, **counts,
+                     settings=lambda pairs: [[_int(v) for v in pair] for pair in pairs])
 
 
 def grid_from_json(text: str) -> TuningGrid:
-    return _from_doc(TuningGrid, _GRID_FIELDS, json.loads(text), "grid")
+    return _labelled("invalid grid JSON", lambda: _grid(json.loads(text)))
 
 
 def spec_from_json(text: str) -> BenchmarkSpec:
     """Benchmark spec; "settings" is required, every other key optional."""
-    doc = json.loads(text)
-    if "settings" not in doc:
-        raise KeyError("settings")
-    return _from_doc(BenchmarkSpec, _SPEC_FIELDS, doc, "spec")
+    return _labelled("invalid benchmark spec", lambda: _spec(json.loads(text)))

@@ -10,7 +10,7 @@ import numpy as np
 
 from birkdag.pipeline import RrcfConfig, TuningGrid, fit, tune
 from birkdag.scoring import McpParams
-from birkdag.sem import WeightedAdjacency, _as_int, _check_counts, generate_dag, sample_data
+from birkdag.sem import WeightedAdjacency, _as_setting, _check_counts, generate_dag, sample_data
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,16 @@ class BenchmarkSpec:
 
     def __post_init__(self):
         _check_counts(self, n=1, reps=1, seed=0, outer_k_max=1)
-        must = "settings must hold integer (p, s) pairs"
-        settings = tuple((_as_int(p, must), _as_int(s, must)) for p, s in self.settings)
+        try:
+            settings = tuple(_as_setting(p, s) for p, s in self.settings)
+        except ValueError as exc:
+            raise ValueError(f"settings must hold integer (p, s) pairs that generate_dag "
+                             f"accepts: {exc}") from exc
         if len(set(settings)) != len(settings):
             raise ValueError(f"settings must be distinct, got {settings}")
-        for p, s in settings:
-            if p < 2:
-                raise ValueError(f"settings require p >= 2, got p={p}")
-            if not 0 <= s <= p * (p - 1) // 2:
-                raise ValueError(f"setting (p={p}, s={s}) has s out of range")
         object.__setattr__(self, "settings", settings)
+        if not isinstance(self.measure_runtime, bool):
+            raise ValueError(f"measure_runtime must be a bool, got {self.measure_runtime!r}")
 
 
 def extract_edges(b: WeightedAdjacency) -> EdgeSet:

@@ -28,7 +28,14 @@ from birkdag.birkhoff import (
     convexity_thresholds,
     estimate_permutation,
 )
-from birkdag.scoring import McpParams, ScoreBreakdown, ebic, neg_log_likelihood, penalized_score
+from birkdag.scoring import (
+    McpParams,
+    ScoreBreakdown,
+    _as_gamma_bic,
+    ebic,
+    neg_log_likelihood,
+    penalized_score,
+)
 from birkdag.sem import (
     CholeskyFactor,
     DataMatrix,
@@ -36,6 +43,7 @@ from birkdag.sem import (
     Permutation,
     SampleCovariance,
     WeightedAdjacency,
+    _as_real,
     _check_counts,
     cholesky_to_adjacency,
     sample_covariance,
@@ -79,11 +87,10 @@ class RrcfConfig:
 
     def __post_init__(self):
         if self.mu is not None:
-            RelaxationConfig(mu=self.mu)  # its check, so mu has one error text
+            object.__setattr__(self, "mu", RelaxationConfig(mu=self.mu).mu)
         _check_counts(self, outer_k_max=1, seed=0)
         _check_init(self.init)
-        if not 0.0 <= self.gamma_bic <= 1.0:
-            raise ValueError("gamma_bic must lie in [0, 1]")
+        object.__setattr__(self, "gamma_bic", _as_gamma_bic(self.gamma_bic))
 
 
 @dataclass(frozen=True)
@@ -221,9 +228,9 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
 class TuningGrid:
     """Grid of tuning parameters searched by eBIC.
 
-    Each cell is one (lambda, gamma) pair and must be valid
-    ``McpParams``; ``gamma_bic`` is the eBIC weight every cell is scored
-    with.
+    ``lambdas`` and ``gammas`` are stored as tuples of floats.  Each cell
+    is one (lambda, gamma) pair and must be valid ``McpParams``;
+    ``gamma_bic`` is the eBIC weight every cell is scored with.
     """
 
     lambdas: tuple = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
@@ -231,10 +238,13 @@ class TuningGrid:
     gamma_bic: float = 0.5
 
     def __post_init__(self):
-        if len(self.lambdas) == 0 or len(self.gammas) == 0:
-            raise ValueError("lambdas and gammas must be non-empty")
-        if not 0.0 <= self.gamma_bic <= 1.0:
-            raise ValueError("gamma_bic must lie in [0, 1]")
+        for name in ("lambdas", "gammas"):
+            values = tuple(_as_real(v, f"{name} must hold finite reals")
+                           for v in getattr(self, name))
+            if not values:
+                raise ValueError("lambdas and gammas must be non-empty")
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "gamma_bic", _as_gamma_bic(self.gamma_bic))
         self.cells()
 
     def cells(self) -> list[McpParams]:

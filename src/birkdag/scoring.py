@@ -5,11 +5,12 @@ S, the negative log-likelihood (up to constants, per observation) is
 
     nll(L, P, S) = 1/2 tr(P S P^t L^t L) - sum_j log L_jj
 
-(its trace term is the ordering step's ``birkhoff.trace_objective``),
-and the penalized score adds the minimax concave penalty over the
-strict lower triangle of L.  Diagonal entries are never penalized: the
-row-decoupled solver subproblems penalize only the regression
-coefficients, and the score used for reporting matches the solver.
+(its trace term, ``trace_objective``, is what the ordering step
+minimizes over permutations), and the penalized score adds the minimax
+concave penalty over the strict lower triangle of L.  Diagonal entries
+are never penalized: the row-decoupled solver subproblems penalize only
+the regression coefficients, and the score used for reporting matches
+the solver.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# bound at import, so that rebinding ``birkhoff.trace_objective`` (as a
-# profiler counting rounding candidates does) leaves the likelihood alone
-from birkdag.birkhoff import trace_objective
-from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance
+from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance, _as_int, _as_real
 
 
 class ConvexityGuardError(ValueError):
@@ -36,23 +34,23 @@ class ConvexityGuardError(ValueError):
 
 @dataclass(frozen=True)
 class McpParams:
-    """Minimax concave penalty parameters (lambda >= 0, gamma > 1).
+    """Minimax concave penalty parameters (lambda >= 0, gamma > 1), stored
+    as floats.
 
-    A non-finite value or a negative lambda is a ``ValueError``; a finite
-    gamma <= 1 is a ``ConvexityGuardError``.
+    A value that is not a finite real, or a negative lambda, is a
+    ``ValueError``; a finite gamma <= 1 is a ``ConvexityGuardError``.
     """
 
     lam: float
     gamma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lambda must be a nonnegative real, got {self.lam}")
-        msg = f"gamma must exceed 1, got {self.gamma}"
-        if not np.isfinite(self.gamma):
-            raise ValueError(msg)
-        if self.gamma <= 1:
-            raise ConvexityGuardError(msg)
+        lam = _as_real(self.lam, "lambda must be a nonnegative real", 0.0)
+        gamma = _as_real(self.gamma, "gamma must exceed 1")
+        if gamma <= 1:
+            raise ConvexityGuardError(f"gamma must exceed 1, got {gamma!r}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "gamma", gamma)
 
 
 @dataclass(frozen=True)
@@ -83,6 +81,12 @@ def _permuted_cov(perm: Permutation, s: SampleCovariance) -> np.ndarray:
     return perm.apply_to_matrix(s.s)
 
 
+def trace_objective(l: CholeskyFactor, perm: Permutation, s: SampleCovariance) -> float:
+    """1/2 tr(L P S P^t L^t), the ordering part of the score at a vertex."""
+    sp = perm.apply_to_matrix(s.s)
+    return 0.5 * float(np.einsum("ij,ij->", l.l @ sp, l.l))
+
+
 def neg_log_likelihood(l: CholeskyFactor, perm: Permutation, s: SampleCovariance) -> float:
     """1/2 tr(P S P^t L^t L) - sum_j log L_jj: ``trace_objective`` less the log-diagonal."""
     if not l.p == perm.p == s.p:
@@ -103,6 +107,11 @@ def penalized_score(
     return ScoreBreakdown(nll=nll, penalty=penalty)
 
 
+def _as_gamma_bic(value) -> float:
+    """The eBIC weight ``gamma_bic``, a real in [0, 1], as a float."""
+    return _as_real(value, "gamma_bic must lie in [0, 1]", 0.0, 1.0)
+
+
 def ebic(nll_value: float, support_size: int, n: int, p: int, gamma_bic: float) -> float:
     """Extended BIC: -2 Ln + s log n + 4 s gamma_bic log p.
 
@@ -112,11 +121,6 @@ def ebic(nll_value: float, support_size: int, n: int, p: int, gamma_bic: float) 
     scale pass n * neg_log_likelihood(...); see ``pipeline.tune``.
     ``gamma_bic = 0`` reproduces the classical BIC.
     """
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be positive")
-    if support_size < 0:
-        raise ValueError("support size must be nonnegative")
-    if not 0.0 <= gamma_bic <= 1.0:
-        raise ValueError(f"gamma_bic must lie in [0, 1], got {gamma_bic}")
-    s = support_size
+    n, p, s = _as_int(n, "n", 1), _as_int(p, "p", 1), _as_int(support_size, "support size", 0)
+    gamma_bic = _as_gamma_bic(gamma_bic)
     return float(2.0 * nll_value + s * np.log(n) + 4.0 * s * gamma_bic * np.log(p))

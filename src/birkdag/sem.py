@@ -27,11 +27,14 @@ def _as_float_matrix(a, name):
     return a
 
 
-def _as_int(value, must: str) -> int:
-    """An integer (numpy's too) as an int; anything else, a bool or a float
-    among them, is ValueError(f"{must}, got {value!r}")."""
+def _as_int(value, name: str, low: int, high: float = np.inf) -> int:
+    """An integer (numpy's too) in [low, high] as an int; anything else, a
+    bool or a float among them, is a ValueError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{must}, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        bound = f"be at least {low}" if high == np.inf else f"lie in [{low}, {high}]"
+        raise ValueError(f"{name} must {bound}, got {value}")
     return int(value)
 
 
@@ -39,10 +42,27 @@ def _check_counts(obj, **minimum) -> None:
     """Store each named field of the frozen dataclass ``obj`` as an int of at
     least its minimum (see ``_as_int``)."""
     for name, low in minimum.items():
-        value = _as_int(getattr(obj, name), f"{name} must be an integer")
-        if value < low:
-            raise ValueError(f"{name} must be at least {low}, got {value}")
-        object.__setattr__(obj, name, value)
+        object.__setattr__(obj, name, _as_int(getattr(obj, name), name, low))
+
+
+def _as_real(value, must: str, low: float = -np.inf, high: float = np.inf, *,
+             above: bool = False) -> float:
+    """A finite real (numpy's too) in [low, high], or in (low, high] when
+    ``above``, as a float; anything else, a bool, a string or nan among them,
+    is ValueError(f"{must}, got {value!r}").  Plain Python: no numpy call."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{must}, got {value!r}")
+    v = float(value)
+    if not (-np.inf < v < np.inf and (low < v if above else low <= v) and v <= high):
+        raise ValueError(f"{must}, got {value!r}")
+    return v
+
+
+def _as_setting(p, s) -> tuple[int, int]:
+    """A (p, s) setting of ``generate_dag`` as ints: p variables, at least 2,
+    and an expected edge count s in [0, p(p-1)/2]."""
+    p = _as_int(p, "p", 2)
+    return p, _as_int(s, "s", 0, p * (p - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -225,7 +245,7 @@ def _checked_covariance(s) -> np.ndarray:
     if not (np.diag(s) > 0).all():
         raise ValueError(
             "sample covariance has a non-positive diagonal entry "
-            "(zero-variance column); the row solver requires S_ii > 0"
+            "(degenerate data: a column has zero variance); the row solver requires S_ii > 0"
         )
     return s
 
@@ -274,16 +294,11 @@ def generate_dag(p: int, s: int, rng: np.random.Generator) -> SemInstance:
 
     Parameters
     ----------
-    p : number of variables, at least 2.
-    s : expected number of edges, between 0 and p(p-1)/2.
+    p : number of variables, an integer of at least 2.
+    s : expected number of edges, an integer between 0 and p(p-1)/2.
     rng : numpy random generator.
     """
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    max_edges = p * (p - 1) // 2
-    if not 0 <= s <= max_edges:
-        raise ValueError(f"s must lie in [0, {max_edges}], got {s}")
-
+    p, s = _as_setting(p, s)
     q = 2.0 * s / (p * (p - 1))
     tl = np.tril_indices(p, -1)
     n_slots = tl[0].shape[0]
@@ -332,8 +347,7 @@ def sample_data(inst: SemInstance, n: int, rng: np.random.Generator) -> DataMatr
     Sampling solves the triangular system L x = z for z ~ N(0, I) in the
     permuted frame, then maps columns back to the original labels.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _as_int(n, "n", 1)
     l = adjacency_to_cholesky(inst).l
     z = rng.standard_normal((n, inst.p))
     x_perm = solve_triangular(l, z.T, lower=True).T
@@ -349,7 +363,4 @@ def sample_covariance(x: DataMatrix) -> SampleCovariance:
     skipped; its symmetry and diagonal checks still run.
     """
     s = x.x.T @ x.x / x.n
-    s = 0.5 * (s + s.T)
-    if (np.diag(s) <= 0).any():
-        raise ValueError("degenerate data: a column has zero variance")
-    return SampleCovariance._of_gram(s)
+    return SampleCovariance._of_gram(0.5 * (s + s.T))

@@ -100,7 +100,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from birkdag.scoring import ConvexityGuardError, McpParams, _permuted_cov, mcp
-from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance, _check_counts
+from birkdag.sem import CholeskyFactor, Permutation, SampleCovariance, _as_real, _check_counts
 
 
 # A cell leaves the stack of column sweeps for good after a column sweep
@@ -125,8 +125,7 @@ class SolverSettings:
     k_max: int = 20000
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        object.__setattr__(self, "eps", _as_real(self.eps, "eps must be positive", 0.0, above=True))
         _check_counts(self, k_max=1)
 
 

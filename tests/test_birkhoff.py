@@ -114,10 +114,15 @@ class TestProjection:
             q = random_ds(5, rng)
             assert ((q.m - p0) ** 2).sum() >= d_star - 1e-9
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf"), "1e-9"])
     def test_rejects_nonpositive_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be positive"):
             project_to_birkhoff(np.eye(3), eps=eps)
+
+    @pytest.mark.parametrize("k_max", [2.5, 2.0, True, 0])
+    def test_k_max_must_be_a_positive_integer(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be"):
+            project_to_birkhoff(np.eye(3), k_max=k_max)
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match=r"p0 must be a non-empty square matrix.*\(0, 0\)"):
@@ -646,6 +651,12 @@ class TestGradientProjection:
         with pytest.raises(TypeError):
             RelaxationConfig()
 
+    @pytest.mark.parametrize("field, bad", [("mu", "0.3"), ("mu", True), ("eps", float("inf")),
+                                            ("eps", 0.0)])
+    def test_relaxation_config_reals_are_checked(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            RelaxationConfig(**{"mu": 0.3, field: bad})
+
     def test_relaxation_config_k_max_must_be_an_integer(self):
         for bad in (500.0, 2.5, True, np.bool_(True)):
             with pytest.raises(ValueError, match="k_max must be an integer"):
@@ -708,6 +719,11 @@ class TestSamplePermutations:
         perms = sample_permutations(ds, 3, np.random.default_rng(seed))
         for x, cand in zip(draws, perms):
             assert np.array_equal(cand.pi, np.argsort(x, kind="stable"))
+
+    @pytest.mark.parametrize("n_samples", [2.5, 2.0, True, 0])
+    def test_n_samples_must_be_a_positive_integer(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be"):
+            sample_permutations(DoublyStochastic.center(3), n_samples, np.random.default_rng(0))
 
 
 def per_draw_samples(ds, n, rng):
@@ -911,7 +927,7 @@ class TestEstimatePermutation:
         cfg = RelaxationConfig(mu=5 * concave, eps=1e-10, k_max=2000)
         est = estimate_permutation(l, s, cfg, rng, p_init=DoublyStochastic.center(p))
         assert est.snapped
-        r = np.rint(est.relaxed.m)
+        r = np.rint(gradient_projection(l, s, cfg, DoublyStochastic.center(p)).ds.m)
         assert np.array_equal(np.argmax(r, axis=1), est.perm.pi)
 
     def test_all_ties_keep_first_candidate(self):
@@ -944,7 +960,8 @@ class TestEstimatePermutation:
             incumbent=Permutation.identity(p),
         )
         assert est.snapped
-        assert np.array_equal(np.argmax(est.relaxed.m, axis=1), start.pi)
+        relaxed = gradient_projection(l, s, cfg, DoublyStochastic.from_permutation(start)).ds
+        assert np.array_equal(np.argmax(relaxed.m, axis=1), start.pi)
         assert np.array_equal(est.perm.pi, np.arange(p))
 
     def test_exhaustive_three_node_oracle(self, rng):

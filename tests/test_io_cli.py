@@ -92,7 +92,7 @@ class TestTriplets:
 
 
 class TestCliFit:
-    def test_fit_writes_json(self, workdir, tmp_path):
+    def test_fit_writes_json(self, workdir, tmp_path, capsys):
         out = tmp_path / "fit.json"
         rc = main(["fit", "--data", str(workdir / "gen" / "data.csv"),
                    "--lambda", "0.2", "--gamma", "2.0", "--seed", "1",
@@ -102,6 +102,8 @@ class TestCliFit:
         assert doc["p"] == 5 and doc["n"] == 120
         assert len(doc["permutation"]) == 5
         assert "ebic" in doc and "score_trace" in doc
+        # the printed flag names what the JSON's "converged" records
+        assert f"; ordering_fixed_point={doc['converged']}\n" in capsys.readouterr().out
 
     def test_large_lambda_empty_b_hat(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -522,6 +524,26 @@ class TestCliBenchmark:
         out = tmp_path / "o.csv"
         assert main(["benchmark", "--spec", str(spec), "--out", str(out)]) == 2
         assert f"spec key {next(iter(change))!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, doc, named", [
+        ("tune", [], "the grid must be a JSON object, got list"),
+        ("benchmark", [[8, 8]], "the spec must be a JSON object, got list"),
+        ("benchmark", {"settings": [[8, 8]], "grid": []},
+         "spec key 'grid': the grid must be a JSON object, got list"),
+    ])
+    def test_non_object_document_exits_2(self, workdir, tmp_path, capsys, command, doc, named):
+        # a grid of [] used to end in an AttributeError traceback
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        if command == "tune":
+            args = ["--data", str(workdir / "gen" / "data.csv"), "--grid", str(path)]
+        else:
+            args = ["--spec", str(path)]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, *args, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_float_counts_read_as_integers(self):

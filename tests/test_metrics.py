@@ -238,6 +238,10 @@ print(seen)
             BenchmarkSpec(reps=0)
         with pytest.raises(ValueError, match="distinct"):
             BenchmarkSpec(settings=((6, 4), (6, 4)))
+        # a truthy string used to be accepted and stamp runtimes
+        for bad in ("no", 0, np.bool_(False)):
+            with pytest.raises(ValueError, match="measure_runtime must be a bool"):
+                BenchmarkSpec(measure_runtime=bad)
 
     def test_counts_must_be_integers(self):
         # a float count used to pass here and fail every replicate later

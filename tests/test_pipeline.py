@@ -293,6 +293,17 @@ class TestTune:
         assert b5["support"] == s
         assert b5["ebic"] - b0["ebic"] == pytest.approx(2 * s * np.log(5))
 
+    def test_grid_values_are_checked_reals(self):
+        # a bool used to pass as the number 1
+        for field, bad in (("lambdas", (True,)), ("gammas", ("2.0",)), ("lambdas", (np.nan,))):
+            with pytest.raises(ValueError, match=f"{field} must hold finite reals"):
+                TuningGrid(**{field: bad})
+        with pytest.raises(ValueError, match="gamma_bic must lie in"):
+            TuningGrid(gamma_bic=True)
+        grid = TuningGrid(lambdas=[1, np.float32(0.5)], gammas=[np.int64(3)])
+        assert grid.lambdas == (1.0, 0.5) and grid.gammas == (3.0,)
+        assert all(type(v) is float for v in (*grid.lambdas, *grid.gammas))
+
     def test_lexicographic_tie_break(self):
         # two identical cells tie; the first in grid order wins
         x = independent_data(4, 100, 4)

@@ -56,6 +56,12 @@ class TestMcp:
             with pytest.raises(ValueError) as exc:
                 McpParams(lam, gamma)
             assert type(exc.value) is ValueError
+        # strings and bools used to end in a bare TypeError, or pass
+        for lam, gamma, named in (("0.3", 2.0, "lambda"), (True, 2.0, "lambda"),
+                                  (0.3, "2", "gamma"), (0.3, True, "gamma")):
+            with pytest.raises(ValueError, match=named) as exc:
+                McpParams(lam, gamma)
+            assert type(exc.value) is ValueError
         for gamma in (1.0, 0.5, -3.0):
             with pytest.raises(ConvexityGuardError, match="gamma must exceed 1"):
                 McpParams(0.1, gamma)
@@ -170,5 +176,11 @@ class TestEbic:
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             ebic(1.0, 0, 10, 5, 1.5)
+        for bad in (float("nan"), "0.5", True):
+            with pytest.raises(ValueError, match="gamma_bic must lie in"):
+                ebic(1.0, 0, 10, 5, bad)
+        # a fractional n used to pass into the log n term
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ebic(1.0, 2, 10.5, 5, 0.5)
         with pytest.raises(ValueError):
             ebic(1.0, -1, 10, 5, 0.5)

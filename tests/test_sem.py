@@ -135,6 +135,13 @@ class TestGenerateDag:
         with pytest.raises(ValueError):
             generate_dag(5, 11, rng)
 
+    def test_counts_must_be_integers(self):
+        # a float s used to pass and be truncated when the instance was read back
+        rng = np.random.default_rng(0)
+        for p, s, named in ((5, 2.5, "s"), (5.0, 2, "p"), (5, True, "s")):
+            with pytest.raises(ValueError, match=f"{named} must be an integer"):
+                generate_dag(p, s, rng)
+
 
 class TestCholeskyMaps:
     def test_identity_case(self):
@@ -229,6 +236,8 @@ class TestSampleData:
         inst = make_instance(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             sample_data(inst, 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_data(inst, 10.0, np.random.default_rng(0))
 
 
 class TestSampleCovariance:
