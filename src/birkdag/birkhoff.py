@@ -90,10 +90,6 @@ class DoublyStochastic:
         """The matrix J/p, the center of the Birkhoff polytope."""
         return DoublyStochastic(np.full((p, p), 1.0 / p))
 
-    @staticmethod
-    def from_permutation(perm: Permutation) -> "DoublyStochastic":
-        return DoublyStochastic(perm.matrix())
-
 
 @dataclass(frozen=True)
 class DualVariables:
@@ -422,13 +418,9 @@ def _center_cols(m: np.ndarray) -> np.ndarray:
 
 
 def relaxed_objective(
-    pm: DoublyStochastic | np.ndarray,
-    l: CholeskyFactor,
-    s: SampleCovariance,
-    cfg: RelaxationConfig,
+    P: np.ndarray, l: CholeskyFactor, s: SampleCovariance, cfg: RelaxationConfig
 ) -> float:
-    """1/2 tr(L P S P^t L^t) - mu/2 ||T P||_F^2, T = I - (1/p) 1 1^t."""
-    P = pm.m if isinstance(pm, DoublyStochastic) else np.asarray(pm, dtype=float)
+    """1/2 tr(L P S P^t L^t) - mu/2 ||T P||_F^2, T = I - (1/p) 1 1^t, at the matrix P."""
     lp = l.l @ P
     quad = 0.5 * float(np.einsum("ij,ij->", lp @ s.s, lp))
     TP = _center_cols(P)
@@ -436,13 +428,9 @@ def relaxed_objective(
 
 
 def relaxed_gradient(
-    pm: DoublyStochastic | np.ndarray,
-    l: CholeskyFactor,
-    s: SampleCovariance,
-    cfg: RelaxationConfig,
+    P: np.ndarray, l: CholeskyFactor, s: SampleCovariance, cfg: RelaxationConfig
 ) -> np.ndarray:
-    """(L^t L) P S - mu T P."""
-    P = pm.m if isinstance(pm, DoublyStochastic) else np.asarray(pm, dtype=float)
+    """(L^t L) P S - mu T P at the matrix P."""
     g = l.gram @ P @ s.s
     return g - cfg.mu * _center_cols(P)
 
@@ -456,9 +444,7 @@ def _objective_from_gradient(g: np.ndarray, P: np.ndarray) -> float:
     return 0.5 * float(np.vdot(g, P))
 
 
-def convexity_thresholds(
-    l: CholeskyFactor, s: SampleCovariance | np.ndarray
-) -> tuple[float, float, float]:
+def convexity_thresholds(l: CholeskyFactor, s: SampleCovariance) -> tuple[float, float, float]:
     """mu thresholds governing the shape of the relaxed objective.
 
     Returns ``(plain_convex, centered_convex, concave)``: with the
@@ -468,16 +454,10 @@ def convexity_thresholds(
     mu > lambda_max(S) lambda_max(L^t L) makes the objective concave, so
     its minimum sits at a vertex (a permutation matrix).  Eigenvalues
     are taken in ascending order; lambda_2 is the second smallest, not
-    the second smallest distinct.  ``s`` may be a plain symmetric PSD
-    array; this is pure spectral analysis, not a solver input.  The
-    spectra of a ``SampleCovariance`` and of a factor are computed once
-    and cached on them.
+    the second smallest distinct.  The spectra of the covariance and of
+    the factor are computed once and cached on them.
     """
-    if isinstance(s, SampleCovariance):
-        ev_s = s.spectrum
-    else:
-        ev_s = np.linalg.eigvalsh(np.asarray(s, dtype=float))
-    ev_l = l.spectrum
+    ev_s, ev_l = s.spectrum, l.spectrum
     second = ev_s[1] if ev_s.shape[0] > 1 else ev_s[0]
     return (
         float(ev_s[0] * ev_l[0]),
@@ -659,19 +639,17 @@ def _snap_to_permutation(ds_m: np.ndarray, tol: float = 1e-6) -> Permutation | N
 
 
 def rounding_candidates(
-    relaxed: DoublyStochastic,
-    rng: np.random.Generator,
-    incumbent: Permutation | None = None,
+    relaxed: DoublyStochastic, rng: np.random.Generator, incumbent: Permutation
 ) -> tuple[np.ndarray, bool]:
     """The ordering step's candidates for a relaxed solution, one per row.
 
-    If ``relaxed`` is a vertex to within 1e-6, that vertex is the only
-    candidate and no draw is made.  Otherwise the candidates are
-    ``N_SAMPLES`` rank-matching draws, taken as ``sample_permutations``
-    takes them, followed by the linear-assignment rounding.  An
-    ``incumbent`` goes first.  Only the first occurrence of each
-    ordering is kept, in order.  Returns the (K, p) int array of
-    candidates and whether ``relaxed`` snapped to a vertex.
+    The ``incumbent`` goes first.  If ``relaxed`` is a vertex to within
+    1e-6, that vertex follows it and no draw is made.  Otherwise
+    ``N_SAMPLES`` rank-matching draws follow, taken as
+    ``sample_permutations`` takes them, then the linear-assignment
+    rounding.  Only the first occurrence of each ordering is kept, in
+    order.  Returns the (K, p) int array of candidates and whether
+    ``relaxed`` snapped to a vertex.
     """
     snapped = _snap_to_permutation(relaxed.m)
     if snapped is not None:
@@ -679,9 +657,7 @@ def rounding_candidates(
     else:
         draws = rng.standard_normal((N_SAMPLES, relaxed.p))
         rows = [_match_ranks(relaxed.m, draws), round_hungarian(relaxed).pi[None, :]]
-    if incumbent is not None:
-        rows.insert(0, incumbent.pi[None, :])
-    rows = np.concatenate(rows)
+    rows = np.concatenate([incumbent.pi[None, :], *rows])
     first: dict[bytes, int] = {}
     keep = [first.setdefault(row.tobytes(), i) == i for i, row in enumerate(rows)]
     return rows[keep], snapped is not None
@@ -745,21 +721,18 @@ def estimate_permutation(
     cfg: RelaxationConfig,
     rng: np.random.Generator,
     p_init: DoublyStochastic,
-    incumbent: Permutation | None = None,
+    incumbent: Permutation,
 ) -> PermutationEstimate:
     """Solve the relaxed ordering problem and round to a permutation.
 
     Runs gradient projection from p_init, rounds its solution to the
-    candidate array of ``rounding_candidates`` (the snapped vertex alone,
-    or ``N_SAMPLES`` rank-matching draws then the linear-assignment
-    rounding, without repeats) and returns the one ``best_candidate``
-    picks: the smallest 1/2 tr(L P S P^t L^t), ties keeping the earliest.
-
-    When an ``incumbent`` ordering is supplied (the alternating loop
-    passes its current one) it goes first in the comparison, so the
-    returned ordering never scores worse than the incumbent, the
-    ordering step is monotone in the trace objective, and a tie keeps
-    the incumbent.
+    candidate array of ``rounding_candidates`` (the ``incumbent``, then
+    the snapped vertex alone, or ``N_SAMPLES`` rank-matching draws and
+    the linear-assignment rounding, without repeats) and returns the one
+    ``best_candidate`` picks: the smallest 1/2 tr(L P S P^t L^t), ties
+    keeping the earliest.  The incumbent goes first, so the returned
+    ordering never scores worse than it, the ordering step is monotone
+    in the trace objective, and a tie keeps the incumbent.
     """
     gp = gradient_projection(l, s, cfg, p_init)
     candidates, snapped = rounding_candidates(gp.ds, rng, incumbent)

@@ -68,7 +68,7 @@ def instance_from_json(text: str) -> SemInstance:
         adjacency=WeightedAdjacency(np.array(doc["b"], dtype=float)),
         noise=NoiseVariances(np.array(doc["omega2"], dtype=float)),
         ordering=Permutation(np.array(doc["ordering"], dtype=int) - 1),
-        expected_edges=int(doc["s"]),
+        expected_edges=_int(doc["s"]),
     )
 
 

@@ -56,6 +56,8 @@ class BenchmarkSpec:
         if len(set(settings)) != len(settings):
             raise ValueError(f"settings must be distinct, got {settings}")
         object.__setattr__(self, "settings", settings)
+        if not isinstance(self.grid, TuningGrid):
+            raise ValueError(f"grid must be a TuningGrid, got {self.grid!r}")
         if not isinstance(self.measure_runtime, bool):
             raise ValueError(f"measure_runtime must be a bool, got {self.measure_runtime!r}")
 

@@ -86,6 +86,8 @@ class RrcfConfig:
     init: str = "variance"
 
     def __post_init__(self):
+        if not isinstance(self.mcp, McpParams):
+            raise ValueError(f"mcp must be an McpParams, got {self.mcp!r}")
         if self.mu is not None:
             object.__setattr__(self, "mu", RelaxationConfig(mu=self.mu).mu)
         _check_counts(self, outer_k_max=1, seed=0)
@@ -128,6 +130,28 @@ def _initial_order(s: SampleCovariance, init: str) -> Permutation:
     return Permutation.identity(s.p)
 
 
+def _ordering_step(
+    l: CholeskyFactor, order: Permutation, s: SampleCovariance, mu: float | None,
+    rng: np.random.Generator,
+) -> dict:
+    """One ordering step of ``fit`` for the factor l fitted at ``order``.
+
+    Relaxes with ``mu`` (None: automatic, see ``fit``), starts gradient
+    projection at ``ANCHOR`` between the incumbent's vertex and the
+    polytope center, and ranks the rounding candidates with the
+    incumbent first.  Returns the step's record: the ordering it picked
+    under "perm", and "mu", "thresholds", "gp_converged", "gp_iters" and
+    "snapped".
+    """
+    thresholds = convexity_thresholds(l, s)
+    relax = RelaxationConfig(mu=max(thresholds[1], 0.0) if mu is None else mu)
+    center = DoublyStochastic.center(s.p).m
+    p_init = DoublyStochastic(ANCHOR * order.matrix() + (1.0 - ANCHOR) * center)
+    est = estimate_permutation(l, s, relax, rng, p_init=p_init, incumbent=order)
+    return {"perm": est.perm, "mu": relax.mu, "thresholds": thresholds,
+            "gp_converged": est.gp_converged, "gp_iters": est.gp_iters, "snapped": est.snapped}
+
+
 def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult:
     """Alternate sparse factor estimation and ordering estimation.
 
@@ -145,9 +169,10 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
     None, with max(centered convexity threshold, 0) of the step's factor
     (the second value of ``convexity_thresholds``).
 
-    ``diagnostics`` holds one entry per ordering step under "mu",
+    ``diagnostics`` is built once, at the end, from the loop's two lists.
+    One record per ordering step (``_ordering_step``'s dict) gives "mu",
     "thresholds", "gp_converged", "gp_iters" (gradient projection
-    iterations) and "snapped", and one per L-step under
+    iterations) and "snapped"; one entry per L-step gives
     "solver_sweeps_max", "solver_unconverged_rows" and
     "solver_exact_rows" (rows stopped at an exact step), matching
     ``score_trace``; "n_outer" counts ordering steps.  A converged fit
@@ -158,68 +183,44 @@ def fit(x: DataMatrix | np.ndarray, cfg: RrcfConfig = RrcfConfig()) -> FitResult
     sp_params = score_params(cfg.mcp)
 
     order = _initial_order(s, cfg.init)
-    score_trace: list[ScoreBreakdown] = []
-    best_total = np.inf
-    best: tuple[CholeskyFactor, Permutation, ScoreBreakdown] | None = None
-    diag: dict = {
-        "mu": [],
-        "gp_converged": [],
-        "gp_iters": [],
-        "snapped": [],
-        "solver_sweeps_max": [],
-        "solver_unconverged_rows": [],
-        "solver_exact_rows": [],
-        "thresholds": [],
-        "n_outer": 0,
-    }
-    center = DoublyStochastic.center(s.p).m
-    converged = False
+    # (ordering, CholeskyEstimate, score) per L-step, one record per ordering step
+    l_steps, steps = [], []
     for k in range(cfg.outer_k_max):
         ch = estimate_cholesky(order, s, cfg.mcp)
-        l = ch.l
-        diag["solver_sweeps_max"].append(int(ch.sweeps.max()))
-        diag["solver_unconverged_rows"].append(int((~ch.converged).sum()))
-        diag["solver_exact_rows"].append(int(ch.exact.sum()))
-
-        breakdown = penalized_score(l, order, s, sp_params)
-        score_trace.append(breakdown)
-        if breakdown.total < best_total:
-            best_total = breakdown.total
-            best = (l, order, breakdown)
+        l_steps.append((order, ch, penalized_score(ch.l, order, s, sp_params)))
         if k == cfg.outer_k_max - 1:
             break
-
-        diag["n_outer"] += 1
-        thresholds = convexity_thresholds(l, s)
-        relax = RelaxationConfig(mu=max(thresholds[1], 0.0) if cfg.mu is None else cfg.mu)
-        diag["mu"].append(relax.mu)
-        diag["thresholds"].append(thresholds)
-
-        p_init = DoublyStochastic(ANCHOR * order.matrix() + (1.0 - ANCHOR) * center)
-        est = estimate_permutation(l, s, relax, rng, p_init=p_init, incumbent=order)
-        diag["gp_converged"].append(est.gp_converged)
-        diag["gp_iters"].append(est.gp_iters)
-        diag["snapped"].append(est.snapped)
-        if np.array_equal(est.perm.pi, order.pi):
-            converged = True
+        steps.append(_ordering_step(ch.l, order, s, cfg.mu, rng))
+        if np.array_equal(steps[-1]["perm"].pi, order.pi):
             break
-        order = est.perm
+        order = steps[-1]["perm"]
 
-    l_hat, perm_hat, best_breakdown = best
+    # min keeps the first of equal scores
+    perm_hat, best, best_breakdown = min(l_steps, key=lambda step: step[2].total)
+    l_hat = best.l
     b_perm, omega_perm = cholesky_to_adjacency(l_hat)
     inv = perm_hat.inverse()
     b_hat = WeightedAdjacency(inv.apply_to_matrix(b_perm.b))
     omega = np.empty(s.p)
     omega[perm_hat.pi] = omega_perm.omega2
     ebic_value = ebic(x.n * best_breakdown.nll, l_hat.support_size(), x.n, x.p, cfg.gamma_bic)
+    diag = {key: [step[key] for step in steps] for key in ("mu", "gp_converged", "gp_iters", "snapped")}
+    diag.update(
+        solver_sweeps_max=[int(ch.sweeps.max()) for _, ch, _ in l_steps],
+        solver_unconverged_rows=[int((~ch.converged).sum()) for _, ch, _ in l_steps],
+        solver_exact_rows=[int(ch.exact.sum()) for _, ch, _ in l_steps],
+        thresholds=[step["thresholds"] for step in steps],
+        n_outer=len(steps),
+    )
     return FitResult(
         l_hat=l_hat,
         perm_hat=perm_hat,
         b_hat=b_hat,
         omega_hat=NoiseVariances(omega),
-        score_trace=score_trace,
+        score_trace=[score for _, _, score in l_steps],
         ebic_value=ebic_value,
-        converged=converged,
+        # the ordering step after the last L-step returned its incumbent
+        converged=len(steps) == len(l_steps),
         diagnostics=diag,
     )
 

@@ -194,7 +194,8 @@ class SemInstance:
 
     ``ordering`` is the permutation under which the adjacency becomes
     strictly lower triangular, i.e. ``P B P^t`` has zeros on and above
-    the diagonal.
+    the diagonal.  ``expected_edges`` is the s of ``generate_dag``, held
+    to the same (p, s) rule.
     """
 
     adjacency: WeightedAdjacency
@@ -209,6 +210,11 @@ class SemInstance:
         b_perm = self.ordering.apply_to_matrix(self.adjacency.b)
         if np.abs(np.triu(b_perm)).max(initial=0.0) != 0.0:
             raise ValueError("adjacency is not strictly lower triangular under ordering")
+        try:
+            _, s = _as_setting(p, self.expected_edges)
+        except ValueError as exc:
+            raise ValueError(f"expected_edges must be an s that generate_dag accepts: {exc}") from exc
+        object.__setattr__(self, "expected_edges", s)
 
     @property
     def p(self) -> int:

@@ -313,7 +313,7 @@ def test_criterion_10_rounding_consistency():
     for _ in range(10):
         p = int(rng.integers(2, 12))
         perm = Permutation(rng.permutation(p))
-        ds = DoublyStochastic.from_permutation(perm)
+        ds = DoublyStochastic(perm.matrix())
         for cand in sample_permutations(ds, 50, rng):
             assert np.array_equal(cand.pi, perm.pi)
     recovered = 0

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -295,7 +296,7 @@ class TestRelaxedObjective:
         p = 4
         s = random_covariance(p, 20, rng)
         cfg = RelaxationConfig(mu=0.0)
-        pm = DoublyStochastic.from_permutation(Permutation(rng.permutation(p)))
+        pm = Permutation(rng.permutation(p)).matrix()
         assert relaxed_objective(pm, CholeskyFactor(np.eye(p)), s, cfg) == pytest.approx(
             0.5 * np.trace(s.s)
         )
@@ -308,7 +309,7 @@ class TestRelaxedObjective:
         for mu in (0.0, 3.0, 50.0):
             cfg = RelaxationConfig(mu=mu)
             expected = 0.5 * float(np.einsum("ij,ij->", l.l @ c.m @ s.s, l.l @ c.m))
-            assert relaxed_objective(c, l, s, cfg) == pytest.approx(expected)
+            assert relaxed_objective(c.m, l, s, cfg) == pytest.approx(expected)
 
     def test_centered_equals_plain_plus_constant(self, rng):
         # ||T P||_F^2 = ||P||_F^2 - 1 on the polytope, so the objective
@@ -319,9 +320,9 @@ class TestRelaxedObjective:
         l = random_cholesky(p, rng)
         for _ in range(100):
             ds = random_ds(p, rng)
-            quad = relaxed_objective(ds, l, s, RelaxationConfig(mu=0.0))
+            quad = relaxed_objective(ds.m, l, s, RelaxationConfig(mu=0.0))
             plain = quad - 0.5 * mu * (ds.m**2).sum()
-            centered = relaxed_objective(ds, l, s, RelaxationConfig(mu=mu))
+            centered = relaxed_objective(ds.m, l, s, RelaxationConfig(mu=mu))
             assert abs(centered - (plain + mu / 2)) <= 1e-10
 
 
@@ -330,7 +331,7 @@ class TestRelaxedGradient:
         p = 4
         cfg = RelaxationConfig(mu=0.0)
         ds = random_ds(p, rng)
-        g = relaxed_gradient(ds, CholeskyFactor(np.eye(p)), SampleCovariance(np.eye(p)), cfg)
+        g = relaxed_gradient(ds.m, CholeskyFactor(np.eye(p)), SampleCovariance(np.eye(p)), cfg)
         assert np.abs(g - ds.m).max() <= 1e-14
 
     def test_centered_gradient_at_center(self, rng):
@@ -340,7 +341,7 @@ class TestRelaxedGradient:
         cfg = RelaxationConfig(mu=7.0)
         c = DoublyStochastic.center(p)
         expected = (l.l.T @ l.l) @ c.m @ s.s
-        assert np.abs(relaxed_gradient(c, l, s, cfg) - expected).max() <= 1e-12
+        assert np.abs(relaxed_gradient(c.m, l, s, cfg) - expected).max() <= 1e-12
 
     def test_finite_differences(self, rng):
         p = 4
@@ -366,18 +367,16 @@ class TestConvexityThresholds:
         assert t == (1.0, 1.0, 1.0)
 
     def test_degenerate_diagonal_covariance(self):
-        # eigenvalues read straight off a diagonal matrix
+        # a singular covariance: the all-ones matrix has eigenvalues 0 and 2
         l = CholeskyFactor(np.eye(2))
-        ev = np.diag([0.0, 1.0])
-        plain, centered, concave = convexity_thresholds(l, ev)
+        plain, centered, concave = convexity_thresholds(l, SampleCovariance(np.ones((2, 2))))
         assert plain == pytest.approx(0.0, abs=1e-15)
-        assert centered == pytest.approx(1.0)
-        assert concave == pytest.approx(1.0)
+        assert centered == pytest.approx(2.0)
+        assert concave == pytest.approx(2.0)
 
     def test_spectra_computed_once_per_factor_and_covariance(self, rng, monkeypatch):
         # a SampleCovariance and a factor cache their spectra, so repeated
-        # thresholds (fit's, then gradient projection's) cost no eigvalsh;
-        # a plain array is decomposed on every call
+        # thresholds (fit's, then gradient projection's) cost no eigvalsh
         s = random_covariance(5, 40, rng)
         l = random_cholesky(5, rng)
         want = convexity_thresholds(CholeskyFactor(l.l), SampleCovariance(s.s))
@@ -387,9 +386,6 @@ class TestConvexityThresholds:
         for _ in range(3):
             assert convexity_thresholds(l, s) == want
         assert len(calls) == 1
-        for _ in range(3):
-            assert convexity_thresholds(l, s.s) == want
-        assert len(calls) == 4
 
     def test_kronecker_oracle(self, rng):
         # extreme eigenvalues of kron(L^t L, S) factor into products
@@ -557,7 +553,7 @@ class TestGradientProjection:
         assert not res.converged and res.n_iter == len(accepted) == 40
         assert np.array_equal(res.ds.m, accepted[-1])
         assert res.objective_trace[-1] == pytest.approx(
-            relaxed_objective(res.ds, l, s, cfg), rel=1e-12)
+            relaxed_objective(res.ds.m, l, s, cfg), rel=1e-12)
 
     @pytest.mark.parametrize("p, slack", [(10, 0.0), (30, 2e-5), (100, 0.0)])
     def test_default_cap_matches_plain_gp_at_500(self, p, slack, monkeypatch):
@@ -595,7 +591,7 @@ class TestGradientProjection:
         assert all(r.converged for r in projections)
 
         f_plain = relaxed_objective(plain, l, s, cfg)
-        assert relaxed_objective(res.ds, l, s, cfg) <= f_plain + slack * abs(f_plain)
+        assert relaxed_objective(res.ds.m, l, s, cfg) <= f_plain + slack * abs(f_plain)
 
     def test_center_is_solution_for_scaled_identity_factor(self, rng):
         # with mu = 0 and L proportional to I the relaxed problem collapses
@@ -698,7 +694,7 @@ class TestSamplePermutations:
     def test_permutation_input_reproduced(self, rng):
         p = 6
         perm = Permutation(rng.permutation(p))
-        ds = DoublyStochastic.from_permutation(perm)
+        ds = DoublyStochastic(perm.matrix())
         for cand in sample_permutations(ds, 20, rng):
             assert np.array_equal(cand.pi, perm.pi)
 
@@ -753,7 +749,7 @@ class TestBulkDraws:
         p = 12
         ds = project_to_birkhoff(np.random.default_rng(1).random((p, p))).ds
         a, b = np.random.default_rng(9), np.random.default_rng(9)
-        rounding_candidates(ds, a)
+        rounding_candidates(ds, a, Permutation.identity(p))
         per_draw_samples(ds, birkhoff.N_SAMPLES, b)
         assert a.standard_normal() == b.standard_normal()
 
@@ -768,19 +764,19 @@ def first_occurrences(rows):
 
 
 class TestRoundingCandidates:
-    @pytest.mark.parametrize("with_incumbent", [False, True])
-    def test_draws_then_assignment_without_repeats(self, with_incumbent):
-        # p = 4 has 24 orderings, so most of the 151 rows repeat
+    @pytest.mark.parametrize("incumbent_is_the_assignment", [False, True])
+    def test_draws_then_assignment_without_repeats(self, incumbent_is_the_assignment):
+        # p = 4 has 24 orderings, so most of the 151 rows repeat; an
+        # incumbent equal to the last row moves that row to the front
         p = 4
         rng = np.random.default_rng(2)
         ds = project_to_birkhoff(rng.random((p, p))).ds
         incumbent = Permutation(rng.permutation(p))
-        rows, snapped = rounding_candidates(
-            ds, np.random.default_rng(4), incumbent if with_incumbent else None)
-        full = list(per_draw_samples(ds, birkhoff.N_SAMPLES, np.random.default_rng(4)))
+        if incumbent_is_the_assignment:
+            incumbent = round_hungarian(ds)
+        rows, snapped = rounding_candidates(ds, np.random.default_rng(4), incumbent)
+        full = [incumbent.pi, *per_draw_samples(ds, birkhoff.N_SAMPLES, np.random.default_rng(4))]
         full.append(round_hungarian(ds).pi)
-        if with_incumbent:
-            full.insert(0, incumbent.pi)
         assert not snapped
         assert rows.dtype.kind == "i" and rows.shape[1] == p
         assert np.array_equal(rows, first_occurrences(full))
@@ -799,7 +795,7 @@ class TestRoundingCandidates:
 
     def test_vertex_is_the_only_candidate_and_draws_nothing(self):
         perm = Permutation(np.array([2, 0, 3, 1]))
-        ds = DoublyStochastic.from_permutation(perm)
+        ds = DoublyStochastic(perm.matrix())
         rng = np.random.default_rng(0)
         rows, snapped = rounding_candidates(ds, rng, Permutation.identity(4))
         assert snapped
@@ -815,14 +811,18 @@ def exhaustive_winner(l, s, rows):
 
 class TestBestCandidate:
     @pytest.mark.parametrize("p", [3, 4, 6, 10, 20, 30])
-    @pytest.mark.parametrize("with_incumbent", [False, True])
-    def test_winner_of_the_exhaustive_minimum(self, p, with_incumbent):
-        rng = np.random.default_rng(100 * p + with_incumbent)
+    @pytest.mark.parametrize("incumbent_is_the_assignment", [False, True])
+    def test_winner_of_the_exhaustive_minimum(self, p, incumbent_is_the_assignment):
+        # a random incumbent, or one equal to a candidate of the relaxed point
+        rng = np.random.default_rng(100 * p + incumbent_is_the_assignment)
         for _ in range(4):
             s = random_covariance(p, 3 * p, rng)
             l = random_cholesky(p, rng)
-            incumbent = Permutation(rng.permutation(p)) if with_incumbent else None
-            rows, _ = rounding_candidates(random_ds(p, rng), rng, incumbent)
+            ds = random_ds(p, rng)
+            incumbent = Permutation(rng.permutation(p))
+            if incumbent_is_the_assignment:
+                incumbent = round_hungarian(ds)
+            rows, _ = rounding_candidates(ds, rng, incumbent)
             assert best_candidate(l, s, rows) == exhaustive_winner(l, s, rows)
 
     def test_ranks_the_relaxed_solution_candidates(self):
@@ -884,7 +884,7 @@ class TestBestCandidate:
 class TestRoundHungarian:
     def test_permutation_recovered(self, rng):
         perm = Permutation(rng.permutation(7))
-        assert np.array_equal(round_hungarian(DoublyStochastic.from_permutation(perm)).pi, perm.pi)
+        assert np.array_equal(round_hungarian(DoublyStochastic(perm.matrix())).pi, perm.pi)
 
     def test_two_by_two(self):
         ds = DoublyStochastic(np.array([[0.9, 0.1], [0.1, 0.9]]))
@@ -919,30 +919,39 @@ print('scipy.optimize' in sys.modules)
 class TestEstimatePermutation:
     def test_vertex_branch_returns_without_sampling(self, rng):
         # huge mu keeps the start vertex optimal, so the relaxed solution
-        # snaps and sampling never runs
+        # snaps and sampling never runs; the vertex wins unless the
+        # incumbent, ranked first, ties or beats it
         p = 4
         s = random_covariance(p, 20, rng)
         l = random_cholesky(p, rng)
         _, _, concave = convexity_thresholds(l, s)
         cfg = RelaxationConfig(mu=5 * concave, eps=1e-10, k_max=2000)
-        est = estimate_permutation(l, s, cfg, rng, p_init=DoublyStochastic.center(p))
-        assert est.snapped
         r = np.rint(gradient_projection(l, s, cfg, DoublyStochastic.center(p)).ds.m)
-        assert np.array_equal(np.argmax(r, axis=1), est.perm.pi)
+        vertex = Permutation(np.argmax(r, axis=1))
+        for incumbent in itertools.permutations(range(p)):
+            incumbent = Permutation(np.array(incumbent))
+            state = rng.bit_generator.state
+            est = estimate_permutation(
+                l, s, cfg, rng, p_init=DoublyStochastic.center(p), incumbent=incumbent)
+            assert est.snapped and rng.bit_generator.state == state
+            keep = trace_objective(l, incumbent, s) <= trace_objective(l, vertex, s)
+            assert np.array_equal(est.perm.pi, (incumbent if keep else vertex).pi)
 
     def test_all_ties_keep_first_candidate(self):
         # L = I and S = I make every permutation score identically, so the
-        # first candidate (sample 0) is kept
+        # first candidate, the incumbent, is kept after the draws
         p = 4
         s = SampleCovariance(np.eye(p))
         l = CholeskyFactor(np.eye(p))
         cfg = RelaxationConfig(mu=0.0, eps=1e-9, k_max=500)
-        seed = 5
-        est = estimate_permutation(
-            l, s, cfg, np.random.default_rng(seed), DoublyStochastic.center(p))
-        gp = gradient_projection(l, s, cfg, DoublyStochastic.center(p))
-        expected = sample_permutations(gp.ds, 1, np.random.default_rng(seed))[0]
-        assert np.array_equal(est.perm.pi, expected.pi)
+        incumbent = Permutation(np.array([2, 0, 3, 1]))
+        rng = np.random.default_rng(5)
+        est = estimate_permutation(l, s, cfg, rng, DoublyStochastic.center(p), incumbent)
+        assert not est.snapped
+        assert np.array_equal(est.perm.pi, incumbent.pi)
+        after = np.random.default_rng(5)
+        after.standard_normal((birkhoff.N_SAMPLES, p))
+        assert rng.standard_normal() == after.standard_normal()
 
     def test_snapped_tie_keeps_incumbent(self):
         # L = I and S = I tie every permutation; mu past the concave
@@ -956,11 +965,11 @@ class TestEstimatePermutation:
         start = Permutation(np.array([1, 0, 3, 2]))
         est = estimate_permutation(
             l, s, cfg, np.random.default_rng(0),
-            p_init=DoublyStochastic.from_permutation(start),
+            p_init=DoublyStochastic(start.matrix()),
             incumbent=Permutation.identity(p),
         )
         assert est.snapped
-        relaxed = gradient_projection(l, s, cfg, DoublyStochastic.from_permutation(start)).ds
+        relaxed = gradient_projection(l, s, cfg, DoublyStochastic(start.matrix())).ds
         assert np.array_equal(np.argmax(relaxed.m, axis=1), start.pi)
         assert np.array_equal(est.perm.pi, np.arange(p))
 
@@ -973,7 +982,7 @@ class TestEstimatePermutation:
         l = CholeskyFactor(np.array([[1.0, 0.0, 0.0], [-0.8, 1.3, 0.0], [0.4, -0.2, 0.7]]))
         cfg = RelaxationConfig(mu=0.0, eps=1e-9, k_max=1000)
         est = estimate_permutation(
-            l, s, cfg, np.random.default_rng(0), DoublyStochastic.center(p))
+            l, s, cfg, np.random.default_rng(0), DoublyStochastic.center(p), Permutation.identity(p))
         best = min(trace_objective(l, Permutation(np.array(o)), s) for o in iperm(range(p)))
         assert trace_objective(l, est.perm, s) == pytest.approx(best)
 

@@ -40,6 +40,18 @@ class TestInstanceJson:
         assert np.array_equal(back.adjacency.b, inst.adjacency.b)
         assert np.array_equal(back.ordering.pi, inst.ordering.pi)
         assert np.array_equal(back.noise.omega2, inst.noise.omega2)
+        assert back.expected_edges == inst.expected_edges == 5
+
+    def test_s_is_read_as_a_count(self):
+        # JSON may write the count 2 as 2.0; a fractional s used to be
+        # truncated to 2
+        doc = json.loads(bio.instance_to_json(generate_dag(4, 2, np.random.default_rng(1)), seed=1))
+        doc["s"] = 2.0
+        back = bio.instance_from_json(json.dumps(doc))
+        assert type(back.expected_edges) is int and back.expected_edges == 2
+        doc["s"] = 2.5
+        with pytest.raises(ValueError, match="s must be an integer, got 2.5"):
+            bio.instance_from_json(json.dumps(doc))
 
 
 @pytest.fixture

@@ -243,6 +243,12 @@ print(seen)
             with pytest.raises(ValueError, match="measure_runtime must be a bool"):
                 BenchmarkSpec(measure_runtime=bad)
 
+    def test_grid_must_be_a_tuning_grid(self):
+        # a dict used to pass here and turn every replicate into an error row
+        for bad in ({"lambdas": [0.3]}, (0.3, 0.4), None):
+            with pytest.raises(ValueError, match="grid must be a TuningGrid"):
+                BenchmarkSpec(settings=((8, 8),), reps=1, grid=bad)
+
     def test_counts_must_be_integers(self):
         # a float count used to pass here and fail every replicate later
         for field in ("n", "reps", "seed", "outer_k_max"):

@@ -267,6 +267,74 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(DataMatrix(np.random.default_rng(0).standard_normal((50, 1))))
 
+    def test_mcp_must_be_mcp_params(self):
+        for bad in ((0.2, 2.0), {"lam": 0.2, "gamma": 2.0}, None):
+            with pytest.raises(ValueError, match="mcp must be an McpParams"):
+                RrcfConfig(mcp=bad)
+
+    def test_the_second_l_step_runs_at_the_moved_ordering(self, monkeypatch):
+        # standardized p = 6 data on which the first ordering step leaves
+        # the variance sort and the second keeps the new ordering
+        rng = np.random.default_rng(19)
+        p = int(rng.integers(4, 8))
+        x = sample_data(generate_dag(p, p, rng), 60, rng).x
+        x = DataMatrix(x / x.std(axis=0))
+        orders = []
+
+        def recording_lstep(order, s, params):
+            orders.append(order)
+            return estimate_cholesky(order, s, params)
+
+        monkeypatch.setattr(pipeline, "estimate_cholesky", recording_lstep)
+        res = fit(x, RrcfConfig(mcp=McpParams(0.5, 3.0), seed=19))
+        diag = res.diagnostics
+        assert res.converged and diag["n_outer"] == 2 == len(res.score_trace) == len(orders)
+        assert not np.array_equal(orders[1].pi, orders[0].pi)
+        assert np.array_equal(res.perm_hat.pi, orders[1].pi)
+        assert res.score_trace[1].total < res.score_trace[0].total
+        for key in ("solver_sweeps_max", "solver_unconverged_rows", "solver_exact_rows"):
+            assert len(diag[key]) == len(res.score_trace)
+        for key in ("mu", "thresholds", "gp_converged", "gp_iters", "snapped"):
+            assert len(diag[key]) == diag["n_outer"]
+
+
+class TestOrderingStep:
+    def test_moves_a_scrambled_incumbent_to_a_lower_trace(self):
+        # L fitted at the true ordering ranks a scrambled incumbent far
+        # above the truth, and the step finds a better ordering
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            inst = generate_dag(8, 8, rng)
+            s = sample_covariance(sample_data(inst, 200, rng))
+            l = estimate_cholesky(inst.ordering, s, McpParams(0.2, 2.0)).l
+            incumbent = Permutation(rng.permutation(8))
+            rec = pipeline._ordering_step(l, incumbent, s, None, rng)
+            assert not np.array_equal(rec["perm"].pi, incumbent.pi)
+            assert trace_objective(l, rec["perm"], s) < trace_objective(l, incumbent, s)
+            thresholds = pipeline.convexity_thresholds(l, s)
+            assert rec["thresholds"] == thresholds and rec["mu"] == max(thresholds[1], 0.0)
+            assert list(rec) == ["perm", "mu", "thresholds", "gp_converged", "gp_iters", "snapped"]
+
+    def test_explicit_mu_and_the_incumbent_reach_the_estimate(self, monkeypatch):
+        calls = []
+        real = pipeline.estimate_permutation
+
+        def recording(l, s, cfg, rng, p_init, incumbent):
+            calls.append((cfg, p_init, incumbent))
+            return real(l, s, cfg, rng, p_init=p_init, incumbent=incumbent)
+
+        monkeypatch.setattr(pipeline, "estimate_permutation", recording)
+        rng = np.random.default_rng(4)
+        s = random_covariance(5, 40, rng)
+        l = estimate_cholesky(Permutation.identity(5), s, McpParams(0.2, 2.0)).l
+        incumbent = Permutation(np.array([3, 1, 4, 0, 2]))
+        rec = pipeline._ordering_step(l, incumbent, s, 0.7, rng)
+        (cfg, p_init, inc), = calls
+        assert rec["mu"] == cfg.mu == 0.7 and inc is incumbent
+        center = np.full((5, 5), 1.0 / 5)
+        want = pipeline.ANCHOR * incumbent.matrix() + (1.0 - pipeline.ANCHOR) * center
+        assert np.array_equal(p_init.m, want)
+
 
 class TestTune:
     def test_single_point_grid(self):

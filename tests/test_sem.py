@@ -85,6 +85,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             make_instance(b)
 
+    def test_instance_checks_expected_edges(self):
+        # the (p, s) rule of generate_dag: an integer in [0, p(p-1)/2]
+        b = np.zeros((3, 3))
+        assert make_instance(b).expected_edges == 0
+        inst = SemInstance(WeightedAdjacency(b), NoiseVariances(np.ones(3)),
+                           Permutation.identity(3), np.int64(3))
+        assert type(inst.expected_edges) is int and inst.expected_edges == 3
+        for bad in (2.5, 2.0, True, -1, 4, "2"):
+            with pytest.raises(ValueError, match="expected_edges must be an s that generate_dag"):
+                SemInstance(WeightedAdjacency(b), NoiseVariances(np.ones(3)),
+                            Permutation.identity(3), bad)
+
     def test_noise_rejects_zero_variance(self):
         with pytest.raises(ValueError):
             NoiseVariances(np.array([1.0, 0.0]))
