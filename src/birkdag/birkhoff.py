@@ -6,8 +6,7 @@ This module provides the four pieces of that pipeline:
 
 * Euclidean projection onto the polytope, computed by semismooth Newton
   ascent on its dual, which converges in a few steps from a cold start
-  and in about two (2.2 on average at p = 100, 1.5 at p = 30) from the
-  dual solutions of the previous projections;
+  and in about two from the dual solution of the previous projection;
 * accelerated gradient projection (FISTA with function-value restart)
   for the relaxed quadratic objective
   1/2 tr(L P S P^t L^t) - mu/2 ||T P||_F^2 with T = I - (1/p) 1 1^t.
@@ -18,8 +17,8 @@ This module provides the four pieces of that pipeline:
   descending step whenever the extrapolated step would raise the
   objective, and forms one gradient per accepted step.  It stops when
   an accepted step moves P by at most eps, or at its cap of 100
-  iterations.  Its inner projections warm start at the dual solutions
-  extrapolated one step along their path;
+  iterations.  Each inner projection warm starts at the dual solution
+  of the last accepted one;
 * convexity/concavity thresholds for mu from the spectra of S and L^t L;
 * rounding back to permutations, either by rank-matching against random
   Gaussian vectors or by solving a linear assignment problem.  An
@@ -505,11 +504,10 @@ def gradient_projection(
     iterate.  Under momentum ||P+ - P||_F is the step between accepted
     iterates, not the scaled gradient-mapping norm of plain gradient
     projection.  Inner projections run at the defaults of
-    ``project_to_birkhoff``.  The first starts cold and the second from
-    the first's dual solution; from then on each warm starts at the dual
-    path of the accepted projections extrapolated one step,
-    2 (u, v)_k - (u, v)_{k-1}, which keeps them to about 2.2 Newton steps
-    each at p = 100.
+    ``project_to_birkhoff``.  The first starts cold, and each later one,
+    the restart's plain step included, at the dual solution of the last
+    accepted projection, which keeps them to about 2 Newton steps each at
+    p = 100.
     """
     if not (l.p == s.p == p_init.p):
         raise ValueError("dimension mismatch between l, s and p_init")
@@ -523,26 +521,24 @@ def gradient_projection(
     # the next step starts at Y with gradient gY; beta > 0 marks Y as extrapolated
     Y, gY, beta = P, g, 0.0
     t = 1.0
-    duals = prev = None
+    duals = None
     converged = False
     n_iter = 0
     trace = [fP]
     for k in range(cfg.k_max):
         n_iter = k + 1
-        start = duals if prev is None else _unchecked(
-            DualVariables, u=2.0 * duals.u - prev.u, v=2.0 * duals.v - prev.v)
-        proj = project_to_birkhoff(Y - eta * gY, duals0=start)
+        proj = project_to_birkhoff(Y - eta * gY, duals0=duals)
         gZ = relaxed_gradient(proj.ds.m, l, s, cfg)
         fZ = _objective_from_gradient(gZ, proj.ds.m)
         if beta > 0.0 and fZ > fP:
             # restart: discard Z and take the plain step from P
             t = 1.0
-            proj = project_to_birkhoff(P - eta * g, duals0=start)
+            proj = project_to_birkhoff(P - eta * g, duals0=duals)
             gZ = relaxed_gradient(proj.ds.m, l, s, cfg)
             fZ = _objective_from_gradient(gZ, proj.ds.m)
         if not np.isfinite(fZ):
             raise FloatingPointError("relaxed objective became non-finite")
-        prev, duals = duals, proj.duals
+        duals = proj.duals
         Z = proj.ds.m
         step = Z - P
         # ||Z - P||_F as np.linalg.norm evaluates it, without its dispatch
@@ -589,16 +585,11 @@ def _match_ranks(ds_m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Row k is the permutation P with P r(x_k) = r(ds x_k): the position of
     the jth smallest entry of ds x_k maps to the position of the jth
-    smallest of x_k.  ds x_k is one matrix-vector product per draw,
-    because one matrix product for all draws rounds differently, and a
-    changed last bit could reorder a near-tie.
+    smallest of x_k.
     """
-    dx = np.empty_like(x)
-    for k in range(x.shape[0]):
-        np.dot(ds_m, x[k], out=dx[k])
     pi = np.empty(x.shape, dtype=int)
-    np.put_along_axis(
-        pi, np.argsort(dx, axis=1, kind="stable"), np.argsort(x, axis=1, kind="stable"), axis=1)
+    np.put_along_axis(pi, np.argsort(x @ ds_m.T, axis=1, kind="stable"),
+                      np.argsort(x, axis=1, kind="stable"), axis=1)
     return pi
 
 

@@ -407,14 +407,12 @@ def plain_gp(l, s, cfg, p_init):
     """
     eta = 1.0 / (convexity_thresholds(l, s)[2] + cfg.mu + 1e-15)
     P = p_init.m.copy()
-    duals = prev = None
+    duals = None
     iterates = []
     for _ in range(cfg.k_max):
-        # warm start at the dual path extrapolated one step, 2 d_k - d_{k-1}
-        start = duals if prev is None else DualVariables(
-            2.0 * duals.u - prev.u, 2.0 * duals.v - prev.v)
-        proj = project_to_birkhoff(P - eta * relaxed_gradient(P, l, s, cfg), duals0=start)
-        prev, duals = duals, proj.duals
+        # warm start at the previous projection's duals
+        proj = project_to_birkhoff(P - eta * relaxed_gradient(P, l, s, cfg), duals0=duals)
+        duals = proj.duals
         moved = float(np.linalg.norm(proj.ds.m - P))
         P = proj.ds.m
         iterates.append(P)
@@ -436,12 +434,10 @@ def direct_objective_gp(l, s, cfg, p_init):
     gP = relaxed_gradient(P, l, s, cfg)
     fP = 0.5 * float(np.vdot(gP, P))
     Y, gY, beta, t = P, gP, 0.0, 1.0
-    duals = prev = None
+    duals = None
     points, accepted, restarts = [], [], []
     for k in range(cfg.k_max):
-        start = duals if prev is None else DualVariables(
-            2.0 * duals.u - prev.u, 2.0 * duals.v - prev.v)
-        proj = project_to_birkhoff(Y - eta * gY, duals0=start)
+        proj = project_to_birkhoff(Y - eta * gY, duals0=duals)
         Z = proj.ds.m
         gZ = relaxed_gradient(Z, l, s, cfg)
         fZ = 0.5 * float(np.vdot(gZ, Z))
@@ -449,12 +445,12 @@ def direct_objective_gp(l, s, cfg, p_init):
         if beta > 0.0 and fZ > fP:
             restarts.append(k)
             t = 1.0
-            proj = project_to_birkhoff(P - eta * gP, duals0=start)
+            proj = project_to_birkhoff(P - eta * gP, duals0=duals)
             Z = proj.ds.m
             gZ = relaxed_gradient(Z, l, s, cfg)
             fZ = 0.5 * float(np.vdot(gZ, Z))
             points.append(Z)
-        prev, duals = duals, proj.duals
+        duals = proj.duals
         moved = float(np.linalg.norm(Z - P))
         t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t) ** 0.5)
         beta = (t - 1.0) / t_next
@@ -497,6 +493,44 @@ class TestGradientProjection:
             assert res.converged == (moved <= cfg.eps)
             assert all(np.array_equal(got, want) for got, want in zip(seen[1:], points))
             assert np.array_equal(res.ds.m, accepted[-1])
+
+    def test_projections_warm_start_at_the_last_accepted_duals(self, monkeypatch):
+        # the first projection starts cold; each later one receives the
+        # duals of the last accepted projection, and a restart's plain step
+        # the same duals as the extrapolated step it replaces
+        calls = []
+
+        def recording(p0, **kwargs):
+            res = project_to_birkhoff(p0, **kwargs)
+            calls.append((kwargs["duals0"], res))
+            return res
+
+        n_restarts = 0
+        for p in (3, 8, 20):
+            rng = np.random.default_rng(2000 + p)
+            s = random_covariance(p, 3 * p, rng)
+            l = random_cholesky(p, rng)
+            _, centered, concave = convexity_thresholds(l, s)
+            start = DoublyStochastic.center(p)
+            for mu in (0.0, max(centered, 0.0), 1.1 * concave):
+                cfg = RelaxationConfig(mu=mu, eps=1e-9, k_max=300)
+                _, _, restarts = direct_objective_gp(l, s, cfg, start)
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(birkhoff, "project_to_birkhoff", recording)
+                    res = gradient_projection(l, s, cfg, start)
+                assert len(calls) == res.n_iter + len(restarts)
+                i, last = 0, None
+                for k in range(res.n_iter):
+                    assert calls[i][0] is (None if last is None else last.duals)
+                    if k in restarts:
+                        i += 1
+                        assert calls[i][0] is calls[i - 1][0]
+                    last = calls[i][1]
+                    i += 1
+                assert res.ds is last.ds
+                n_restarts += len(restarts)
+        assert n_restarts > 0
 
     @pytest.mark.parametrize("p", [3, 8, 20])
     def test_descent_lemma_holds_at_full_step(self, p):

@@ -9,6 +9,8 @@ and with OUTDIR as the working directory, on fixed inputs and seeds:
 * ``fit`` JSON on that data with automatic mu and with ``--mu 0.3``, and
   on a small standardized instance whose ordering step moves (p 6);
 * ``tune`` outputs on that data;
+* ``project`` of a fixed 100 x 100 Gaussian matrix, and ``sample-perms``
+  of 150 permutations from the projected matrix;
 * benchmark CSVs for three specs (criterion 12's, criterion 9's and
   (100, 100) at n 150, reps 4, seed 401, lambda 0.3-0.7), each at
   ``--threads`` 1 and 2;
@@ -53,6 +55,9 @@ def commands() -> list[list[str]]:
         ["fit", "--data", "moving.csv", "--lambda", "0.5", "--gamma", "3.0", "--seed", "19",
          "--out", "fit_moving.json"],
         ["tune", "--data", "gen/data.csv", "--grid", "grid.json", "--out", "tune"],
+        ["project", "--matrix", "square.csv", "--out", "projected.csv"],
+        ["sample-perms", "--matrix", "projected.csv", "--n-samples", "150", "--seed", "5",
+         "--out", "perms.csv"],
     ]
     for name in SPECS:
         for threads in ("1", "2"):
@@ -62,7 +67,8 @@ def commands() -> list[list[str]]:
 
 
 def write_inputs() -> None:
-    """The grid and spec JSONs, and the standardized p = 6 data CSV."""
+    """The grid and spec JSONs, the standardized p = 6 data CSV and the
+    matrix to project."""
     import numpy as np
 
     from birkdag.io import matrix_to_csv
@@ -77,6 +83,8 @@ def write_inputs() -> None:
     p = int(rng.integers(4, 8))
     x = sample_data(generate_dag(p, p, rng), 60, rng).x
     Path("moving.csv").write_text(matrix_to_csv(x / x.std(axis=0)))
+    square = np.random.default_rng(33).standard_normal((100, 100))
+    Path("square.csv").write_text(matrix_to_csv(square))
 
 
 def main(argv: list[str]) -> int:
