@@ -182,7 +182,6 @@ def estimate_cholesky_path(
     s: SampleCovariance,
     params_seq: Sequence[McpParams],
     settings: SolverSettings = SolverSettings(),
-    l0: CholeskyFactor | None = None,
 ) -> list[CholeskyEstimate]:
     """Estimate the sparse Cholesky factor for each MCP cell at one ordering.
 
@@ -199,9 +198,9 @@ def estimate_cholesky_path(
     sweep counts and convergence and exact flags are those of a solve on
     its own, bit for bit.  A row stops once a sweep moves it less than
     ``settings.eps``; rows still moving after ``settings.k_max`` sweeps
-    are flagged unconverged.  ``l0`` warm starts the rows of every cell.
-    The convexity guard is checked for every cell, in order, before the
-    first sweep.
+    are flagged unconverged.  Every row starts at zero off-diagonals and
+    the diagonal 1/sqrt(S^P_ii), row 1's closed form.  The convexity
+    guard is checked for every cell, in order, before the first sweep.
     """
     sp = _permuted_cov(perm, s)
     p = sp.shape[0]
@@ -211,16 +210,9 @@ def estimate_cholesky_path(
         if params.gamma <= guard:
             raise guard_error(params, guard)
 
-    if l0 is not None and l0.p != p:
-        raise ValueError("l0 dimension disagrees with the covariance")
-
     c = len(params_seq)
-    if l0 is None:
-        l = np.zeros((c, p, p))
-        l[:, np.arange(p), np.arange(p)] = 1.0 / np.sqrt(d)
-    else:
-        l = np.repeat(np.tril(l0.l)[None], c, axis=0)
-    l[:, 0, 0] = 1.0 / np.sqrt(d[0])
+    l = np.zeros((c, p, p))
+    l[:, np.arange(p), np.arange(p)] = 1.0 / np.sqrt(d)
     m = -2.0 * sp
     np.fill_diagonal(m, 0.0)
     stack = _Stack(m, d, l, params_seq)
@@ -705,13 +697,12 @@ def estimate_cholesky(
     s: SampleCovariance,
     params: McpParams,
     settings: SolverSettings = SolverSettings(),
-    l0: CholeskyFactor | None = None,
 ) -> CholeskyEstimate:
     """Estimate the full sparse Cholesky factor for a fixed ordering.
 
     The one-cell case of ``estimate_cholesky_path``.
     """
-    return estimate_cholesky_path(perm, s, [params], settings, l0)[0]
+    return estimate_cholesky_path(perm, s, [params], settings)[0]
 
 
 def row_objectives(l: CholeskyFactor, sp: np.ndarray, params: McpParams) -> np.ndarray:

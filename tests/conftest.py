@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from birkdag import solver
+from birkdag.scoring import McpParams
 from birkdag.sem import CholeskyFactor, SampleCovariance
 from birkdag.solver import diagonal_step, offdiagonal_step, row_objectives
 
@@ -133,3 +136,74 @@ def assert_same_cyclic_iterates(a, b):
     assert np.array_equal(a.converged, b.converged)
     assert np.array_equal(a.l.l != 0.0, b.l.l != 0.0)
     assert np.abs(a.l.l - b.l.l).max() <= 1e-12
+
+
+class DescentLog:
+    """Every row's objective h after each step the L-step takes on a cell.
+
+    Wraps ``solver._column_sweep``, ``_block_sweep``, ``_exact_step`` and
+    ``_finish`` for the rest of the test, so that the solves it runs keep
+    their own schedule.  ``solves`` holds one dict per solve, from cell to
+    its (kind, h) list: the cell's start, then each column sweep of a
+    stack that holds it ("column"), each of its block sweeps ("block") and
+    each of its exact steps ("exact"), in the order they ran.  A cell is
+    named by its (lambda, gamma), so the cells of one path must differ.
+    ``left`` names the cells that left the stack before the sweep cap,
+    ``jumped`` counts the rows an exact step stopped, and ``kinds`` the
+    steps of each kind.
+    """
+
+    def __init__(self, monkeypatch):
+        self.solves, self.left, self.jumped, self.kinds = [], [], 0, Counter()
+        self.stack = None
+        column_sweep, block_sweep = solver._column_sweep, solver._block_sweep
+        exact_step, finish = solver._exact_step, solver._finish
+
+        def column_logged(stack):
+            if stack is not self.stack:  # a new solve: its first sweep
+                self.stack = stack
+                self.solves.append({})
+            # m is -2 S^P with a zero diagonal, and halving is exact
+            sp = np.diag(stack.d) - 0.5 * stack.m
+            cells = list(zip(stack.lam[:, 0].tolist(), stack.gamma[:, 0].tolist()))
+            for cell, slab in zip(cells, stack.l):
+                if cell not in self.solves[-1]:
+                    self.solves[-1][cell] = []
+                    self.log(cell, "start", slab, sp)
+            out = column_sweep(stack)
+            for cell, slab in zip(cells, stack.l):
+                self.log(cell, "column", slab, sp)
+            return out
+
+        def block_logged(cov, slab, active, lam, gamma, batch):
+            out = block_sweep(cov, slab, active, lam, gamma, batch)
+            self.log((lam, gamma), "block", slab, cov.sp)
+            return out
+
+        def exact_logged(cov, slab, active, lam, gamma, eps):
+            on = exact_step(cov, slab, active, lam, gamma, eps)
+            self.jumped += on.size
+            self.log((lam, gamma), "exact", slab, cov.sp)
+            return on
+
+        def finish_logged(cov, stack, k, sweep, settings):
+            if sweep < settings.k_max:
+                self.left.append((stack.lam.item(k), stack.gamma.item(k)))
+            return finish(cov, stack, k, sweep, settings)
+
+        monkeypatch.setattr(solver, "_column_sweep", column_logged)
+        monkeypatch.setattr(solver, "_block_sweep", block_logged)
+        monkeypatch.setattr(solver, "_exact_step", exact_logged)
+        monkeypatch.setattr(solver, "_finish", finish_logged)
+
+    def log(self, cell, kind, slab, sp):
+        self.kinds[kind] += 1
+        h = row_objectives(CholeskyFactor(slab.copy()), sp, McpParams(*cell))
+        self.solves[-1][cell].append((kind, h))
+
+    def assert_descends(self, tol=1e-10):
+        """No step of any solve raised any row's h by more than ``tol``."""
+        for solve in self.solves:
+            for cell, steps in solve.items():
+                for (_, before), (kind, after) in zip(steps, steps[1:]):
+                    assert (after <= before + tol).all(), (cell, kind, (after - before).max())

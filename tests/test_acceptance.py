@@ -39,6 +39,7 @@ from birkdag.sem import (
 from birkdag.solver import SolverSettings, estimate_cholesky, row_objectives
 
 from conftest import (
+    DescentLog,
     coordinate_update,
     descend_row,
     random_cholesky,
@@ -165,8 +166,8 @@ def test_criterion_05_mle_permutation_invariance():
     report(5, f"20 datasets x 20 orderings; worst value spread {worst:.1e}")
 
 
-def test_criterion_06_coordinate_descent_properties():
-    """Monotone sweeps, fixed points, global bound, grid oracle at k <= 4.
+def test_criterion_06_coordinate_descent_properties(monkeypatch):
+    """Monotone steps, fixed points, global bound, grid oracle at k <= 4.
 
     Each subproblem is the last row of ``estimate_cholesky`` at the
     identity ordering on its block; only the polishing of the grid start
@@ -176,7 +177,7 @@ def test_criterion_06_coordinate_descent_properties():
     n_oracle = 0
     oracle_hits = 0
     settings = SolverSettings(eps=1e-11, k_max=3000)
-    one_sweep = SolverSettings(k_max=1)
+    log = DescentLog(monkeypatch)
     for trial in range(200):
         k = int(rng.integers(2, 11))
         g = rng.standard_normal((k + 4, k))
@@ -184,16 +185,8 @@ def test_criterion_06_coordinate_descent_properties():
         gamma = max(2.0, 1.2 / (2.0 * np.diag(a).min()))
         params = McpParams(0.15, gamma)
         perm, s = Permutation.identity(k), SampleCovariance(a)
-        # monotone descent sweep by sweep, one sweep per solve, chained
-        # through the warm start from the solver's own start
-        l = CholeskyFactor(np.diag(1.0 / np.sqrt(np.diag(a))))
-        prev = row_objectives(l, a, params)
-        for _ in range(60):
-            l = estimate_cholesky(perm, s, params, one_sweep, l0=l).l
-            cur = row_objectives(l, a, params)
-            assert (cur <= prev + 1e-10).all()
-            prev = cur
-        # converged fixed point
+        # converged fixed point, reached by steps that each leave every
+        # row's h no higher (checked after the loop)
         est = estimate_cholesky(perm, s, params, settings)
         assert est.converged[-1]
         x = est.l.l[-1]
@@ -212,6 +205,9 @@ def test_criterion_06_coordinate_descent_properties():
                 best = min(best, row_objective(a, xo, params))
             if h <= best + 1e-6:
                 oracle_hits += 1
+    log.assert_descends()
+    steps = sum(log.kinds.values()) - log.kinds["start"]
+    assert len(log.solves) == 200 and log.kinds["block"] > 0 and log.jumped > 0
     # full-factor global lower bound on random instances
     for _ in range(25):
         p = int(rng.integers(2, 9))
@@ -223,7 +219,7 @@ def test_criterion_06_coordinate_descent_properties():
         assert row_objectives(est.l, sp, params).sum() >= -2 * p
         assert penalized_score(est.l, perm, s, score_params(params)).total >= -2 * p
     assert oracle_hits >= 0.95 * n_oracle
-    report(6, f"200 subproblems monotone with exact fixed points; grid oracle "
+    report(6, f"200 subproblems monotone over {steps} steps with exact fixed points; grid oracle "
               f"matched on {oracle_hits}/{n_oracle} (k <= 4); bound >= -2p held")
 
 

@@ -215,23 +215,19 @@ def reference_block_sweep(cov, slab, active, lam, gamma, batch, events=None):
     return moved, batch
 
 
-def reference_path(perm, s, params_seq, settings=SolverSettings(), l0=None):
+def reference_path(perm, s, params_seq, settings=SolverSettings()):
     """``estimate_cholesky_path`` with the reference kernels and the
     solver's own exact step (``solver._exact_step``)."""
     sp = _permuted_cov(perm, s)
     p = sp.shape[0]
     d = np.diag(sp).copy()
     c = len(params_seq)
-    if l0 is None:
-        l = np.zeros((c, p, p))
-        l[:, np.arange(p), np.arange(p)] = 1.0 / np.sqrt(d)
-    else:
-        l = np.repeat(np.tril(l0.l)[None], c, axis=0)
+    l = np.zeros((c, p, p))
+    l[:, np.arange(p), np.arange(p)] = 1.0 / np.sqrt(d)
     lam = np.array([params.lam for params in params_seq], dtype=float)[:, None]
     gamma = np.array([params.gamma for params in params_seq], dtype=float)[:, None]
     active = np.ones((c, p), dtype=bool)
     active[:, 0] = False
-    l[:, 0, 0] = 1.0 / np.sqrt(d[0])
     sweeps = np.zeros((c, p), dtype=int)
     exact = np.zeros((c, p), dtype=bool)
     m = -2.0 * sp
@@ -411,13 +407,11 @@ def test_block_sweeps_where_refused_rows_regrow(p, widest, monkeypatch):
 @pytest.mark.parametrize("p", [60, 120])
 def test_paths_equal_the_reference_path(p):
     perm, s, _, _ = problem(p, p + 2)
-    warm = solver.estimate_cholesky(perm, s, McpParams(0.4, 2.0)).l
     for settings in (SolverSettings(k_max=3), SolverSettings()):
-        for l0 in (None, warm):
-            got = estimate_cholesky_path(perm, s, CELLS, settings, l0)
-            want = reference_path(perm, s, CELLS, settings, l0)
-            for g, w in zip(got, want, strict=True):
-                assert same_bits(g.l.l, w.l.l)
-                assert np.array_equal(g.sweeps, w.sweeps)
-                assert np.array_equal(g.converged, w.converged)
-                assert np.array_equal(g.exact, w.exact)
+        got = estimate_cholesky_path(perm, s, CELLS, settings)
+        want = reference_path(perm, s, CELLS, settings)
+        for g, w in zip(got, want, strict=True):
+            assert same_bits(g.l.l, w.l.l)
+            assert np.array_equal(g.sweeps, w.sweeps)
+            assert np.array_equal(g.converged, w.converged)
+            assert np.array_equal(g.exact, w.exact)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from birkdag import solver
+from birkdag.pipeline import TuningGrid, tune
 from birkdag.scoring import McpParams
 from birkdag.sem import (
     CholeskyFactor,
@@ -26,6 +27,7 @@ from birkdag.solver import (
 )
 
 from conftest import (
+    DescentLog,
     assert_same_cyclic_iterates,
     coordinate_update,
     cyclic_pass,
@@ -37,17 +39,16 @@ from conftest import (
 )
 
 
-def serial_cholesky(perm, s, params, settings=SolverSettings(), l0=None):
+def serial_cholesky(perm, s, params, settings=SolverSettings()):
     """Reference factor solved row by row with ``descend_row``.
 
     Row 1 has the closed form 1/sqrt(S^P_11); row i descends on the
-    leading (i+1) x (i+1) block of S^P, from row i of ``l0`` when given,
-    else from zero off-diagonals and the diagonal 1/sqrt(S^P_ii).
+    leading (i+1) x (i+1) block of S^P from zero off-diagonals and the
+    diagonal 1/sqrt(S^P_ii).
     """
     sp = perm.apply_to_matrix(s.s)
     p = sp.shape[0]
-    l = np.diag(1.0 / np.sqrt(np.diag(sp))) if l0 is None else np.tril(l0.l)
-    l[0, 0] = 1.0 / np.sqrt(sp[0, 0])
+    l = np.diag(1.0 / np.sqrt(np.diag(sp)))
     sweeps = np.zeros(p, dtype=int)
     converged = np.ones(p, dtype=bool)
     exact = np.zeros(p, dtype=bool)
@@ -66,10 +67,10 @@ def random_block(k, rng, lam=0.1, gamma=2.0):
     return a, McpParams(lam, gamma)
 
 
-def solve_block(a, params, settings=SolverSettings(), l0=None):
+def solve_block(a, params, settings=SolverSettings()):
     """``estimate_cholesky`` at the identity ordering on block a; its last
     row is the solution of the row subproblem on a."""
-    return estimate_cholesky(Permutation.identity(len(a)), SampleCovariance(a), params, settings, l0)
+    return estimate_cholesky(Permutation.identity(len(a)), SampleCovariance(a), params, settings)
 
 
 def grid_polish_oracle(a, params, span):
@@ -161,23 +162,19 @@ class TestMinimizeRow:
         assert np.allclose(est.l.l[-1], [0, 0, 0, 1.0], atol=1e-12)
 
     def test_scalar_row_one_sweep(self):
-        est = solve_block(np.array([[4.0]]), McpParams(0.3, 2.0), l0=CholeskyFactor(np.array([[3.0]])))
+        est = solve_block(np.array([[4.0]]), McpParams(0.3, 2.0))
         assert est.all_converged and np.allclose(est.l.l, [[0.5]])
         assert est.sweeps.max() <= 2
 
-    def test_monotone_descent_per_sweep(self):
-        # one sweep per solve, chained through the warm start
+    def test_monotone_descent_per_sweep(self, monkeypatch):
+        # every column sweep, block sweep and exact step of each solve
+        log = DescentLog(monkeypatch)
         rng = np.random.default_rng(2)
-        one_sweep = SolverSettings(k_max=1)
         for _ in range(20):
             a, params = random_block(5, rng, lam=0.2)
-            l = CholeskyFactor(np.diag(1.0 / np.sqrt(np.diag(a))))
-            prev = row_objectives(l, a, params)
-            for _ in range(40):
-                l = solve_block(a, params, one_sweep, l0=l).l
-                cur = row_objectives(l, a, params)
-                assert (cur <= prev + 1e-10).all()
-                prev = cur
+            solve_block(a, params)
+        log.assert_descends()
+        assert len(log.solves) == 20 and log.kinds["column"] > 0 and log.kinds["block"] > 0
 
     def test_fixed_point_at_convergence(self):
         rng = np.random.default_rng(3)
@@ -199,10 +196,6 @@ class TestMinimizeRow:
             h = row_objectives(est.l, a, params)[-1]
             span = max(1.5, 1.5 * np.abs(x).max())
             assert h <= grid_polish_oracle(a, params, span) + 1e-6
-
-    def test_rejects_nonpositive_start(self):
-        with pytest.raises(ValueError):
-            solve_block(np.eye(2), McpParams(0.1, 2.0), l0=CholeskyFactor(np.diag([1.0, -1.0])))
 
 
 class TestSolverSettings:
@@ -245,11 +238,10 @@ class TestEstimateCholesky:
             a = estimate_cholesky(perm, s, params)
             b = serial_cholesky(perm, s, params)
             assert np.abs(a.l.l - b.l.l).max() <= 1e-9
-            # same settings and the same warm start on both paths
+            # the same tighter settings on both paths
             settings = SolverSettings(eps=1e-10, k_max=2000)
-            l0 = estimate_cholesky(perm, s, McpParams(0.3, 2.0)).l
-            a = estimate_cholesky(perm, s, params, settings, l0=l0)
-            b = serial_cholesky(perm, s, params, settings, l0=l0)
+            a = estimate_cholesky(perm, s, params, settings)
+            b = serial_cholesky(perm, s, params, settings)
             assert np.abs(a.l.l - b.l.l).max() <= 1e-9
 
     def test_default_sweep_cap_covers_slow_rows(self):
@@ -304,14 +296,6 @@ class TestEstimateCholesky:
             assert np.abs(alone.l.l[-1] - full.l.l[i, : i + 1]).max() <= 1e-12
             assert alone.sweeps[-1] == full.sweeps[i]
 
-    def test_warm_start_accepted(self, rng):
-        p = 5
-        s = random_covariance(p, 30, rng)
-        perm = Permutation.identity(p)
-        cold = estimate_cholesky(perm, s, McpParams(0.2, 2.0))
-        warm = estimate_cholesky(perm, s, McpParams(0.2, 2.0), l0=cold.l)
-        assert np.abs(cold.l.l - warm.l.l).max() <= 1e-7
-
 
 PATH_CELLS = [McpParams(lam, gamma) for lam in (0.0, 0.2, 0.7) for gamma in (2.0, 3.0)]
 
@@ -338,12 +322,11 @@ class TestEstimateCholeskyPath:
     @pytest.mark.parametrize("p", [2, 3, 8, 30, 100])
     def test_cells_equal_one_cell_solves(self, p):
         perm, s = path_problem(p, p)
-        warm = estimate_cholesky(perm, s, McpParams(0.4, 2.0)).l
-        for settings, l0 in itertools.product((SolverSettings(k_max=1), SolverSettings()), (None, warm)):
-            path = estimate_cholesky_path(perm, s, PATH_CELLS, settings, l0)
+        for settings in (SolverSettings(k_max=1), SolverSettings()):
+            path = estimate_cholesky_path(perm, s, PATH_CELLS, settings)
             assert len(path) == len(PATH_CELLS)
             for params, est in zip(PATH_CELLS, path):
-                assert_same_estimate(est, estimate_cholesky(perm, s, params, settings, l0))
+                assert_same_estimate(est, estimate_cholesky(perm, s, params, settings))
 
     @pytest.mark.parametrize("p", [30, 100])
     def test_one_sweep_is_one_cyclic_pass(self, p):
@@ -352,28 +335,24 @@ class TestEstimateCholeskyPath:
         # and then the diagonal
         perm, s = path_problem(p, p)
         sp = perm.apply_to_matrix(s.s)
-        warm = estimate_cholesky(perm, s, McpParams(0.4, 2.0)).l
-        for l0 in (None, warm):
-            start = np.diag(1.0 / np.sqrt(np.diag(sp))) if l0 is None else np.tril(l0.l)
-            path = estimate_cholesky_path(perm, s, PATH_CELLS, SolverSettings(k_max=1), l0)
-            for params, est in zip(PATH_CELLS, path, strict=True):
-                assert est.l.l[0, 0] == 1.0 / np.sqrt(sp[0, 0])
-                for i in range(1, p):
-                    x = start[i, : i + 1].copy()
-                    for j in range(i + 1):
-                        x[j] = coordinate_update(sp[: i + 1, : i + 1], x, j, params)
-                    assert np.abs(est.l.l[i, : i + 1] - x).max() <= 1e-12
+        start = np.diag(1.0 / np.sqrt(np.diag(sp)))
+        path = estimate_cholesky_path(perm, s, PATH_CELLS, SolverSettings(k_max=1))
+        for params, est in zip(PATH_CELLS, path, strict=True):
+            assert est.l.l[0, 0] == 1.0 / np.sqrt(sp[0, 0])
+            for i in range(1, p):
+                x = start[i, : i + 1].copy()
+                for j in range(i + 1):
+                    x[j] = coordinate_update(sp[: i + 1, : i + 1], x, j, params)
+                assert np.abs(est.l.l[i, : i + 1] - x).max() <= 1e-12
 
     def test_cells_match_serial(self):
         settings = SolverSettings(eps=1e-10, k_max=2000)
         for seed in range(3):
             perm, s = path_problem(7, seed)
-            l0 = estimate_cholesky(perm, s, McpParams(0.3, 2.0)).l
-            for warm in (None, l0):
-                path = estimate_cholesky_path(perm, s, PATH_CELLS, settings, warm)
-                for params, est in zip(PATH_CELLS, path):
-                    ref = serial_cholesky(perm, s, params, settings, warm)
-                    assert np.abs(est.l.l - ref.l.l).max() <= 1e-9
+            path = estimate_cholesky_path(perm, s, PATH_CELLS, settings)
+            for params, est in zip(PATH_CELLS, path):
+                ref = serial_cholesky(perm, s, params, settings)
+                assert np.abs(est.l.l - ref.l.l).max() <= 1e-9
 
     def test_empty_path(self, rng):
         assert estimate_cholesky_path(Permutation.identity(3), random_covariance(3, 20, rng), []) == []
@@ -400,13 +379,11 @@ class TestBlockTail:
     @pytest.mark.parametrize("p", [2, 3, 8, 30, 100, 200])
     def test_block_and_column_sweeps_agree(self, p, monkeypatch):
         perm, s = path_problem(p, p, n=2 * p)
-        warm = estimate_cholesky(perm, s, McpParams(0.4, 2.0)).l
-        capped = SolverSettings(k_max=2)
-        for settings, l0 in itertools.product((capped, SolverSettings()), (None, warm)):
+        for settings in (SolverSettings(k_max=2), SolverSettings()):
             paths = []
             for share in (COLUMN_ONLY, BLOCK_FROM_SWEEP_2):
                 monkeypatch.setattr(solver, "SETTLED_SHARE", share)
-                paths.append(estimate_cholesky_path(perm, s, PATH_CELLS, settings, l0))
+                paths.append(estimate_cholesky_path(perm, s, PATH_CELLS, settings))
             for column, block in zip(*paths, strict=True):
                 assert_same_cyclic_iterates(column, block)
 
@@ -653,7 +630,6 @@ class TestExactStep:
         # over 40 sweeps of five attempts in the stack and in ``_finish``
         settings = SolverSettings(k_max=40)
         perm, s = path_problem(p, p + 3)
-        warm = estimate_cholesky(perm, s, McpParams(0.4, 2.0)).l
         exact_step, attempts = solver._exact_step, []
 
         def refused(cov, slab, active, lam, gamma, eps):
@@ -662,16 +638,14 @@ class TestExactStep:
             assert on.size == 0
             return on
 
-        for l0 in (None, warm):
-            monkeypatch.setattr(solver, "_exact_step", refused)
-            tried = estimate_cholesky_path(perm, s, PATH_CELLS, settings, l0)
-            monkeypatch.setattr(solver, "_exact_step", exact_step)
-            monkeypatch.setattr(solver, "EXACT_EVERY", 10**9)
-            off = estimate_cholesky_path(perm, s, PATH_CELLS, settings, l0)
-            monkeypatch.undo()
-            for a, b in zip(tried, off, strict=True):
-                assert_same_estimate(a, b)
-                assert not a.exact.any()
+        monkeypatch.setattr(solver, "_exact_step", refused)
+        tried = estimate_cholesky_path(perm, s, PATH_CELLS, settings)
+        monkeypatch.setattr(solver, "_exact_step", exact_step)
+        monkeypatch.setattr(solver, "EXACT_EVERY", 10**9)
+        off = estimate_cholesky_path(perm, s, PATH_CELLS, settings)
+        for a, b in zip(tried, off, strict=True):
+            assert_same_estimate(a, b)
+            assert not a.exact.any()
         assert sum(attempts) > 0
 
 
@@ -794,3 +768,16 @@ class TestCoordinatewiseMinimum:
         est = estimate_cholesky(perm, s, params, settings)
         assert not est.all_converged
         assert coordinate_gap(est, perm.apply_to_matrix(s.s), params) > GAP_BOUND * settings.eps
+
+    @pytest.mark.parametrize("p", [30, 100])
+    def test_tune_grid_descends_at_every_step(self, p, monkeypatch):
+        # tune's five-cell grid on a (p, p) instance at n 150, on the
+        # schedule tune runs: no column sweep, block sweep or exact step
+        # raises any row's h
+        rng = np.random.default_rng(p)
+        x = sample_data(generate_dag(p, p, rng), 150, rng)
+        log = DescentLog(monkeypatch)
+        tune(x, TuningGrid(lambdas=(0.3, 0.4, 0.5, 0.6, 0.7), gammas=(2.0,)))
+        assert len(log.solves) == 1 and len(log.solves[0]) == 5
+        assert log.left and log.kinds["block"] > 0 and log.jumped > 0
+        log.assert_descends()

@@ -26,9 +26,8 @@ cells = st.lists(
     seed=st.integers(0, 2**32 - 1),
     cells=cells,
     k_max=st.sampled_from([1, 3, 20000]),
-    warm=st.booleans(),
 )
-def test_path_cells_equal_one_cell_solves(p, seed, cells, k_max, warm):
+def test_path_cells_equal_one_cell_solves(p, seed, cells, k_max):
     rng = np.random.default_rng(seed)
     s = random_covariance(p, 3 * p, rng)
     perm = Permutation(rng.permutation(p))
@@ -36,16 +35,15 @@ def test_path_cells_equal_one_cell_solves(p, seed, cells, k_max, warm):
     guard = max(1.0 / (2.0 * np.diag(s.s).min()), 1.0)
     params = [McpParams(lam, guard + offset) for lam, offset in cells]
     settings = SolverSettings(k_max=k_max)
-    l0 = estimate_cholesky(perm, s, McpParams(0.3, guard + 1.0)).l if warm else None
     # the default switch, every sweep on the stacked path, every sweep from
     # the second on the block path: at each, the path equals one-cell
     # solves bit for bit
     by_share = []
     for share in (solver.SETTLED_SHARE, -1, 1):
         with mock.patch.object(solver, "SETTLED_SHARE", share):
-            path = estimate_cholesky_path(perm, s, params, settings, l0)
+            path = estimate_cholesky_path(perm, s, params, settings)
             for cell, est in zip(params, path, strict=True):
-                one = estimate_cholesky(perm, s, cell, settings, l0)
+                one = estimate_cholesky(perm, s, cell, settings)
                 assert np.array_equal(est.l.l, one.l.l)
                 assert np.array_equal(est.sweeps, one.sweeps)
                 assert np.array_equal(est.converged, one.converged)

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,22 @@ def test_same_outputs_commands_read_only_files_that_exist(tmp_path, monkeypatch)
                     path == out or path.startswith(out + "/") for out in written), (args, path)
         written += [args[i + 1] for i, a in enumerate(args) if a in ("--out", "--out-dir")]
     assert "projected.csv" in written
+
+
+def test_same_outputs_pins_blas_to_one_thread():
+    # the benchmark CSVs depend on the BLAS thread count: loading the
+    # script sets it before numpy loads, whatever the caller's environment
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    code = ("import importlib.util, os, sys\n"
+            f"spec = importlib.util.spec_from_file_location('same_outputs', {str(TOOL)!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import numpy\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1\n"
 
 
 def test_trajectory_at_toy_size_fills_every_count(tmp_path):

@@ -20,16 +20,22 @@ Every path is relative to OUTDIR, so the files do not depend on where
 OUTDIR is.  A change meant to keep behaviour leaves
 ``diff -r OUTDIR_BEFORE OUTDIR_AFTER`` empty, with this script run from
 each of the two checkouts.  It takes about ten seconds on two cores.
+BLAS runs on one thread, as in ``bench/run.py``: the benchmark CSVs
+differ in their last bits between one BLAS thread and the default pool.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
-import json
 import os
-import sys
-from pathlib import Path
+
+# before numpy loads, so that both checkouts' runs share the setting
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
